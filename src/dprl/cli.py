@@ -29,7 +29,7 @@ from .evaluation import (
     run_reliability_experiment,
     train_algorithm,
 )
-from .mdp import load_dataset, save_dataset, simulate
+from .mdp import DatasetError, load_dataset, save_dataset, simulate
 
 JOBS_ENV_VAR = "DPRL_JOBS"
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=None, help="worker processes")
 
     p = sub.add_parser("generate", help="write per-seed trajectory datasets")
-    common(p, jobs=True, seeds=True)
+    common(p, seeds=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one configured algorithm on a dataset file")
@@ -385,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DatasetError as exc:
+        print(f"dataset error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface anything else as exit 1
         print(f"error: {exc}", file=sys.stderr)

@@ -152,32 +152,53 @@ def _grid_index(x: int, y: int, side: int) -> int:
 
 
 def _grid_transitions(side: int, noise: float) -> np.ndarray:
-    """Transition tensor for the grid including the goal-to-start restart."""
+    """Transition tensor for the grid including the goal-to-start restart.
+
+    Mass is added in (state, intended, executed) order, so a successor that
+    several executed moves reach (against a wall) sums them in a fixed order.
+    """
     num_states = side * side
     goal = num_states - 1
+    moves = np.array(_GRID_MOVES)
+    cells = np.arange(goal)[:, None]  # every state but the goal
+    nx = np.clip(cells % side + moves[:, 0], 0, side - 1)
+    ny = np.clip(cells // side + moves[:, 1], 0, side - 1)
+    successor = _grid_index(nx, ny, side)  # (state, executed)
+    share = (1.0 - noise) / GRID_ACTIONS
+    probs = np.full((GRID_ACTIONS, GRID_ACTIONS), share)  # (intended, executed)
+    np.fill_diagonal(probs, noise + share)
+    intended = np.arange(GRID_ACTIONS)[:, None]
     transitions = np.zeros((num_states, GRID_ACTIONS, num_states))
-    for y in range(side):
-        for x in range(side):
-            s = _grid_index(x, y, side)
-            if s == goal:
-                transitions[s, :, 0] = 1.0
-                continue
-            for intended in range(GRID_ACTIONS):
-                for executed in range(GRID_ACTIONS):
-                    prob = (noise if executed == intended else 0.0) + (1.0 - noise) / GRID_ACTIONS
-                    dx, dy = _GRID_MOVES[executed]
-                    nx = min(max(x + dx, 0), side - 1)
-                    ny = min(max(y + dy, 0), side - 1)
-                    transitions[s, intended, _grid_index(nx, ny, side)] += prob
+    np.add.at(transitions, (cells[:, :, None], intended, successor[:, None, :]), probs)
+    transitions[goal, :, 0] = 1.0
     return transitions
 
 
-def greedy_intended_path(mdp: TabularMdp, side: int) -> list[int]:
-    """States along the optimal policy's intended route from start to goal."""
-    _, _, greedy = optimal_values(mdp)
-    path = [mdp.start_state]
+def _grid_mdp(side: int, noise: float, gamma: float) -> TabularMdp:
+    if side < 2:
+        raise ValueError("side must be >= 2")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError("noise must lie in [0, 1]")
+    num_states = side * side
+    goal = num_states - 1
+    lo = np.zeros((num_states, GRID_ACTIONS))
+    hi = np.zeros((num_states, GRID_ACTIONS))
+    lo[goal, :], hi[goal, :] = 0.9, 1.0
+    return TabularMdp(
+        transitions=_grid_transitions(side, noise),
+        rewards=RewardSpec(lo=lo, hi=hi),
+        gamma=gamma,
+        start_state=0,
+        terminal_states=frozenset(),
+        r_max=1.0,
+        name=f"gridworld(side={side},noise={noise},gamma={gamma})",
+    )
+
+
+def _greedy_walk(greedy: np.ndarray, start: int, side: int) -> list[int]:
+    path = [start]
     goal = side * side - 1
-    s = mdp.start_state
+    s = start
     for _ in range(2 * side * side):
         if s == goal:
             return path
@@ -188,15 +209,23 @@ def greedy_intended_path(mdp: TabularMdp, side: int) -> list[int]:
     raise RuntimeError("greedy path failed to reach the goal")
 
 
+def _spaced_interior(path: list[int], count: int) -> frozenset[int]:
+    interior = path[1:-1]
+    count = min(count, len(interior))
+    return frozenset(interior[(k * len(interior)) // (count + 1)] for k in range(1, count + 1))
+
+
+def greedy_intended_path(mdp: TabularMdp, side: int) -> list[int]:
+    """States along the optimal policy's intended route from start to goal."""
+    _, _, greedy = optimal_values(mdp)
+    return _greedy_walk(greedy, mdp.start_state, side)
+
+
 def default_careless_states(
     side: int, noise: float = 0.9, gamma: float = 0.95, count: int = 5
 ) -> frozenset[int]:
     """Evenly spaced interior states of the optimal corridor."""
-    mdp, _ = build_gridworld(side=side, noise=noise, careless_states=frozenset(), gamma=gamma)
-    interior = greedy_intended_path(mdp, side)[1:-1]
-    count = min(count, len(interior))
-    picks = {interior[(k * len(interior)) // (count + 1)] for k in range(1, count + 1)}
-    return frozenset(picks)
+    return _spaced_interior(greedy_intended_path(_grid_mdp(side, noise, gamma), side), count)
 
 
 def build_gridworld(
@@ -225,38 +254,19 @@ def build_gridworld(
     Unif[0.9, 1.0] and teleports back to the start, so trajectories run to
     the horizon cap and the 100-state count of the 10x10 grid is preserved.
     """
-    if side < 2:
-        raise ValueError("side must be >= 2")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
     if not 0.0 <= explore <= 1.0:
         raise ValueError("explore must lie in [0, 1]")
-
-    num_states = side * side
-    goal = num_states - 1
-    transitions = _grid_transitions(side, noise)
-    lo = np.zeros((num_states, GRID_ACTIONS))
-    hi = np.zeros((num_states, GRID_ACTIONS))
-    lo[goal, :], hi[goal, :] = 0.9, 1.0
-
-    mdp = TabularMdp(
-        transitions=transitions,
-        rewards=RewardSpec(lo=lo, hi=hi),
-        gamma=gamma,
-        start_state=0,
-        terminal_states=frozenset(),
-        r_max=1.0,
-        name=f"gridworld(side={side},noise={noise},gamma={gamma})",
-    )
-
-    if careless_states is None:
-        careless_states = default_careless_states(side, noise=noise, gamma=gamma)
-    careless_states = frozenset(int(s) for s in careless_states)
-    for s in careless_states:
-        if not 0 <= s < num_states:
-            raise ValueError(f"careless state {s} out of range")
+    mdp = _grid_mdp(side, noise, gamma)
+    num_states = mdp.num_states
+    if careless_states is not None:
+        careless_states = frozenset(int(s) for s in careless_states)
+        for s in careless_states:
+            if not 0 <= s < num_states:
+                raise ValueError(f"careless state {s} out of range")
 
     _, q_star, greedy = optimal_values(mdp)
+    if careless_states is None:
+        careless_states = _spaced_interior(_greedy_walk(greedy, mdp.start_state, side), 5)
     rows = np.full((num_states, GRID_ACTIONS), explore / GRID_ACTIONS)
     rows[np.arange(num_states), greedy] += 1.0 - explore
     for s in careless_states:

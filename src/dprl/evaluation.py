@@ -10,7 +10,6 @@ provided as a cross-check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,6 +242,9 @@ def run_reliability_experiment(
     seeds = [master_seed + i for i in range(num_seeds)]
     payloads = [(mdp, behavior, algorithms, seed, num_trajectories, horizon) for seed in seeds]
     if jobs > 1 and payloads:
+        # Imported here so that `import dprl` does not load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_run_single_seed, payloads))
     else:

@@ -14,14 +14,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 _ROW_SUM_TOL = 1e-9
+_LOCKSTEP_SLOTS = 1 << 16  # trajectory steps simulated per lockstep block
 
 
 @dataclass
@@ -161,10 +162,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.states)
 
-    def steps(self) -> Iterator[tuple[int, int, float]]:
-        for s, a, r in zip(self.states, self.actions, self.rewards):
-            yield int(s), int(a), float(r)
-
 
 @dataclass
 class TrajectoryDataset:
@@ -197,6 +194,48 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _lockstep_rollout(
+    mdp: TabularMdp, policy: BehaviorPolicy, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step every episode at once from its ``(horizon, 3)`` block of uniforms.
+
+    Row ``t`` of a block holds the action, reward and successor uniforms of
+    step ``t``.  Returns padded ``(N, horizon)`` states, actions and rewards
+    plus the ``(N,)`` episode lengths; entries past a length are garbage.
+    """
+    num_trajectories, horizon, _ = draws.shape
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    behavior_cdf = np.cumsum(policy.action_probabilities, axis=1)
+    transition_cdf = np.cumsum(mdp.transitions, axis=2)
+    lo = mdp.rewards.lo
+    span = mdp.rewards.hi - mdp.rewards.lo
+    is_terminal = np.zeros(num_states, dtype=bool)
+    is_terminal[list(mdp.terminal_states)] = True
+
+    states = np.empty((num_trajectories, horizon), dtype=np.int64)
+    actions = np.empty((num_trajectories, horizon), dtype=np.int64)
+    rewards = np.empty((num_trajectories, horizon))
+    lengths = np.full(num_trajectories, horizon)
+    live = np.arange(num_trajectories)
+    s = np.full(num_trajectories, mdp.start_state, dtype=np.int64)
+    for t in range(horizon):
+        done = is_terminal[s]
+        if done.any():
+            lengths[live[done]] = t
+            live, s = live[~done], s[~done]
+        if not live.size:
+            break
+        u = draws[live, t]
+        # Counting CDF entries <= u is bisect_right on the nondecreasing CDF
+        # row; the clamp catches rows that sum to slightly under 1.
+        a = np.minimum((behavior_cdf[s] <= u[:, :1]).sum(axis=1), num_actions - 1)
+        states[live, t] = s
+        actions[live, t] = a
+        rewards[live, t] = lo[s, a] + u[:, 1] * span[s, a]
+        s = np.minimum((transition_cdf[s, a] <= u[:, 2:]).sum(axis=1), num_states - 1)
+    return states, actions, rewards, lengths
+
+
 def simulate(
     mdp: TabularMdp,
     policy: BehaviorPolicy,
@@ -223,37 +262,28 @@ def simulate(
     if num_trajectories < 0:
         raise ValueError("num_trajectories must be >= 0")
 
-    num_actions = mdp.num_actions
-    num_states = mdp.num_states
-    # Python lists + bisect beat per-step numpy calls at these sizes.
-    behavior_cdf = np.cumsum(policy.action_probabilities, axis=1).tolist()
-    transition_cdf = np.cumsum(mdp.transitions, axis=2).tolist()
-    lo = mdp.rewards.lo.tolist()
-    span = (mdp.rewards.hi - mdp.rewards.lo).tolist()
-    terminal = mdp.terminal_states
-
+    # Each trajectory keeps its own stream, so trajectory i is reproducible
+    # on its own; blocks of trajectories then step in lockstep.  The block
+    # size bounds the padded buffers at _LOCKSTEP_SLOTS steps.
     trajectories: list[Trajectory] = []
-    for i in range(num_trajectories):
-        seed = trajectory_seed(master_seed, i)
-        rng = np.random.default_rng(seed)
-        draws = rng.random((horizon, 3))
-        states: list[int] = []
-        actions: list[int] = []
-        rewards: list[float] = []
-        s = mdp.start_state
-        for t in range(horizon):
-            if s in terminal:
-                break
-            u_a, u_r, u_s = draws[t]
-            a = min(bisect_right(behavior_cdf[s], u_a), num_actions - 1)
-            r = lo[s][a] + u_r * span[s][a]
-            ns = min(bisect_right(transition_cdf[s][a], u_s), num_states - 1)
-            states.append(s)
-            actions.append(a)
-            rewards.append(r)
-            s = ns
-        trajectories.append(Trajectory(states=states, actions=actions, rewards=rewards, seed=seed))
-
+    block = max(1, _LOCKSTEP_SLOTS // horizon)
+    for first in range(0, num_trajectories, block):
+        indices = range(first, min(first + block, num_trajectories))
+        seeds = [trajectory_seed(master_seed, i) for i in indices]
+        draws = np.empty((len(seeds), horizon, 3))
+        for row, seed in zip(draws, seeds):
+            np.random.default_rng(seed).random(out=row)
+        states, actions, rewards, lengths = _lockstep_rollout(mdp, policy, draws)
+        # Compact copies, so the dataset does not pin the padded buffers.
+        trajectories += [
+            Trajectory(
+                states=states[i, :n].copy(),
+                actions=actions[i, :n].copy(),
+                rewards=rewards[i, :n].copy(),
+                seed=seed,
+            )
+            for i, (seed, n) in enumerate(zip(seeds, lengths.tolist()))
+        ]
     return TrajectoryDataset(
         trajectories=trajectories,
         num_states=mdp.num_states,
@@ -264,14 +294,55 @@ def simulate(
     )
 
 
+class DatasetError(ValueError):
+    """A trajectory file line that does not describe a valid trajectory."""
+
+
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write one JSON object per trajectory: ``{"seed": ..., "steps": [[s, a, r], ...]}``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for traj in dataset.trajectories:
-            steps = [[int(s), int(a), float(r)] for s, a, r in traj.steps()]
+            steps = list(zip(traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()))
             fh.write(json.dumps({"seed": traj.seed, "steps": steps}) + "\n")
+
+
+def _id_column(values: tuple, limit: int, what: str, where: str) -> np.ndarray:
+    """One column of state or action ids; each must be an integer in ``[0, limit)``."""
+    if not all(type(v) is int for v in values):
+        bad = next(v for v in values if type(v) is not int)
+        raise DatasetError(f"{where}: {what} id {bad!r} is not an integer")
+    if values and (min(values) < 0 or max(values) >= limit):
+        bad = next(v for v in values if not 0 <= v < limit)
+        raise DatasetError(f"{where}: {what} id {bad} outside [0, {limit})")
+    return np.asarray(values, dtype=np.int64)
+
+
+def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -> Trajectory:
+    try:
+        record = json.loads(line)
+        steps = record["steps"]
+        seed = int(record["seed"])
+        states, actions, rewards = zip(*steps) if steps else ((), (), ())
+        well_formed = sum(map(len, steps)) == 3 * len(steps)
+        numeric = all(type(r) in (int, float) for r in rewards)
+        reward_array = np.asarray(rewards if numeric else (), dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetError(
+            f'{where}: expected {{"seed": int, "steps": [[s, a, r], ...]}} ({exc})'
+        ) from exc
+    if not well_formed:
+        raise DatasetError(f"{where}: every step must be a [state, action, reward] triple")
+    if not numeric or not np.isfinite(reward_array).all():
+        bad = next(r for r in rewards if type(r) not in (int, float) or not math.isfinite(r))
+        raise DatasetError(f"{where}: reward {bad!r} is not a finite number")
+    return Trajectory(
+        states=_id_column(states, num_states, "state", where),
+        actions=_id_column(actions, num_actions, "action", where),
+        rewards=reward_array,
+        seed=seed,
+    )
 
 
 def load_dataset(
@@ -285,30 +356,31 @@ def load_dataset(
     """Read a line-delimited trajectory file written by :func:`save_dataset`.
 
     State/action space sizes are inferred from the data when not supplied.
+    Ids outside ``[0, num_states)`` or ``[0, num_actions)``, non-integer ids
+    and non-finite rewards raise :class:`DatasetError` naming the line.
     """
+    id_limit = 2**63  # int64 range, when the sizes are inferred
     trajectories: list[Trajectory] = []
-    max_state = -1
-    max_action = -1
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            steps = record["steps"]
-            states = [int(x[0]) for x in steps]
-            actions = [int(x[1]) for x in steps]
-            rewards = [float(x[2]) for x in steps]
-            if states:
-                max_state = max(max_state, max(states))
-                max_action = max(max_action, max(actions))
-            trajectories.append(
-                Trajectory(states=states, actions=actions, rewards=rewards, seed=int(record["seed"]))
-            )
+            if line:
+                trajectories.append(
+                    _read_trajectory(
+                        line,
+                        num_states if num_states is not None else id_limit,
+                        num_actions if num_actions is not None else id_limit,
+                        f"{path} line {lineno}",
+                    )
+                )
+    if num_states is None:
+        num_states = max((int(t.states.max()) for t in trajectories if len(t)), default=-1) + 1
+    if num_actions is None:
+        num_actions = max((int(t.actions.max()) for t in trajectories if len(t)), default=-1) + 1
     return TrajectoryDataset(
         trajectories=trajectories,
-        num_states=num_states if num_states is not None else max_state + 1,
-        num_actions=num_actions if num_actions is not None else max_action + 1,
+        num_states=num_states,
+        num_actions=num_actions,
         mdp_descriptor=mdp_descriptor,
         behavior_descriptor=behavior_descriptor,
         master_seed=master_seed,

@@ -8,8 +8,11 @@ quantities from first principles so that agreement is meaningful.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
+
+from dprl.mdp import trajectory_seed
 
 
 def linear_scan_neighbors(
@@ -283,3 +286,62 @@ def spibb_vertex_enumeration(
         if pos == num_states:
             break
     return best_vec, best_rows
+
+
+def bisect_rollout(mdp, policy, draws: np.ndarray) -> list[tuple[list, list, list]]:
+    """Roll out one episode at a time with per-step ``bisect`` lookups.
+
+    ``draws[i, t]`` holds the action, reward and successor uniforms of step
+    ``t`` of episode ``i``.  Returns ``(states, actions, rewards)`` lists.
+    """
+    behavior_cdf = np.cumsum(policy.action_probabilities, axis=1).tolist()
+    transition_cdf = np.cumsum(mdp.transitions, axis=2).tolist()
+    lo = mdp.rewards.lo.tolist()
+    span = (mdp.rewards.hi - mdp.rewards.lo).tolist()
+    out = []
+    for block in draws:
+        states, actions, rewards = [], [], []
+        s = mdp.start_state
+        for u_a, u_r, u_s in block:
+            if s in mdp.terminal_states:
+                break
+            a = min(bisect_right(behavior_cdf[s], u_a), mdp.num_actions - 1)
+            states.append(s)
+            actions.append(a)
+            rewards.append(lo[s][a] + u_r * span[s][a])
+            s = min(bisect_right(transition_cdf[s][a], u_s), mdp.num_states - 1)
+        out.append((states, actions, rewards))
+    return out
+
+
+def bisect_simulate(mdp, policy, num_trajectories: int, horizon: int, master_seed: int):
+    """Per-trajectory simulator: ``(seed, states, actions, rewards)`` per episode.
+
+    Episode ``i`` reads ``default_rng(trajectory_seed(master_seed, i))``
+    drawn as one ``(horizon, 3)`` block.
+    """
+    seeds = [trajectory_seed(master_seed, i) for i in range(num_trajectories)]
+    draws = [np.random.default_rng(seed).random((horizon, 3)) for seed in seeds]
+    return [(seed, *episode) for seed, episode in zip(seeds, bisect_rollout(mdp, policy, draws))]
+
+
+def loop_grid_transitions(side: int, noise: float) -> np.ndarray:
+    """Gridworld transition tensor built one (state, intended, executed) at a time."""
+    moves = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    num_states = side * side
+    goal = num_states - 1
+    transitions = np.zeros((num_states, 4, num_states))
+    for y in range(side):
+        for x in range(side):
+            s = y * side + x
+            if s == goal:
+                transitions[s, :, 0] = 1.0
+                continue
+            for intended in range(4):
+                for executed in range(4):
+                    prob = (noise if executed == intended else 0.0) + (1.0 - noise) / 4
+                    dx, dy = moves[executed]
+                    nx = min(max(x + dx, 0), side - 1)
+                    ny = min(max(y + dy, 0), side - 1)
+                    transitions[s, intended, ny * side + nx] += prob
+    return transitions

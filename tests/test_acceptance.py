@@ -373,7 +373,7 @@ def test_criterion_8_cli_reruns_are_byte_identical(tmp_path):
 
     def run_all(out, jobs):
         for command in (
-            ["generate", "--config", str(cfg), "--out", str(out), "--jobs", jobs],
+            ["generate", "--config", str(cfg), "--out", str(out)],
             ["bounds", "--config", str(cfg), "--out", str(out)],
             ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs],
         ):

@@ -246,6 +246,13 @@ class TestGenerate:
         assert not out.exists()
         assert "nothing to write" in capsys.readouterr().out
 
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as info:
+            cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         cfg, out = workspace
         again = tmp_path / "again"
@@ -291,6 +298,26 @@ class TestTrain:
         ])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "bad_step",
+        [[-1, 0, 0.5], [99, 0, 0.5], [0, 7, 0.5], [0.5, 0, 0.5], [0, 0, float("nan")]],
+        ids=["negative-state", "state-too-large", "action-too-large", "fractional-id", "nan"],
+    )
+    def test_bad_dataset_line_exits_2_with_line_number(self, workspace, tmp_path, capsys, bad_step):
+        cfg, out = workspace
+        good = (out / "datasets" / "seed_0000.jsonl").read_text(encoding="utf-8").splitlines()
+        broken = tmp_path / "broken.jsonl"
+        bad_line = json.dumps({"seed": 1, "steps": [[0, 0, 0.1], bad_step]})
+        broken.write_text("\n".join([*good[:2], bad_line, *good[2:]]) + "\n", encoding="utf-8")
+        rc = cli.main([
+            "train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--dataset", str(broken), "--algorithm", "dprl",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error:")
+        assert "line 3:" in err
 
     def test_unreachable_count_threshold_defers_everywhere(self, tmp_path):
         config = base_config()

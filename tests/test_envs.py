@@ -13,6 +13,7 @@ from dprl.envs import (
 )
 from dprl.evaluation import MixedPolicy, exact_value
 from dprl.solvers import optimal_values
+from oracles import loop_grid_transitions
 
 # independently derived in closed form (Fraction arithmetic)
 FOREST_BEHAVIOR_ROOT_VALUE = 0.54336744  # depth 3, gamma 0.99, epsilon 0.1
@@ -182,6 +183,43 @@ class TestGridworld:
             build_gridworld(side=3, noise=1.5)
         with pytest.raises(ValueError):
             build_gridworld(side=3, careless_states=frozenset({99}))
+
+
+class TestGridOracle:
+    """The vectorised gridworld build against the loop-built reference."""
+
+    @pytest.mark.parametrize("side", range(2, 13))
+    def test_transitions_equal_loop_oracle(self, side):
+        for noise in (0.0, 0.25, 0.9, 1.0):
+            expected = loop_grid_transitions(side, noise).tobytes()
+            for gamma in (0.5, 0.95):
+                for explore in (0.0, 0.3):
+                    mdp, _ = build_gridworld(
+                        side=side, noise=noise, careless_states=frozenset(),
+                        gamma=gamma, explore=explore,
+                    )
+                    assert mdp.transitions.tobytes() == expected
+
+    @pytest.mark.parametrize("side", range(3, 13, 3))
+    def test_default_careless_pick_matches_public_helper(self, side):
+        for noise, gamma, explore in ((0.5, 0.9, 0.0), (0.9, 0.95, 0.2), (1.0, 0.99, 0.0)):
+            picks = default_careless_states(side, noise=noise, gamma=gamma)
+            _, implicit = build_gridworld(side=side, noise=noise, gamma=gamma, explore=explore)
+            _, explicit = build_gridworld(
+                side=side, noise=noise, careless_states=picks, gamma=gamma, explore=explore
+            )
+            assert implicit.action_probabilities.tobytes() == (
+                explicit.action_probabilities.tobytes()
+            )
+
+    def test_uniform_noise_has_no_greedy_path(self):
+        # noise 0 makes every action equivalent; the greedy walk never arrives
+        with pytest.raises(RuntimeError, match="greedy path failed"):
+            build_gridworld(side=4, noise=0.0)
+        with pytest.raises(RuntimeError, match="greedy path failed"):
+            default_careless_states(4, noise=0.0)
+        mdp, _ = build_gridworld(side=4, noise=0.0, careless_states=frozenset())
+        assert mdp.num_states == 16
 
 
 class TestRegistry:

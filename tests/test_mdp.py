@@ -1,11 +1,22 @@
 """Core MDP container, simulator, and dataset serialization tests."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import deterministic_chain, make_dataset, make_traj, uniform_behavior
+from conftest import (
+    deterministic_chain,
+    make_dataset,
+    make_traj,
+    three_state_eval_chain,
+    uniform_behavior,
+)
 from dprl.mdp import (
     BehaviorPolicy,
+    DatasetError,
     RewardSpec,
     TabularMdp,
     load_dataset,
@@ -13,6 +24,9 @@ from dprl.mdp import (
     simulate,
     trajectory_seed,
 )
+import dprl.mdp as mdp_module
+from dprl.mdp import _lockstep_rollout
+from oracles import bisect_rollout, bisect_simulate
 
 
 def single_state_loop(gamma: float = 0.9) -> TabularMdp:
@@ -210,3 +224,191 @@ class TestSerialization:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert back.num_states == 4 and back.num_actions == 2
+
+    def test_bytes_match_documented_layout(self, tmp_path):
+        ds = make_dataset([make_traj([0, 3], [1, 0], [0.5, 0.1], seed=7)], 4, 2)
+        path = tmp_path / "tiny.jsonl"
+        save_dataset(ds, path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"seed": 7, "steps": [[0, 1, 0.5], [3, 0, 0.1]]}\n'
+        )
+
+    def test_empty_trajectory_round_trips(self, tmp_path):
+        ds = make_dataset([make_traj([], [], [], seed=3), make_traj([1], [0], [0.2])], 2, 1)
+        path = tmp_path / "empty.jsonl"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert [len(t) for t in back] == [0, 1]
+        assert back.trajectories[0].states.dtype == np.int64
+        assert back.trajectories[0].rewards.dtype == np.float64
+        assert back.num_states == 2 and back.num_actions == 1
+
+
+class TestLoadValidation:
+    """Bad ids and rewards are rejected at load time, naming the line."""
+
+    def write(self, tmp_path, bad_steps):
+        lines = [
+            json.dumps({"seed": 0, "steps": [[0, 0, 0.5], [1, 1, 0.25]]}),
+            "",
+            json.dumps({"seed": 1, "steps": bad_steps}),
+        ]
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_steps, message",
+        [
+            ([[-1, 0, 0.5]], "state id -1 outside"),
+            ([[0, 0, 0.5], [3, 0, 0.5]], "state id 3 outside"),
+            ([[0, -1, 0.5]], "action id -1 outside"),
+            ([[0, 2, 0.5]], "action id 2 outside"),
+            ([[1.5, 0, 0.5]], "state id 1.5 is not an integer"),
+            ([[1.0, 0, 0.5]], "state id 1.0 is not an integer"),
+            ([[0, "1", 0.5]], "action id '1' is not an integer"),
+            ([[0, True, 0.5]], "action id True is not an integer"),
+            ([[0, 0, float("nan")]], "reward nan is not a finite number"),
+            ([[0, 0, float("inf")]], "reward inf is not a finite number"),
+            ([[0, 0, "0.5"]], "reward '0.5' is not a finite number"),
+            ([[0, 0]], "expected"),
+            ([[0, 0, 0.5], [0, 0, 0.5, 9]], "triple"),
+        ],
+    )
+    def test_rejected_with_line_number(self, tmp_path, bad_steps, message):
+        path = self.write(tmp_path, bad_steps)
+        with pytest.raises(DatasetError, match="line 3: .*" + message):
+            load_dataset(path, num_states=3, num_actions=2)
+
+    def test_negative_id_rejected_when_sizes_inferred(self, tmp_path):
+        # numpy would otherwise count state -1 as the last state
+        path = self.write(tmp_path, [[-1, 0, 0.5]])
+        with pytest.raises(DatasetError, match="line 3: state id -1 outside"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "line", ["not json", "[1, 2]", '{"steps": []}', '{"seed": 0, "steps": 5}']
+    )
+    def test_malformed_record_rejected(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 1: expected"):
+            load_dataset(path)
+
+    def test_is_a_value_error(self):
+        assert issubclass(DatasetError, ValueError)
+
+
+@st.composite
+def small_mdps(draw):
+    """Random small MDP and logger with terminals, zero-mass tails and short rows."""
+    num_states = draw(st.integers(1, 5))
+    num_actions = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((num_states, num_actions, num_states))
+    raw *= rng.random(raw.shape) < 0.6  # sparse rows: many zero-probability successors
+    raw[..., 0] += raw.sum(axis=2) == 0.0
+    transitions = raw / raw.sum(axis=2, keepdims=True)
+    rows = rng.random((num_states, num_actions))
+    for s in range(num_states):  # zero-probability trailing actions
+        rows[s, draw(st.integers(1, num_actions)):] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):  # rows summing to 1 - 1e-12, so the clamp can fire
+        transitions *= 1.0 - 1e-12
+        rows *= 1.0 - 1e-12
+    lo = rng.random((num_states, num_actions)) / 2
+    hi = np.where(rng.random(lo.shape) < 0.3, lo, lo + rng.random(lo.shape) / 2)
+    mdp = TabularMdp(
+        transitions=transitions,
+        rewards=RewardSpec(lo=lo, hi=hi),
+        gamma=0.9,
+        start_state=draw(st.integers(0, num_states - 1)),
+        terminal_states=frozenset(draw(st.sets(st.integers(0, num_states - 1)))),
+    )
+    return mdp, BehaviorPolicy(rows)
+
+
+def assert_same_episode(traj, states, actions, rewards):
+    assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
+    assert traj.rewards.dtype == np.float64
+    assert traj.states.tobytes() == np.asarray(states, dtype=np.int64).tobytes()
+    assert traj.actions.tobytes() == np.asarray(actions, dtype=np.int64).tobytes()
+    assert traj.rewards.tobytes() == np.asarray(rewards, dtype=np.float64).tobytes()
+
+
+class TestLockstepMatchesOracle:
+    """The lockstep simulator reproduces the per-trajectory bisect simulator bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=small_mdps(),
+        num_trajectories=st.integers(0, 6),
+        horizon=st.integers(1, 8),
+        master_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_simulate_equals_bisect_oracle(self, case, num_trajectories, horizon, master_seed):
+        mdp, policy = case
+        ds = simulate(mdp, policy, num_trajectories, horizon, master_seed)
+        expected = bisect_simulate(mdp, policy, num_trajectories, horizon, master_seed)
+        assert len(ds.trajectories) == len(expected)
+        for traj, (seed, states, actions, rewards) in zip(ds.trajectories, expected):
+            assert type(traj.seed) is int and traj.seed == seed
+            assert_same_episode(traj, states, actions, rewards)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=small_mdps(), data=st.data())
+    def test_rollout_equals_oracle_on_edge_uniforms(self, case, data):
+        # Uniforms at 0 and just below 1 hit the CDF ends, where the clamp
+        # and the zero-mass tails decide the outcome.
+        mdp, policy = case
+        shape = (data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6)), 3)
+        edges = st.sampled_from([0.0, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+        values = data.draw(
+            st.lists(edges | st.floats(0.0, 1.0, exclude_max=True),
+                     min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+        )
+        draws = np.asarray(values, dtype=np.float64).reshape(shape)
+        states, actions, rewards, lengths = _lockstep_rollout(mdp, policy, draws)
+        for i, episode in enumerate(bisect_rollout(mdp, policy, draws)):
+            n = lengths[i]
+            traj = make_traj(states[i, :n], actions[i, :n], rewards[i, :n])
+            assert_same_episode(traj, *episode)
+
+    def test_clamp_picks_last_index_when_uniform_exceeds_short_row(self):
+        # Row sums 1 - 1e-12: a uniform above that passes every CDF entry.
+        transitions = np.zeros((2, 2, 2))
+        transitions[:, :, 0] = 0.5
+        transitions[:, :, 1] = 0.5 - 1e-12
+        mdp = TabularMdp(transitions, RewardSpec.constant(np.zeros((2, 2))), 0.9, 0)
+        policy = BehaviorPolicy(np.array([[0.5, 0.5 - 1e-12]] * 2))
+        draws = np.full((1, 1, 3), np.nextafter(1.0, 0.0))
+        states, actions, _, lengths = _lockstep_rollout(mdp, policy, draws)
+        assert lengths.tolist() == [1] and actions[0, 0] == 1
+        assert bisect_rollout(mdp, policy, draws)[0][1] == [1]
+
+    def test_horizon_one_and_zero_trajectories(self):
+        mdp = deterministic_chain(4)
+        policy = uniform_behavior(4, 2)
+        one = simulate(mdp, policy, num_trajectories=5, horizon=1, master_seed=2)
+        for traj, (seed, *episode) in zip(one, bisect_simulate(mdp, policy, 5, 1, 2)):
+            assert len(traj) == 1 and traj.seed == seed
+            assert_same_episode(traj, *episode)
+        assert simulate(mdp, policy, 0, 1, 2).trajectories == []
+
+    def test_blocked_lockstep_equals_oracle(self, monkeypatch):
+        # Blocks of 2 trajectories at horizon 3 (7 // 3), with a ragged last block.
+        monkeypatch.setattr(mdp_module, "_LOCKSTEP_SLOTS", 7)
+        mdp = three_state_eval_chain()[0]
+        policy = BehaviorPolicy(np.array([[0.6, 0.4]] * 3))
+        ds = simulate(mdp, policy, num_trajectories=5, horizon=3, master_seed=4)
+        expected = bisect_simulate(mdp, policy, 5, 3, 4)
+        assert [t.seed for t in ds] == [seed for seed, *_ in expected]
+        for traj, (_, *episode) in zip(ds, expected):
+            assert_same_episode(traj, *episode)
+
+    def test_trajectories_own_compact_arrays(self):
+        mdp = deterministic_chain(4)
+        ds = simulate(mdp, uniform_behavior(4, 2), num_trajectories=3, horizon=50, master_seed=1)
+        for traj in ds:
+            for arr in (traj.states, traj.actions, traj.rewards):
+                assert arr.base is None and arr.flags.c_contiguous and arr.shape == (3,)
