@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import EVERY_VISIT, count_visits
 from .mdp import BehaviorPolicy, TrajectoryDataset
 
 
@@ -93,26 +92,28 @@ def fit_mle_model(
     num_states: int | None = None,
     num_actions: int | None = None,
 ) -> MleModel:
-    """Maximum-likelihood transition and mean-reward tables."""
+    """Maximum-likelihood transition and mean-reward tables.
+
+    Rewards are summed in dataset order.  The ``(S, A, S)`` tables are only
+    written where a transition was seen, so untouched pages stay unmapped.
+    """
     num_states = num_states if num_states is not None else dataset.num_states
     num_actions = num_actions if num_actions is not None else dataset.num_actions
+    num_pairs = num_states * num_actions
+    states, actions, rewards, offsets = dataset.columns()
+    pairs = states * num_actions + actions
+    n_sa = np.bincount(pairs, minlength=num_pairs).reshape(num_states, num_actions)
+    reward_sums = np.bincount(pairs, weights=rewards, minlength=num_pairs)  # int when empty
+    reward_sums = reward_sums.astype(np.float64, copy=False).reshape(num_states, num_actions)
+    has_next = np.ones(len(states), dtype=bool)  # all but each trajectory's last step
+    has_next[offsets[1:][offsets[1:] > 0] - 1] = False
+    step = np.flatnonzero(has_next)
+    seen, counts = np.unique(pairs[step] * num_states + states[step + 1], return_counts=True)
+    successor_totals = np.bincount(pairs[step], minlength=num_pairs)
     transition_counts = np.zeros((num_states, num_actions, num_states), dtype=np.int64)
-    n_sa = np.zeros((num_states, num_actions), dtype=np.int64)
-    reward_sums = np.zeros((num_states, num_actions))
-    for traj in dataset:
-        states, actions, rewards = traj.states, traj.actions, traj.rewards
-        np.add.at(n_sa, (states, actions), 1)
-        np.add.at(reward_sums, (states, actions), rewards)
-        if len(states) > 1:
-            np.add.at(transition_counts, (states[:-1], actions[:-1], states[1:]), 1)
-    successor_totals = transition_counts.sum(axis=2)
-    p_hat = np.zeros_like(transition_counts, dtype=np.float64)
-    np.divide(
-        transition_counts,
-        successor_totals[:, :, None],
-        out=p_hat,
-        where=successor_totals[:, :, None] > 0,
-    )
+    transition_counts.flat[seen] = counts
+    p_hat = np.zeros(transition_counts.shape)
+    p_hat.flat[seen] = counts / successor_totals[seen // num_states]
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
     return MleModel(
@@ -120,7 +121,7 @@ def fit_mle_model(
         r_hat=r_hat,
         n_sa=n_sa,
         transition_counts=transition_counts,
-        total_steps=dataset.total_steps(),
+        total_steps=len(states),
     )
 
 
@@ -153,19 +154,15 @@ def train_spibb(
         model = fit_mle_model(dataset)
     behavior_rows = policy_rows(behavior)
     num_states, num_actions = behavior_rows.shape
-    observed_enough = model.n_sa >= n_wedge
-
-    free_lists = [np.nonzero(observed_enough[s])[0] for s in range(num_states)]
-
-    def rows_for(chosen: np.ndarray) -> np.ndarray:
-        out = behavior_rows.copy()
-        for s in range(num_states):
-            if chosen[s] >= 0:
-                free = free_lists[s]
-                mass = behavior_rows[s, free].sum()
-                out[s, free] = 0.0
-                out[s, chosen[s]] += mass
-        return out
+    free = model.n_sa >= n_wedge
+    # Sum each state's free behavior mass as its compacted row, as numpy would.
+    num_free = free.sum(axis=1)
+    free_mass = np.zeros(num_states)
+    for k in np.unique(num_free[num_free > 0]).tolist():
+        group = np.flatnonzero(num_free == k)
+        cols = np.nonzero(free[group])[1].reshape(len(group), k)
+        free_mass[group] = behavior_rows[group[:, None], cols].sum(axis=1)
+    states = np.arange(num_states)
 
     # chosen[s] = -1 marks states whose whole row stays behavior mass.
     chosen = np.full(num_states, -1, dtype=np.int64)
@@ -173,20 +170,18 @@ def train_spibb(
     for _ in range(max_iterations):
         values = _evaluate_rows_on_model(model, rows, gamma)
         q = model.r_hat + gamma * model.p_hat @ values
-        new_chosen = chosen.copy()
-        for s in range(num_states):
-            free = free_lists[s]
-            if len(free) == 0:
-                continue
-            best = int(free[np.argmax(q[s, free])])
-            # Hold the incumbent on near-ties; flipping between equal-value
-            # allocations would never reach exact stability.
-            if chosen[s] < 0 or q[s, best] > q[s, chosen[s]] + 1e-12:
-                new_chosen[s] = best
+        best = np.where(free, q, -np.inf).argmax(axis=1)
+        # Hold the incumbent on near-ties; flipping between equal-value
+        # allocations would never reach exact stability.
+        switch = (chosen < 0) | (q[states, best] > q[states, chosen] + 1e-12)
+        new_chosen = np.where((num_free > 0) & switch, best, chosen)
         if np.array_equal(new_chosen, chosen):
             break
         chosen = new_chosen
-        rows = rows_for(chosen)
+        active = chosen >= 0
+        rows = behavior_rows.copy()
+        rows[active] = np.where(free[active], 0.0, rows[active])
+        rows[states[active], chosen[active]] += free_mass[active]
     else:
         raise RuntimeError("constrained policy iteration did not stabilize")
 
@@ -228,43 +223,31 @@ def train_pqi(
     r_mod = np.where(surviving, model.r_hat, 0.0)
     p_mod = np.where(surviving[:, :, None], model.p_hat, 0.0)
 
-    # Per-state choice set: surviving actions, else the majority fallback.
-    choice_sets: list[np.ndarray] = []
+    # Choice set: surviving actions, else the majority fallback, else (unseen) all.
     seen = model.n_sa.sum(axis=1) > 0
-    for s in range(num_states):
-        if surviving[s].any():
-            choice_sets.append(np.nonzero(surviving[s])[0])
-        elif seen[s]:
-            choice_sets.append(np.array([int(np.argmax(model.n_sa[s]))]))
-        else:
-            choice_sets.append(np.arange(num_actions))
-
-    policy = np.array([c[0] for c in choice_sets], dtype=np.int64)
+    allowed = surviving.copy()
+    fallback = np.flatnonzero(seen & ~surviving.any(axis=1))
+    allowed[fallback, np.argmax(model.n_sa[fallback], axis=1)] = True
+    allowed[~seen] = True
+    states = np.arange(num_states)
+    policy = np.argmax(allowed, axis=1)
     for _ in range(num_states * num_actions + 1):
-        r_pi = r_mod[np.arange(num_states), policy]
-        p_pi = p_mod[np.arange(num_states), policy]
+        r_pi = r_mod[states, policy]
+        p_pi = p_mod[states, policy]
         values = np.linalg.solve(np.eye(num_states) - gamma * p_pi, r_pi)
         q = r_mod + gamma * p_mod @ values
-        new_policy = policy.copy()
-        changed = False
-        for s, c in enumerate(choice_sets):
-            best = int(c[int(np.argmax(q[s, c]))])
-            # Switch only on strict improvement; ties keep the incumbent.
-            if q[s, best] > q[s, policy[s]] + 1e-12:
-                new_policy[s] = best
-                changed = True
-        if not changed:
+        best = np.where(allowed, q, -np.inf).argmax(axis=1)
+        # Switch only on strict improvement; ties keep the incumbent.
+        switch = q[states, best] > q[states, policy] + 1e-12
+        if not switch.any():
             break
-        policy = new_policy
+        policy = np.where(switch, best, policy)
     else:
         raise RuntimeError("filtered policy iteration did not stabilize")
 
-    rows = np.zeros((num_states, num_actions))
-    for s in range(num_states):
-        if surviving[s].any() or seen[s]:
-            rows[s, policy[s]] = 1.0
-        else:
-            rows[s, :] = 1.0 / num_actions
+    rows = np.full((num_states, num_actions), 1.0 / num_actions)
+    rows[seen] = 0.0
+    rows[states[seen], policy[seen]] = 1.0
     return BaselinePolicy(
         action_probabilities=rows,
         kind="pqi",
@@ -280,10 +263,9 @@ def train_behavior_clone(
     """Per-state empirical action frequencies; uniform at unseen states."""
     num_states = num_states if num_states is not None else dataset.num_states
     num_actions = num_actions if num_actions is not None else dataset.num_actions
-    counts = count_visits(dataset, mode=EVERY_VISIT)
-    n_sa = np.zeros((num_states, num_actions))
-    src = counts.n_sa
-    n_sa[: src.shape[0], : src.shape[1]] = src
+    states, actions, _, _ = dataset.columns()
+    n_sa = np.bincount(states * num_actions + actions, minlength=num_states * num_actions)
+    n_sa = n_sa.reshape(num_states, num_actions).astype(np.float64)
     rows = np.full((num_states, num_actions), 1.0 / num_actions)
     visited = n_sa.sum(axis=1) > 0
     rows[visited] = n_sa[visited] / n_sa[visited].sum(axis=1, keepdims=True)

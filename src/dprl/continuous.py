@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .balltree import BallTree
-from .estimation import discounted_suffix_returns
+from .estimation import segment_suffix_returns
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -169,39 +169,21 @@ def build_index(
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     metric_weights = np.asarray(metric_weights, dtype=np.float64)
-    states: list[np.ndarray] = []
-    actions: list[np.ndarray] = []
-    returns: list[np.ndarray] = []
-    traj_ids: list[np.ndarray] = []
-    times: list[np.ndarray] = []
-    for n, traj in enumerate(trajectories):
-        if traj.states.shape[1] != len(metric_weights):
-            raise ValueError("trajectory state dimension does not match metric_weights")
-        length = len(traj.actions)
-        if length == 0:
-            continue
-        states.append(traj.states)
-        actions.append(traj.actions)
-        returns.append(discounted_suffix_returns(traj.rewards, gamma))
-        traj_ids.append(np.full(length, n, dtype=np.int64))
-        times.append(np.arange(length, dtype=np.int64))
-    if states:
-        all_states = np.concatenate(states, axis=0)
-        all_actions = np.concatenate(actions)
-        all_returns = np.concatenate(returns)
-        all_traj = np.concatenate(traj_ids)
-        all_times = np.concatenate(times)
-    else:
-        all_states = np.empty((0, len(metric_weights)))
-        all_actions = np.empty(0, dtype=np.int64)
-        all_returns = np.empty(0)
-        all_traj = np.empty(0, dtype=np.int64)
-        all_times = np.empty(0, dtype=np.int64)
+    trajectories = list(trajectories)  # read several times below
+    if any(traj.states.shape[1] != len(metric_weights) for traj in trajectories):
+        raise ValueError("trajectory state dimension does not match metric_weights")
+    lengths = np.array([len(traj.actions) for traj in trajectories], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    all_states = np.concatenate([np.empty((0, metric_weights.size)), *(t.states for t in trajectories)])
+    all_actions = np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajectories)])
+    rewards = np.concatenate([np.empty(0), *(t.rewards for t in trajectories)])
+    all_returns = segment_suffix_returns(rewards, offsets, gamma)
+    all_times = np.arange(len(all_actions)) - np.repeat(offsets[:-1], lengths)
     return NeighborIndex(
         states=all_states,
         actions=all_actions,
         returns=all_returns,
-        trajectory_ids=all_traj,
+        trajectory_ids=np.repeat(np.arange(len(lengths)), lengths),
         time_indices=all_times,
         metric_weights=metric_weights,
         radius=radius,

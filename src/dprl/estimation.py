@@ -51,20 +51,61 @@ class ValueEstimates:
     mode: str
 
 
+def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: float) -> np.ndarray:
+    """Discounted suffix returns within each segment ``offsets[i]:offsets[i + 1]``.
+
+    One backward recurrence ``acc = r_t + gamma * acc`` steps all segments at
+    once, so each return is the same float a per-segment loop gives.
+    """
+    rewards = np.asarray(rewards, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    ends, lengths = offsets[1:][order], lengths[order]
+    out = np.empty_like(rewards)
+    acc = np.zeros(len(ends))
+    # live[k - 1] segments have a k-th step from the end.
+    live = np.searchsorted(-lengths, -np.arange(1, lengths.max(initial=0) + 1), side="right")
+    for k, m in enumerate(live.tolist(), start=1):
+        steps = ends[:m] - k
+        acc[:m] = rewards[steps] + gamma * acc[:m]
+        out[steps] = acc[:m]
+    return out
+
+
 def discounted_suffix_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """``G[t] = sum_k gamma**(k - t) * rewards[k]`` for ``k`` from ``t`` on."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+    return segment_suffix_returns(rewards, [0, len(rewards)], gamma)
 
 
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def _first_visits(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Step of the first visit to each (trajectory, key), grouped by key in trajectory order."""
+    num_trajs = len(offsets) - 1
+    trajs = np.repeat(np.arange(num_trajs), np.diff(offsets))
+    return np.unique(keys * num_trajs + trajs, return_index=True)[1]
+
+
+def _visit_means(keys, values, offsets, mode: str, num_keys: int) -> np.ndarray:
+    """Per-key mean of ``values`` over the steps ``mode`` counts; nan for unseen keys.
+
+    Each key's values are reduced as one contiguous slice in dataset order,
+    exactly as ``np.mean`` of that key's list would be (numpy sums pairwise).
+    """
+    if mode == FIRST_VISIT:
+        steps = _first_visits(keys, offsets)
+    else:
+        steps = np.argsort(keys, kind="stable")
+    keys, values = keys[steps], values[steps]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = np.append(starts, len(keys)).tolist()
+    out = np.full(num_keys, np.nan)
+    out[keys[starts]] = [np.mean(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
 def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTable:
@@ -74,17 +115,12 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     first time that action is taken in that state.
     """
     _check_mode(mode)
-    n_sa = np.zeros((dataset.num_states, dataset.num_actions), dtype=np.int64)
-    for traj in dataset:
-        if mode == FIRST_VISIT:
-            seen: set[tuple[int, int]] = set()
-            for s, a in zip(traj.states, traj.actions):
-                key = (int(s), int(a))
-                if key not in seen:
-                    seen.add(key)
-                    n_sa[key] += 1
-        else:
-            np.add.at(n_sa, (traj.states, traj.actions), 1)
+    num_states, num_actions = dataset.num_states, dataset.num_actions
+    states, actions, _, offsets = dataset.columns()
+    pairs = states * num_actions + actions
+    if mode == FIRST_VISIT:
+        pairs = pairs[_first_visits(pairs, offsets)]
+    n_sa = np.bincount(pairs, minlength=num_states * num_actions).reshape(num_states, num_actions)
     return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
 
 
@@ -102,38 +138,12 @@ def monte_carlo_estimates(
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     num_states, num_actions = dataset.num_states, dataset.num_actions
-    v_returns: list[list[float]] = [[] for _ in range(num_states)]
-    q_returns: list[list[list[float]]] = [
-        [[] for _ in range(num_actions)] for _ in range(num_states)
-    ]
-    for traj in dataset:
-        if len(traj) == 0:
-            continue
-        suffix = discounted_suffix_returns(traj.rewards, gamma)
-        if mode == FIRST_VISIT:
-            seen_s: set[int] = set()
-            seen_sa: set[tuple[int, int]] = set()
-            for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
-                s, a = int(s), int(a)
-                if s not in seen_s:
-                    seen_s.add(s)
-                    v_returns[s].append(suffix[t])
-                if (s, a) not in seen_sa:
-                    seen_sa.add((s, a))
-                    q_returns[s][a].append(suffix[t])
-        else:
-            for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
-                v_returns[int(s)].append(suffix[t])
-                q_returns[int(s)][int(a)].append(suffix[t])
-
-    v_hat = np.full(num_states, np.nan)
-    q_hat = np.full((num_states, num_actions), np.nan)
-    for s in range(num_states):
-        if v_returns[s]:
-            v_hat[s] = np.mean(np.asarray(v_returns[s]))
-        for a in range(num_actions):
-            if q_returns[s][a]:
-                q_hat[s, a] = np.mean(np.asarray(q_returns[s][a]))
+    states, actions, rewards, offsets = dataset.columns()
+    returns = segment_suffix_returns(rewards, offsets, gamma)
+    v_hat = _visit_means(states, returns, offsets, mode, num_states)
+    pairs = states * num_actions + actions
+    q_hat = _visit_means(pairs, returns, offsets, mode, num_states * num_actions)
+    q_hat = q_hat.reshape(num_states, num_actions)
     return ValueEstimates(
         v_hat=v_hat,
         q_hat=q_hat,

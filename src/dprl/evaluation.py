@@ -120,6 +120,8 @@ class ExperimentResult:
     defer_fractions: dict[str, list[float]]
     failures: dict[str, list[int]]
     config_hash: str = ""
+    # (exception type, message) of each seed in failures[label], in order
+    errors: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
 
     def finite_values(self, label: str) -> np.ndarray:
         vals = np.asarray(self.values[label], dtype=np.float64)
@@ -140,12 +142,15 @@ class ExperimentResult:
         out: dict = {"config_hash": self.config_hash, "num_seeds": len(self.seeds), "algorithms": {}}
         for label in self.labels:
             finite = self.finite_values(label)
-            out["algorithms"][label] = {
+            entry = out["algorithms"][label] = {
                 "cvar_5": cvar(finite, alpha) if finite.size else float("nan"),
                 "mean_value": float(finite.mean()) if finite.size else float("nan"),
                 "mean_defer_fraction": self.mean_defer_fraction(label),
                 "num_failures": len(self.failures.get(label, [])),
             }
+            if entry["num_failures"]:  # only then, so failure-free summaries keep their bytes
+                cells = zip(self.failures[label], self.errors[label])
+                entry["failures"] = [{"seed": s, "error": e, "message": m} for s, (e, m) in cells]
         return out
 
 
@@ -201,17 +206,17 @@ def train_algorithm(
     raise ValueError(f"unknown algorithm {spec.name!r}")
 
 
-def _run_single_seed(args) -> dict[str, tuple[float, float, bool]]:
+def _run_single_seed(args) -> dict[str, tuple[float, float, tuple[str, str] | None]]:
     mdp, behavior, algorithms, seed, num_trajectories, horizon = args
     dataset = simulate(mdp, behavior, num_trajectories, horizon, seed)
-    out: dict[str, tuple[float, float, bool]] = {}
+    out: dict[str, tuple[float, float, tuple[str, str] | None]] = {}
     for spec in algorithms:
         try:
             learned, defer = train_algorithm(spec, dataset, mdp, behavior)
             value = exact_value(mdp, MixedPolicy(learned, behavior))
-            out[spec.label] = (value, defer, False)
-        except Exception:
-            out[spec.label] = (float("nan"), float("nan"), True)
+            out[spec.label] = (value, defer, None)
+        except (ValueError, RuntimeError) as exc:  # deliberate; LinAlgError is a ValueError
+            out[spec.label] = (float("nan"), float("nan"), (type(exc).__name__, str(exc)))
     return out
 
 
@@ -231,8 +236,9 @@ def run_reliability_experiment(
     Seed ``i`` uses master seed ``master_seed + i``; every algorithm in the
     list trains on the same per-seed dataset.  Results are assembled in seed
     order, so output is byte-identical no matter how many worker processes
-    run the seeds.  A training failure marks that (algorithm, seed) cell as
-    missing instead of aborting the experiment.
+    run the seeds.  A training failure (``ValueError`` or ``RuntimeError``)
+    marks that (algorithm, seed) cell as missing and records its reason
+    instead of aborting the experiment; other exceptions propagate.
     """
     if num_seeds < 0:
         raise ValueError("num_seeds must be >= 0")
@@ -253,13 +259,15 @@ def run_reliability_experiment(
     values: dict[str, list[float]] = {label: [] for label in labels}
     defer_fractions: dict[str, list[float]] = {label: [] for label in labels}
     failures: dict[str, list[int]] = {label: [] for label in labels}
+    errors: dict[str, list[tuple[str, str]]] = {label: [] for label in labels}
     for i, row in enumerate(per_seed):
         for label in labels:
-            value, defer, failed = row[label]
+            value, defer, error = row[label]
             values[label].append(value)
             defer_fractions[label].append(defer)
-            if failed:
+            if error is not None:
                 failures[label].append(seeds[i])
+                errors[label].append(error)
     return ExperimentResult(
         labels=labels,
         seeds=seeds,
@@ -267,4 +275,5 @@ def run_reliability_experiment(
         defer_fractions=defer_fractions,
         failures=failures,
         config_hash=config_hash,
+        errors=errors,
     )

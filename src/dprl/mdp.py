@@ -183,6 +183,21 @@ class TrajectoryDataset:
     def total_steps(self) -> int:
         return sum(len(t) for t in self.trajectories)
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(states, actions, rewards, offsets)``, rebuilt per call so never stale.
+
+        Trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` of each step column.
+        """
+        trajs = self.trajectories
+        offsets = np.zeros(len(trajs) + 1, dtype=np.int64)
+        np.cumsum([len(t) for t in trajs], out=offsets[1:])
+        return (
+            np.concatenate([np.empty(0, np.int64), *(t.states for t in trajs)]),
+            np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajs)]),
+            np.concatenate([np.empty(0), *(t.rewards for t in trajs)]),
+            offsets,
+        )
+
 
 def trajectory_seed(master_seed: int, index: int) -> int:
     """Derive the per-trajectory RNG seed for trajectory ``index``.
@@ -207,6 +222,9 @@ def _lockstep_rollout(
     num_states, num_actions = mdp.num_states, mdp.num_actions
     behavior_cdf = np.cumsum(policy.action_probabilities, axis=1)
     transition_cdf = np.cumsum(mdp.transitions, axis=2)
+    # A uniform past a row's total (rows may sum to 1 - 1e-9) takes its last positive index.
+    last_action = num_actions - 1 - np.argmax(policy.action_probabilities[:, ::-1] > 0, axis=1)
+    last_successor = num_states - 1 - np.argmax(mdp.transitions[:, :, ::-1] > 0, axis=2)
     lo = mdp.rewards.lo
     span = mdp.rewards.hi - mdp.rewards.lo
     is_terminal = np.zeros(num_states, dtype=bool)
@@ -226,13 +244,12 @@ def _lockstep_rollout(
         if not live.size:
             break
         u = draws[live, t]
-        # Counting CDF entries <= u is bisect_right on the nondecreasing CDF
-        # row; the clamp catches rows that sum to slightly under 1.
-        a = np.minimum((behavior_cdf[s] <= u[:, :1]).sum(axis=1), num_actions - 1)
+        # Counting CDF entries <= u is bisect_right on the nondecreasing CDF row.
+        a = np.minimum((behavior_cdf[s] <= u[:, :1]).sum(axis=1), last_action[s])
         states[live, t] = s
         actions[live, t] = a
         rewards[live, t] = lo[s, a] + u[:, 1] * span[s, a]
-        s = np.minimum((transition_cdf[s, a] <= u[:, 2:]).sum(axis=1), num_states - 1)
+        s = np.minimum((transition_cdf[s, a] <= u[:, 2:]).sum(axis=1), last_successor[s, a])
     return states, actions, rewards, lengths
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from dprl.mdp import (
     BehaviorPolicy,
@@ -11,6 +13,10 @@ from dprl.mdp import (
     Trajectory,
     TrajectoryDataset,
 )
+
+# CI runs with `--hypothesis-profile=ci`: every run draws the same examples,
+# so a failure there reproduces locally with the same flag.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def make_traj(states, actions, rewards, seed: int = 0) -> Trajectory:
@@ -112,3 +118,33 @@ def random_mdp(
         start_state=0,
         name="random",
     )
+
+
+@st.composite
+def random_datasets(draw):
+    """Small logged datasets for byte-equality checks against the loop oracles.
+
+    Covers zero trajectories, empty trajectories, states and actions that
+    never occur, ten or more actions, long revisiting trajectories (groups
+    of 8+ returns, where numpy's pairwise sum differs from a running sum)
+    and rewards that either span several magnitudes or nearly tie.
+    """
+    num_states = draw(st.integers(1, 6))
+    num_actions = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    used_states = rng.choice(num_states, size=draw(st.integers(1, num_states)), replace=False)
+    used_actions = rng.choice(num_actions, size=draw(st.integers(1, num_actions)), replace=False)
+    tie_prone = draw(st.booleans())
+    trajs = []
+    for seed in range(draw(st.integers(0, 8))):
+        length = draw(st.sampled_from([0, 1, 2, 5, 12, 40]))
+        if tie_prone:  # decimal rewards whose means tie up to rounding
+            rewards = rng.choice([0.1, 0.15, 0.2, 0.3], length)
+        else:
+            rewards = rng.random(length) * 10.0 ** rng.integers(-3, 4, length)
+        trajs.append(
+            make_traj(
+                rng.choice(used_states, length), rng.choice(used_actions, length), rewards, seed
+            )
+        )
+    return make_dataset(trajs, num_states, num_actions)

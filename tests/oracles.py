@@ -12,6 +12,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from dprl.baselines import MleModel
+from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
 from dprl.mdp import trajectory_seed
 
 
@@ -296,6 +298,12 @@ def bisect_rollout(mdp, policy, draws: np.ndarray) -> list[tuple[list, list, lis
     """
     behavior_cdf = np.cumsum(policy.action_probabilities, axis=1).tolist()
     transition_cdf = np.cumsum(mdp.transitions, axis=2).tolist()
+
+    def last_positive(row) -> int:
+        return max(i for i, p in enumerate(row) if p > 0)
+
+    last_action = [last_positive(row) for row in policy.action_probabilities.tolist()]
+    last_successor = [[last_positive(row) for row in rows] for rows in mdp.transitions.tolist()]
     lo = mdp.rewards.lo.tolist()
     span = (mdp.rewards.hi - mdp.rewards.lo).tolist()
     out = []
@@ -305,11 +313,12 @@ def bisect_rollout(mdp, policy, draws: np.ndarray) -> list[tuple[list, list, lis
         for u_a, u_r, u_s in block:
             if s in mdp.terminal_states:
                 break
-            a = min(bisect_right(behavior_cdf[s], u_a), mdp.num_actions - 1)
+            # A uniform past the row's total picks its last index with positive mass.
+            a = min(bisect_right(behavior_cdf[s], u_a), last_action[s])
             states.append(s)
             actions.append(a)
             rewards.append(lo[s][a] + u_r * span[s][a])
-            s = min(bisect_right(transition_cdf[s][a], u_s), mdp.num_states - 1)
+            s = min(bisect_right(transition_cdf[s][a], u_s), last_successor[s][a])
         out.append((states, actions, rewards))
     return out
 
@@ -345,3 +354,177 @@ def loop_grid_transitions(side: int, noise: float) -> np.ndarray:
                     ny = min(max(y + dy, 0), side - 1)
                     transitions[s, intended, ny * side + nx] += prob
     return transitions
+
+
+def loop_suffix_returns(rewards, gamma: float) -> np.ndarray:
+    """Discounted suffix returns by one backward loop over a single trajectory."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
+def loop_count_visits(dataset, mode: str):
+    """Visit counts one step at a time, with a seen-set per trajectory in first-visit mode."""
+    n_sa = np.zeros((dataset.num_states, dataset.num_actions), dtype=np.int64)
+    for traj in dataset:
+        if mode == FIRST_VISIT:
+            seen: set[tuple[int, int]] = set()
+            for s, a in zip(traj.states, traj.actions):
+                key = (int(s), int(a))
+                if key not in seen:
+                    seen.add(key)
+                    n_sa[key] += 1
+        else:
+            np.add.at(n_sa, (traj.states, traj.actions), 1)
+    return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
+
+
+def loop_monte_carlo_estimates(dataset, gamma: float, mode: str):
+    """Monte-Carlo values from per-(s, a) lists of returns, one trajectory at a time."""
+    num_states, num_actions = dataset.num_states, dataset.num_actions
+    v_returns: list[list[float]] = [[] for _ in range(num_states)]
+    q_returns = [[[] for _ in range(num_actions)] for _ in range(num_states)]
+    for traj in dataset:
+        suffix = loop_suffix_returns(traj.rewards, gamma)
+        seen_s: set[int] = set()
+        seen_sa: set[tuple[int, int]] = set()
+        for t, (s, a) in enumerate(zip(traj.states, traj.actions)):
+            s, a = int(s), int(a)
+            if mode == EVERY_VISIT or s not in seen_s:
+                seen_s.add(s)
+                v_returns[s].append(suffix[t])
+            if mode == EVERY_VISIT or (s, a) not in seen_sa:
+                seen_sa.add((s, a))
+                q_returns[s][a].append(suffix[t])
+    v_hat = np.full(num_states, np.nan)
+    q_hat = np.full((num_states, num_actions), np.nan)
+    for s in range(num_states):
+        if v_returns[s]:
+            v_hat[s] = np.mean(np.asarray(v_returns[s]))
+        for a in range(num_actions):
+            if q_returns[s][a]:
+                q_hat[s, a] = np.mean(np.asarray(q_returns[s][a]))
+    return ValueEstimates(
+        v_hat=v_hat,
+        q_hat=q_hat,
+        state_support=~np.isnan(v_hat),
+        support_mask=~np.isnan(q_hat),
+        mode=mode,
+    )
+
+
+def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
+    """Maximum-likelihood model with three ``np.add.at`` calls per trajectory."""
+    transition_counts = np.zeros((num_states, num_actions, num_states), dtype=np.int64)
+    n_sa = np.zeros((num_states, num_actions), dtype=np.int64)
+    reward_sums = np.zeros((num_states, num_actions))
+    for traj in dataset:
+        states, actions, rewards = traj.states, traj.actions, traj.rewards
+        np.add.at(n_sa, (states, actions), 1)
+        np.add.at(reward_sums, (states, actions), rewards)
+        if len(states) > 1:
+            np.add.at(transition_counts, (states[:-1], actions[:-1], states[1:]), 1)
+    successor_totals = transition_counts.sum(axis=2)
+    p_hat = np.zeros_like(transition_counts, dtype=np.float64)
+    np.divide(
+        transition_counts,
+        successor_totals[:, :, None],
+        out=p_hat,
+        where=successor_totals[:, :, None] > 0,
+    )
+    r_hat = np.zeros_like(reward_sums)
+    np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
+    return MleModel(
+        p_hat=p_hat,
+        r_hat=r_hat,
+        n_sa=n_sa,
+        transition_counts=transition_counts,
+        total_steps=dataset.total_steps(),
+    )
+
+
+def _solve_rows(model, rows: np.ndarray, gamma: float) -> np.ndarray:
+    r_pi = (model.r_hat * rows).sum(axis=1)
+    p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
+    return np.linalg.solve(np.eye(len(r_pi)) - gamma * p_pi, r_pi)
+
+
+def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> np.ndarray:
+    """SPIBB's constrained policy iteration with a loop over states per step."""
+    num_states = behavior_rows.shape[0]
+    free_lists = [np.nonzero(model.n_sa[s] >= n_wedge)[0] for s in range(num_states)]
+
+    def rows_for(chosen):
+        out = behavior_rows.copy()
+        for s in range(num_states):
+            if chosen[s] >= 0:
+                free = free_lists[s]
+                mass = behavior_rows[s, free].sum()
+                out[s, free] = 0.0
+                out[s, chosen[s]] += mass
+        return out
+
+    chosen = np.full(num_states, -1, dtype=np.int64)
+    rows = behavior_rows.copy()
+    for _ in range(200):
+        values = _solve_rows(model, rows, gamma)
+        q = model.r_hat + gamma * model.p_hat @ values
+        new_chosen = chosen.copy()
+        for s in range(num_states):
+            free = free_lists[s]
+            if len(free) == 0:
+                continue
+            best = int(free[np.argmax(q[s, free])])
+            if chosen[s] < 0 or q[s, best] > q[s, chosen[s]] + 1e-12:
+                new_chosen[s] = best
+        if np.array_equal(new_chosen, chosen):
+            return rows
+        chosen = new_chosen
+        rows = rows_for(chosen)
+    raise RuntimeError("constrained policy iteration did not stabilize")
+
+
+def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
+    """Density-filtered policy iteration with per-state choice lists."""
+    num_states, num_actions = model.n_sa.shape
+    surviving = model.n_sa / model.total_steps >= density_threshold
+    r_mod = np.where(surviving, model.r_hat, 0.0)
+    p_mod = np.where(surviving[:, :, None], model.p_hat, 0.0)
+    seen = model.n_sa.sum(axis=1) > 0
+    choice_sets = []
+    for s in range(num_states):
+        if surviving[s].any():
+            choice_sets.append(np.nonzero(surviving[s])[0])
+        elif seen[s]:
+            choice_sets.append(np.array([int(np.argmax(model.n_sa[s]))]))
+        else:
+            choice_sets.append(np.arange(num_actions))
+    policy = np.array([c[0] for c in choice_sets], dtype=np.int64)
+    for _ in range(num_states * num_actions + 1):
+        r_pi = r_mod[np.arange(num_states), policy]
+        p_pi = p_mod[np.arange(num_states), policy]
+        values = np.linalg.solve(np.eye(num_states) - gamma * p_pi, r_pi)
+        q = r_mod + gamma * p_mod @ values
+        new_policy = policy.copy()
+        changed = False
+        for s, c in enumerate(choice_sets):
+            best = int(c[int(np.argmax(q[s, c]))])
+            if q[s, best] > q[s, policy[s]] + 1e-12:
+                new_policy[s] = best
+                changed = True
+        if not changed:
+            break
+        policy = new_policy
+    else:
+        raise RuntimeError("filtered policy iteration did not stabilize")
+    rows = np.zeros((num_states, num_actions))
+    for s in range(num_states):
+        if surviving[s].any() or seen[s]:
+            rows[s, policy[s]] = 1.0
+        else:
+            rows[s, :] = 1.0 / num_actions
+    return rows

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import make_dataset, make_traj, random_mdp, uniform_behavior
+from conftest import make_dataset, make_traj, random_datasets, random_mdp, uniform_behavior
 from dprl.baselines import (
     BaselinePolicy,
     fit_mle_model,
@@ -283,3 +285,97 @@ class TestBehaviorClone:
         np.testing.assert_allclose(clone.action_probabilities[1], [0.5, 0.5])
         np.testing.assert_allclose(clone.action_probabilities.sum(axis=1), 1.0)
         assert clone.kind == "behavior-clone"
+
+
+def assert_same_array(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def datasets_with_behavior(draw):
+    """A dataset plus a behavior row table with uneven, hard-to-sum entries."""
+    ds = draw(random_datasets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((ds.num_states, ds.num_actions)) ** 3
+    rows *= rng.random(rows.shape) < 0.8
+    rows[:, 0] += rows.sum(axis=1) == 0.0
+    return ds, BehaviorPolicy(rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestColumnarMatchesLoops:
+    """Model fits and the vectorised trainers reproduce the per-state loops byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_datasets())
+    def test_fit_mle_model(self, ds):
+        got = fit_mle_model(ds)
+        expected = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
+        for name in ("p_hat", "r_hat", "n_sa", "transition_counts"):
+            assert_same_array(getattr(got, name), getattr(expected, name))
+        assert got.total_steps == expected.total_steps == ds.total_steps()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        datasets_with_behavior(),
+        st.sampled_from([1, 2, 5, float("inf")]),
+        st.booleans(),
+        st.sampled_from([0.5, 0.9]),
+    )
+    def test_spibb(self, case, n_wedge, cloned, gamma):
+        ds, behavior = case
+        reference = train_behavior_clone(ds) if cloned else behavior
+        got = train_spibb(ds, reference, n_wedge, gamma)
+        model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
+        expected = oracles.loop_spibb_rows(model, policy_rows(reference), n_wedge, gamma)
+        assert_same_array(got.action_probabilities, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_datasets(), st.sampled_from([0.001, 0.02, 0.2, 0.6]), st.sampled_from([0.5, 0.9]))
+    def test_pqi(self, ds, threshold, gamma):
+        if ds.total_steps() == 0:
+            with pytest.raises(ValueError, match="no steps"):
+                train_pqi(ds, threshold, gamma)
+            return
+        got = train_pqi(ds, threshold, gamma)
+        model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
+        assert_same_array(got.action_probabilities, oracles.loop_pqi_rows(model, threshold, gamma))
+
+    def test_spibb_free_mass_sums_compacted_entries(self):
+        # Ten actions with one rare pair: the free mass is the pairwise sum
+        # of the nine free entries, not a masked sum over all ten.
+        rng = np.random.default_rng(5)
+        steps = [(0, a) for a in range(1, 10)] * 2 + [(0, 0)]
+        ds = make_dataset(
+            [make_traj([s for s, _ in steps], [a for _, a in steps], rng.random(len(steps)))], 1, 10
+        )
+        rows = rng.random((1, 10)) ** 3
+        behavior = BehaviorPolicy(rows / rows.sum())
+        got = train_spibb(ds, behavior, n_wedge=2, gamma=0.9)
+        model = oracles.loop_fit_mle_model(ds, 1, 10)
+        expected = oracles.loop_spibb_rows(model, behavior.action_probabilities, 2, 0.9)
+        assert_same_array(got.action_probabilities, expected)
+        assert (got.action_probabilities > 0).sum() == 2
+
+    def test_near_ties_hold_the_incumbent(self):
+        # Decimal rewards whose model values differ only by rounding: both
+        # learners switch action only on gains above 1e-12.
+        episodes = [
+            ([2, 0], [1, 1], [0.3, 0.25]),
+            ([2, 2, 1, 1], [0, 0, 0, 1], [0.1, 0.05, 0.05, 0.1]),
+            ([0, 0, 2, 1], [0, 1, 0, 0], [0.3, 0.3, 0.3, 0.15]),
+            ([0, 2, 2, 0], [0, 1, 0, 1], [0.05, 0.25, 0.1, 0.05]),
+            ([2, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0.3, 0.3, 0.05, 0.2, 0.25]),
+        ]
+        ds = make_dataset([make_traj(*e) for e in episodes], 3, 2)
+        model = oracles.loop_fit_mle_model(ds, 3, 2)
+        behavior = uniform_behavior(3, 2)
+        assert_same_array(
+            train_spibb(ds, behavior, 1, 0.9).action_probabilities,
+            oracles.loop_spibb_rows(model, behavior.action_probabilities, 1, 0.9),
+        )
+        assert_same_array(
+            train_pqi(ds, 0.001, 0.9).action_probabilities,
+            oracles.loop_pqi_rows(model, 0.001, 0.9),
+        )

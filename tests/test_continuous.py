@@ -93,6 +93,19 @@ class TestIndex:
         np.testing.assert_array_equal(index.trajectory_ids, [0, 0])
         np.testing.assert_array_equal(index.time_indices, [0, 1])
 
+    def test_ragged_trajectories_match_per_trajectory_loop(self):
+        rng = np.random.default_rng(9)
+        trajs = [
+            ContinuousTrajectory(rng.random((n, 2)), rng.integers(0, 3, n), rng.random(n))
+            for n in (0, 5, 1, 0, 12)
+        ]
+        index = build_index(iter(trajs), gamma=0.9, metric_weights=np.ones(2), radius=0.1)
+        expected = [oracles.loop_suffix_returns(t.rewards, 0.9) for t in trajs if len(t.actions)]
+        assert index.returns.tobytes() == np.concatenate(expected).tobytes()
+        assert index.trajectory_ids.tolist() == [1] * 5 + [2] + [4] * 12
+        assert index.time_indices.tolist() == [*range(5), 0, *range(12)]
+        assert index.states.tobytes() == np.concatenate([t.states for t in trajs]).tobytes()
+
     def test_weighted_neighbors_match_linear_scan(self):
         rng = np.random.default_rng(3)
         points = rng.random((300, 2))

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_traj
+import oracles
+from conftest import make_dataset, make_traj, random_datasets
 from dprl.estimation import (
     EVERY_VISIT,
     FIRST_VISIT,
     count_visits,
     discounted_suffix_returns,
     monte_carlo_estimates,
+    segment_suffix_returns,
 )
 
 NUM_STATES = 4
@@ -174,3 +176,64 @@ class TestMonteCarlo:
             if len(observed) == 1:
                 a = int(observed[0])
                 assert est.v_hat[s] == pytest.approx(est.q_hat[s, a], rel=1e-12)
+
+
+def assert_same_array(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestColumnarMatchesLoops:
+    """The columnar estimators reproduce the per-trajectory loops byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_datasets(), st.sampled_from([FIRST_VISIT, EVERY_VISIT]))
+    def test_counts(self, ds, mode):
+        got = count_visits(ds, mode)
+        expected = oracles.loop_count_visits(ds, mode)
+        assert_same_array(got.n_sa, expected.n_sa)
+        assert_same_array(got.n_s, expected.n_s)
+        assert got.mode == mode
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        random_datasets(),
+        st.sampled_from([FIRST_VISIT, EVERY_VISIT]),
+        st.sampled_from([0.1, 0.9, 0.99]),
+    )
+    def test_monte_carlo_estimates(self, ds, mode, gamma):
+        got = monte_carlo_estimates(ds, gamma, mode)
+        expected = oracles.loop_monte_carlo_estimates(ds, gamma, mode)
+        for name in ("v_hat", "q_hat", "state_support", "support_mask"):
+            assert_same_array(getattr(got, name), getattr(expected, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_datasets(), st.sampled_from([0.1, 0.9, 0.99]))
+    def test_suffix_returns(self, ds, gamma):
+        _, _, rewards, offsets = ds.columns()
+        got = segment_suffix_returns(rewards, offsets, gamma)
+        expected = [oracles.loop_suffix_returns(t.rewards, gamma) for t in ds]
+        assert_same_array(got, np.concatenate([np.empty(0), *expected]))
+        for traj, want in zip(ds, expected):
+            assert_same_array(discounted_suffix_returns(traj.rewards, gamma), want)
+
+    def test_columns_follow_dataset_order(self):
+        ds = make_dataset(
+            [make_traj([1, 2], [0, 1], [0.5, 0.25]), make_traj([], [], []),
+             make_traj([3], [1], [1.0])],
+            NUM_STATES,
+            NUM_ACTIONS,
+        )
+        states, actions, rewards, offsets = ds.columns()
+        assert states.tolist() == [1, 2, 3] and actions.tolist() == [0, 1, 1]
+        assert rewards.tolist() == [0.5, 0.25, 1.0] and offsets.tolist() == [0, 2, 2, 3]
+        assert [c.dtype for c in ds.columns()] == [np.int64, np.int64, np.float64, np.int64]
+        ds.trajectories.pop()  # rebuilt per call, never stale
+        assert ds.columns()[3].tolist() == [0, 2, 2]
+
+    def test_no_trajectories(self):
+        ds = make_dataset([], NUM_STATES, NUM_ACTIONS)
+        assert count_visits(ds).n_sa.tolist() == [[0, 0]] * NUM_STATES
+        est = monte_carlo_estimates(ds, 0.9)
+        assert np.isnan(est.v_hat).all() and not est.support_mask.any()

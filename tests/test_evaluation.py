@@ -11,6 +11,7 @@ from conftest import (
 )
 from dprl.baselines import BaselinePolicy
 from dprl.discrete import DecisionPointPolicy
+from dprl import evaluation
 from dprl.envs import build_forest_mdp
 from dprl.evaluation import (
     AlgorithmSpec,
@@ -278,7 +279,27 @@ class TestReliabilityExperiment:
         assert result.failures["broken"] == [0, 1]
         assert np.isnan(result.values["broken"]).all()
         assert result.failures["behavior"] == []
-        assert result.summary()["algorithms"]["broken"]["num_failures"] == 2
+        reason = ("ValueError", "unknown algorithm 'mystery'")
+        assert result.errors == {"broken": [reason, reason], "behavior": []}
+        algorithms = result.summary()["algorithms"]
+        assert algorithms["broken"]["num_failures"] == 2
+        assert algorithms["broken"]["failures"] == [
+            {"seed": seed, "error": "ValueError", "message": "unknown algorithm 'mystery'"}
+            for seed in (0, 1)
+        ]
+        assert "failures" not in algorithms["behavior"]
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken_clone(*args):
+            raise TypeError("bug inside a trainer")
+
+        monkeypatch.setattr(evaluation, "train_behavior_clone", broken_clone)
+        mdp, behavior = build_forest_mdp(num_chains=1, depth=1)
+        specs = [AlgorithmSpec(name="behavior_clone", label="clone")]
+        with pytest.raises(TypeError, match="bug inside a trainer"):
+            run_reliability_experiment(
+                mdp, behavior, specs, num_seeds=1, num_trajectories=5, horizon=5, master_seed=0
+            )
 
     def test_duplicate_labels_rejected(self):
         mdp, behavior = build_forest_mdp(num_chains=1, depth=1)

@@ -373,18 +373,25 @@ class TestLockstepMatchesOracle:
             n = lengths[i]
             traj = make_traj(states[i, :n], actions[i, :n], rewards[i, :n])
             assert_same_episode(traj, *episode)
+            # Every logged action and every step between logged states has
+            # positive probability, also where the clamp fired.
+            s, a = states[i, :n], actions[i, :n]
+            assert (policy.action_probabilities[s, a] > 0).all()
+            assert (mdp.transitions[s[:-1], a[:-1], s[1:]] > 0).all()
 
-    def test_clamp_picks_last_index_when_uniform_exceeds_short_row(self):
-        # Row sums 1 - 1e-12: a uniform above that passes every CDF entry.
-        transitions = np.zeros((2, 2, 2))
+    def test_clamp_picks_last_positive_index_when_uniform_exceeds_short_row(self):
+        # Row sums 1 - 1e-12 with a zero-mass last entry: a uniform above the
+        # total passes every CDF entry and must land on index 1, not 2.
+        transitions = np.zeros((3, 3, 3))
         transitions[:, :, 0] = 0.5
         transitions[:, :, 1] = 0.5 - 1e-12
-        mdp = TabularMdp(transitions, RewardSpec.constant(np.zeros((2, 2))), 0.9, 0)
-        policy = BehaviorPolicy(np.array([[0.5, 0.5 - 1e-12]] * 2))
-        draws = np.full((1, 1, 3), np.nextafter(1.0, 0.0))
+        mdp = TabularMdp(transitions, RewardSpec.constant(np.zeros((3, 3))), 0.9, 0)
+        policy = BehaviorPolicy(np.array([[0.5, 0.5 - 1e-12, 0.0]] * 3))
+        draws = np.full((1, 2, 3), np.nextafter(1.0, 0.0))
         states, actions, _, lengths = _lockstep_rollout(mdp, policy, draws)
-        assert lengths.tolist() == [1] and actions[0, 0] == 1
-        assert bisect_rollout(mdp, policy, draws)[0][1] == [1]
+        assert lengths.tolist() == [2]
+        assert actions[0].tolist() == [1, 1] and states[0].tolist() == [0, 1]
+        assert bisect_rollout(mdp, policy, draws)[0][:2] == ([0, 1], [1, 1])
 
     def test_horizon_one_and_zero_trajectories(self):
         mdp = deterministic_chain(4)
