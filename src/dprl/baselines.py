@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -45,9 +44,6 @@ class BaselinePolicy:
     def __post_init__(self) -> None:
         self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
 
-    def act_distribution(self, state: int) -> np.ndarray:
-        return self.action_probabilities[state]
-
     def to_json(self) -> str:
         payload = {
             "format": "dprl-policy",
@@ -68,14 +64,9 @@ class BaselinePolicy:
             params=payload.get("params", {}),
         )
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @staticmethod
-    def load(path: str | Path) -> "BaselinePolicy":
-        return BaselinePolicy.from_json(Path(path).read_text(encoding="utf-8"))
+    def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
+        """A copy of the learned rows; the behavior fills nothing in."""
+        return self.action_probabilities.copy()
 
 
 def policy_rows(policy) -> np.ndarray:

@@ -19,14 +19,16 @@ from pathlib import Path
 
 from .baselines import BaselinePolicy
 from .bounds import VARIANT_PROOF, VARIANT_STATEMENT, bound_comparison_rows
-from .discrete import DecisionPointPolicy
 from .envs import build_environment
 from .estimation import EVERY_VISIT, FIRST_VISIT, count_visits
 from .evaluation import (
+    ALGORITHMS,
     AlgorithmSpec,
     MixedPolicy,
     exact_value,
+    load_policy,
     run_reliability_experiment,
+    save_policy,
     train_algorithm,
 )
 from .mdp import DatasetError, load_dataset, save_dataset, simulate
@@ -42,13 +44,6 @@ _ENV_KEYS = {
     "forest": {"num_chains", "depth", "epsilon", "gamma"},
     "cql": {"num_risky", "epsilon", "gamma"},
     "gridworld": {"side", "noise", "careless_states", "gamma", "explore"},
-}
-_ALGO_KEYS = {
-    "dprl": ({"n_wedge"}, {"tail_mode", "tol", "count_mode"}),
-    "spibb": ({"n_wedge"}, {"behavior"}),
-    "pqi": ({"density_threshold"}, set()),
-    "behavior_clone": (set(), set()),
-    "behavior": (set(), set()),
 }
 
 
@@ -97,10 +92,10 @@ def validate_config(config: dict) -> dict:
     for entry in algorithms:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("algorithms: each entry must be an object with a 'name'")
-        if entry["name"] not in _ALGO_KEYS:
+        if entry["name"] not in ALGORITHMS:
             raise ConfigError(f"algorithms: unknown name {entry['name']!r}")
         name_totals[entry["name"]] = name_totals.get(entry["name"], 0) + 1
-        required, optional = _ALGO_KEYS[entry["name"]]
+        required, optional, _ = ALGORITHMS[entry["name"]]
         params = {k: v for k, v in entry.items() if k not in ("name", "label")}
         _reject_unknown(f"algorithms[{entry['name']}]", params, required | optional)
         _require(f"algorithms[{entry['name']}]", params, required)
@@ -221,14 +216,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_policy_file(path: Path):
-    text = path.read_text(encoding="utf-8")
-    payload = json.loads(text)
-    if payload.get("kind") == "decision-point":
-        return DecisionPointPolicy.from_json(text)
-    return BaselinePolicy.from_json(text)
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
@@ -240,12 +227,10 @@ def cmd_train(args) -> int:
         )
     dataset = load_dataset(args.dataset, num_states=mdp.num_states, num_actions=mdp.num_actions)
     learned, defer_fraction = train_algorithm(specs[args.algorithm], dataset, mdp, behavior)
-    if learned is None:
-        learned = BaselinePolicy(
-            action_probabilities=behavior.action_probabilities, kind="behavior", params={}
-        )
+    if learned is None:  # the logging policy itself
+        learned = BaselinePolicy(behavior.action_probabilities, kind="behavior")
     path = out / f"policy_{args.algorithm}.json"
-    learned.save(path)
+    save_policy(learned, path)
     print(f"trained {args.algorithm}: defer_fraction={defer_fraction:.6f} -> {path}")
     return 0
 
@@ -254,9 +239,8 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     mdp, behavior = _build_env(config)
-    policy = _load_policy_file(Path(args.policy))
-    learned = None if getattr(policy, "kind", "") == "behavior" else policy
-    value = exact_value(mdp, MixedPolicy(learned, behavior))
+    policy = load_policy(args.policy)
+    value = exact_value(mdp, MixedPolicy(policy, behavior))
     behavior_value = exact_value(mdp, MixedPolicy(None, behavior))
     payload = {
         "config_hash": config_hash(config),

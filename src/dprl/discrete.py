@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -128,14 +127,13 @@ class DecisionPointPolicy:
             iterations=int(payload["iterations"]),
         )
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @staticmethod
-    def load(path: str | Path) -> "DecisionPointPolicy":
-        return DecisionPointPolicy.from_json(Path(path).read_text(encoding="utf-8"))
+    def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
+        """A copy of ``behavior_rows`` with each verdict state's row one-hot on its action."""
+        rows = behavior_rows.copy()
+        for s, a in self.verdicts.items():
+            rows[s, :] = 0.0
+            rows[s, a] = 1.0
+        return rows
 
 
 def identify_decision_points(

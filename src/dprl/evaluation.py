@@ -9,8 +9,10 @@ provided as a cross-check.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,29 +23,34 @@ from .baselines import (
     train_spibb,
 )
 from .discrete import DecisionPointPolicy, train_decision_point_policy
-from .estimation import FIRST_VISIT
 from .mdp import BehaviorPolicy, TabularMdp, simulate
 from .solvers import policy_state_values
 
 
 @dataclass
 class MixedPolicy:
-    """A learned policy backed by the logging policy at deferred states."""
+    """A learned policy composed by its ``rows(behavior_rows)``; ``None`` defers everywhere."""
 
     learned: DecisionPointPolicy | BaselinePolicy | None
     behavior: BehaviorPolicy
 
     def rows(self) -> np.ndarray:
         base = self.behavior.action_probabilities
-        if self.learned is None:
-            return base.copy()
-        if isinstance(self.learned, DecisionPointPolicy):
-            rows = base.copy()
-            for s, a in self.learned.verdicts.items():
-                rows[s, :] = 0.0
-                rows[s, a] = 1.0
-            return rows
-        return np.asarray(self.learned.action_probabilities, dtype=np.float64).copy()
+        return base.copy() if self.learned is None else self.learned.rows(base)
+
+
+def save_policy(policy: DecisionPointPolicy | BaselinePolicy, path: str | Path) -> None:
+    """Write ``policy.to_json()`` and a newline, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(policy.to_json() + "\n", encoding="utf-8")
+
+
+def load_policy(path: str | Path) -> DecisionPointPolicy | BaselinePolicy:
+    """Read a file written by :func:`save_policy`, dispatching on its ``kind``."""
+    text = Path(path).read_text(encoding="utf-8")
+    decision_point = json.loads(text).get("kind") == "decision-point"
+    return (DecisionPointPolicy if decision_point else BaselinePolicy).from_json(text)
 
 
 def exact_value(mdp: TabularMdp, policy: MixedPolicy) -> float:
@@ -100,10 +107,7 @@ def cvar(values, alpha: float) -> float:
 
 @dataclass
 class AlgorithmSpec:
-    """One trainable entry of an experiment: a name, a label and parameters.
-
-    Names: ``dprl``, ``spibb``, ``pqi``, ``behavior_clone``, ``behavior``.
-    """
+    """One trainable entry of an experiment: a registry name, a label and parameters."""
 
     name: str
     label: str
@@ -154,8 +158,32 @@ class ExperimentResult:
         return out
 
 
-def _actionable_states(mdp: TabularMdp) -> int:
-    return mdp.num_states - len(mdp.terminal_states)
+def _train_dprl(params, dataset, mdp, behavior):
+    policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
+    return policy, 1.0 - len(policy.verdicts) / max(1, mdp.num_states - len(mdp.terminal_states))
+
+
+def _train_spibb(params, dataset, mdp, behavior):
+    source = params.get("behavior", "true")
+    if source not in ("true", "estimated"):
+        raise ValueError("spibb behavior must be 'true' or 'estimated'")
+    if source == "estimated":
+        behavior = train_behavior_clone(dataset, mdp.num_states, mdp.num_actions)
+    return train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma), 0.0
+
+
+# name -> (required keys, optional keys, trainer).  A trainer maps (params,
+# dataset, mdp, behavior) to (policy or None, defer fraction) and looks
+# learners up when called, so patched ones run.
+ALGORITHMS = {
+    "dprl": ({"n_wedge"}, {"tail_mode", "tol", "count_mode"}, _train_dprl),
+    "spibb": ({"n_wedge"}, {"behavior"}, _train_spibb),
+    "pqi": ({"density_threshold"}, set(),
+            lambda p, ds, mdp, b: (train_pqi(ds, p["density_threshold"], mdp.gamma), 0.0)),
+    "behavior_clone": (set(), set(), lambda p, ds, mdp, b: (
+        train_behavior_clone(ds, mdp.num_states, mdp.num_actions), 0.0)),
+    "behavior": (set(), set(), lambda p, ds, mdp, b: (None, 1.0)),
+}
 
 
 def train_algorithm(
@@ -164,46 +192,10 @@ def train_algorithm(
     mdp: TabularMdp,
     behavior: BehaviorPolicy,
 ) -> tuple[DecisionPointPolicy | BaselinePolicy | None, float]:
-    """Train one algorithm on a dataset; returns (policy, defer fraction)."""
-    params = dict(spec.params)
-    if spec.name == "dprl":
-        policy = train_decision_point_policy(
-            dataset,
-            n_wedge=int(params.pop("n_wedge")),
-            gamma=mdp.gamma,
-            tail_mode=params.pop("tail_mode", "absorb"),
-            tol=float(params.pop("tol", 1e-8)),
-            count_mode=params.pop("count_mode", FIRST_VISIT),
-        )
-        defer = 1.0 - len(policy.verdicts) / max(1, _actionable_states(mdp))
-        return policy, defer
-    if spec.name == "spibb":
-        source = params.pop("behavior", "true")
-        if source == "true":
-            reference = behavior
-        elif source == "estimated":
-            reference = train_behavior_clone(dataset, mdp.num_states, mdp.num_actions)
-        else:
-            raise ValueError("spibb behavior must be 'true' or 'estimated'")
-        policy = train_spibb(
-            dataset,
-            reference,
-            n_wedge=params.pop("n_wedge"),
-            gamma=mdp.gamma,
-        )
-        return policy, 0.0
-    if spec.name == "pqi":
-        policy = train_pqi(
-            dataset,
-            density_threshold=float(params.pop("density_threshold")),
-            gamma=mdp.gamma,
-        )
-        return policy, 0.0
-    if spec.name == "behavior_clone":
-        return train_behavior_clone(dataset, mdp.num_states, mdp.num_actions), 0.0
-    if spec.name == "behavior":
-        return None, 1.0
-    raise ValueError(f"unknown algorithm {spec.name!r}")
+    """Train one registry algorithm on a dataset; returns (policy, defer fraction)."""
+    if spec.name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {spec.name!r}")
+    return ALGORITHMS[spec.name][2](spec.params, dataset, mdp, behavior)
 
 
 def _run_single_seed(args) -> dict[str, tuple[float, float, tuple[str, str] | None]]:

@@ -17,7 +17,7 @@ from dprl.baselines import (
 )
 from dprl.envs import build_forest_mdp
 from dprl.estimation import EVERY_VISIT, count_visits
-from dprl.evaluation import MixedPolicy, exact_value
+from dprl.evaluation import MixedPolicy, exact_value, load_policy, save_policy
 from dprl.mdp import BehaviorPolicy, simulate
 
 FOREST_BEHAVIOR_ROOT_VALUE = 0.54336744
@@ -68,8 +68,8 @@ class TestBaselinePolicy:
             params={"n_wedge": 3.0, "behavior": "true"},
         )
         path = tmp_path / "p.json"
-        policy.save(path)
-        back = BaselinePolicy.load(path)
+        save_policy(policy, path)
+        back = load_policy(path)
         np.testing.assert_allclose(back.action_probabilities, policy.action_probabilities)
         assert back.kind == "spibb"
         assert back.params == {"n_wedge": 3.0, "behavior": "true"}

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from dprl import cli
-from dprl.baselines import BaselinePolicy
 from dprl.cli import ConfigError, config_hash, validate_config
-from dprl.discrete import DecisionPointPolicy
 from dprl.envs import build_environment
+from dprl.evaluation import load_policy
 from dprl.mdp import load_dataset
 
 
@@ -269,7 +268,7 @@ class TestTrain:
             "--dataset", str(dataset), "--algorithm", "dprl",
         ])
         assert rc == 0
-        policy = DecisionPointPolicy.load(out / "policy_dprl.json")
+        policy = load_policy(out / "policy_dprl.json")
         assert policy.n_wedge == 3
         for state, action in policy.verdicts.items():
             assert isinstance(state, int) and isinstance(action, int)
@@ -282,7 +281,7 @@ class TestTrain:
             "--dataset", str(dataset), "--algorithm", "behavior",
         ])
         assert rc == 0
-        policy = BaselinePolicy.load(out / "policy_behavior.json")
+        policy = load_policy(out / "policy_behavior.json")
         assert policy.kind == "behavior"
         _, behavior = build_environment("forest", num_chains=2, depth=2, epsilon=0.2, gamma=0.99)
         np.testing.assert_array_equal(
@@ -346,7 +345,7 @@ class TestTrain:
             "--dataset", str(out / "datasets" / "seed_0000.jsonl"), "--algorithm", "spibb",
         ])
         assert rc == 0
-        policy = BaselinePolicy.load(out / "policy_spibb.json")
+        policy = load_policy(out / "policy_spibb.json")
         _, behavior = build_environment("forest", num_chains=2, depth=2, epsilon=0.2, gamma=0.99)
         np.testing.assert_allclose(
             policy.action_probabilities, behavior.action_probabilities, atol=1e-12

@@ -16,6 +16,7 @@ from dprl.discrete import (
     train_decision_point_policy,
 )
 from dprl.estimation import FIRST_VISIT, count_visits, monte_carlo_estimates
+from dprl.evaluation import load_policy, save_policy
 from dprl.mdp import simulate
 
 
@@ -324,8 +325,8 @@ class TestPolicyObject:
         assert policy.act(999) is None
         assert policy.decision_state_ids() == (3, 10)
         path = tmp_path / "policy.json"
-        policy.save(path)
-        back = DecisionPointPolicy.load(path)
+        save_policy(policy, path)
+        back = load_policy(path)
         assert back.verdicts == policy.verdicts
         assert back.defer_states == policy.defer_states
         assert back.n_wedge == 5 and back.iterations == 2
