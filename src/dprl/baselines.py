@@ -58,6 +58,8 @@ class BaselinePolicy:
         payload = json.loads(text)
         if "rows" not in payload:
             raise ValueError("not a stochastic-row policy file")
+        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
+            raise ValueError("rows must hold numbers")
         return BaselinePolicy(
             action_probabilities=np.array(payload["rows"], dtype=np.float64),
             kind=payload.get("kind", "unknown"),
@@ -65,7 +67,10 @@ class BaselinePolicy:
         )
 
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
-        """A copy of the learned rows; the behavior fills nothing in."""
+        """A copy of the learned rows, which must have the behavior's (S, A) shape."""
+        if self.action_probabilities.shape != behavior_rows.shape:
+            raise ValueError(f"rows have shape {self.action_probabilities.shape}, "
+                             f"the environment needs {behavior_rows.shape}")
         return self.action_probabilities.copy()
 
 

@@ -12,21 +12,28 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
 
 from .baselines import BaselinePolicy
 from .bounds import VARIANT_PROOF, VARIANT_STATEMENT, bound_comparison_rows
-from .envs import build_environment
+from .envs import ENVIRONMENTS, build_environment
 from .estimation import EVERY_VISIT, FIRST_VISIT, count_visits
 from .evaluation import (
     ALGORITHMS,
+    COUNT,
+    FRACTION,
     AlgorithmSpec,
     MixedPolicy,
+    PolicyError,
+    check_params,
     exact_value,
     load_policy,
+    rule,
     run_reliability_experiment,
     save_policy,
     train_algorithm,
@@ -40,50 +47,44 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
-_ENV_KEYS = {
-    "forest": {"num_chains", "depth", "epsilon", "gamma"},
-    "cql": {"num_risky", "epsilon", "gamma"},
-    "gridworld": {"side", "noise", "careless_states", "gamma", "explore"},
+_ANY = ("any value", lambda v: True)  # a section checked on its own, or by the builder
+_NONNEGATIVE = rule("a nonnegative integer", numbers.Integral, lambda v: v >= 0)
+_CONFIG = {"environment": _ANY, "dataset": _ANY, "seeds": _NONNEGATIVE, "algorithms": _ANY}
+_DATASET = {"num_trajectories": _NONNEGATIVE, "horizon": COUNT, "master_seed": _NONNEGATIVE}
+_BOUNDS = {
+    "delta": rule("a number in (0, 1]", numbers.Real, lambda v: 0 < v <= 1),
+    "n_wedge_grid": rule("a list of integers >= 1", list, lambda v: all(COUNT[1](n) for n in v)),
+    "pqi_b": FRACTION,
 }
+_VARIANT = rule("'statement' or 'proof'", str, lambda v: v in (VARIANT_STATEMENT, VARIANT_PROOF))
+_LABEL = rule("a non-empty string without '/' or '\\'", str,
+              lambda v: v != "" and not {"/", "\\"} & set(v))
 
 
-def _reject_unknown(section: str, payload: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigError(f"{section}: unknown keys {unknown}")
-
-
-def _require(section: str, payload: dict, required: set[str]) -> None:
-    missing = sorted(k for k in required if k not in payload)
-    if missing:
-        raise ConfigError(f"{section}: missing keys {missing}")
+def _check(section: str, payload, required: dict, optional: dict) -> None:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{section}: must be an object")
+    try:
+        check_params(payload, required, optional)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def validate_config(config: dict) -> dict:
-    """Check structure and fill in algorithm labels; returns a copy."""
+    """Check keys and values, algorithms' against ``ALGORITHMS``; fill in labels; return a copy."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(
-        "config", config, {"environment", "dataset", "seeds", "algorithms", "bounds", "output_dir"}
-    )
-    _require("config", config, {"environment", "dataset", "seeds", "algorithms"})
+    _check("config", config, _CONFIG, {"bounds": _ANY, "output_dir": _ANY})
 
     env = config["environment"]
     if not isinstance(env, dict) or "id" not in env:
         raise ConfigError("environment: must be an object with an 'id'")
-    if env["id"] not in _ENV_KEYS:
+    if not isinstance(env["id"], str) or env["id"] not in ENVIRONMENTS:
         raise ConfigError(f"environment: unknown id {env['id']!r}")
-    _reject_unknown(f"environment[{env['id']}]", {k: v for k, v in env.items() if k != "id"},
-                    _ENV_KEYS[env["id"]])
-
-    dataset = config["dataset"]
-    if not isinstance(dataset, dict):
-        raise ConfigError("dataset: must be an object")
-    _reject_unknown("dataset", dataset, {"num_trajectories", "horizon", "master_seed"})
-    _require("dataset", dataset, {"num_trajectories", "horizon", "master_seed"})
-
-    if not isinstance(config["seeds"], int) or config["seeds"] < 0:
-        raise ConfigError("seeds: must be a nonnegative integer")
+    keys = inspect.signature(ENVIRONMENTS[env["id"]]).parameters
+    _check(f"environment[{env['id']}]", {k: v for k, v in env.items() if k != "id"}, {},
+           dict.fromkeys(keys, _ANY))
+    _check("dataset", config["dataset"], _DATASET, {})
 
     algorithms = config["algorithms"]
     if not isinstance(algorithms, list) or not algorithms:
@@ -92,13 +93,13 @@ def validate_config(config: dict) -> dict:
     for entry in algorithms:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("algorithms: each entry must be an object with a 'name'")
-        if entry["name"] not in ALGORITHMS:
-            raise ConfigError(f"algorithms: unknown name {entry['name']!r}")
-        name_totals[entry["name"]] = name_totals.get(entry["name"], 0) + 1
-        required, optional, _ = ALGORITHMS[entry["name"]]
-        params = {k: v for k, v in entry.items() if k not in ("name", "label")}
-        _reject_unknown(f"algorithms[{entry['name']}]", params, required | optional)
-        _require(f"algorithms[{entry['name']}]", params, required)
+        name = entry["name"]
+        if not isinstance(name, str) or name not in ALGORITHMS:
+            raise ConfigError(f"algorithms: unknown name {name!r}")
+        name_totals[name] = name_totals.get(name, 0) + 1
+        required, optional, _ = ALGORITHMS[name]
+        params = {k: v for k, v in entry.items() if k != "name"}
+        _check(f"algorithms[{name}]", params, required, {**optional, "label": _LABEL})
 
     normalized = json.loads(json.dumps(config))  # deep copy, JSON-clean
     occurrence: dict[str, int] = {}
@@ -112,13 +113,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("algorithms: labels must be unique")
 
     if "bounds" in normalized:
-        bounds = normalized["bounds"]
-        if not isinstance(bounds, dict):
-            raise ConfigError("bounds: must be an object")
-        _reject_unknown("bounds", bounds, {"delta", "n_wedge_grid", "pqi_b", "variant"})
-        _require("bounds", bounds, {"delta", "n_wedge_grid", "pqi_b"})
-        if bounds.get("variant", VARIANT_STATEMENT) not in (VARIANT_STATEMENT, VARIANT_PROOF):
-            raise ConfigError("bounds: variant must be 'statement' or 'proof'")
+        _check("bounds", normalized["bounds"], _BOUNDS, {"variant": _VARIANT})
     return normalized
 
 
@@ -140,7 +135,10 @@ def config_hash(config: dict) -> str:
 def _build_env(config: dict):
     env = dict(config["environment"])
     env_id = env.pop("id")
-    return build_environment(env_id, **env)
+    try:
+        return build_environment(env_id, **env)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"environment[{env_id}]: {exc}") from exc
 
 
 def _algorithm_specs(config: dict) -> list[AlgorithmSpec]:
@@ -239,7 +237,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     mdp, behavior = _build_env(config)
-    policy = load_policy(args.policy)
+    policy = load_policy(args.policy, behavior)
     value = exact_value(mdp, MixedPolicy(policy, behavior))
     behavior_value = exact_value(mdp, MixedPolicy(None, behavior))
     payload = {
@@ -272,7 +270,7 @@ def cmd_bounds(args) -> int:
         v_max=mdp.v_max,
         gamma=mdp.gamma,
         delta=section["delta"],
-        n_wedge_grid=[int(x) for x in section["n_wedge_grid"]],
+        n_wedge_grid=section["n_wedge_grid"],
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
         pqi_b=section["pqi_b"],
@@ -372,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
+        return 2
+    except PolicyError as exc:
+        print(f"policy error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface anything else as exit 1
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .mdp import TrajectoryDataset
 
 TAIL_DROP = "drop"
 TAIL_ABSORB = "absorb"
-_TAIL_MODES = (TAIL_DROP, TAIL_ABSORB)
+TAIL_MODES = (TAIL_DROP, TAIL_ABSORB)
 
 
 @dataclass
@@ -116,19 +116,25 @@ class DecisionPointPolicy:
         payload = json.loads(text)
         if payload.get("kind") != "decision-point":
             raise ValueError("not a decision-point policy file")
-        verdicts = {
-            int(s): int(a) for s, a in payload["verdicts"].items() if a != "DEFER"
-        }
-        defer = frozenset(int(s) for s, a in payload["verdicts"].items() if a == "DEFER")
+        cells = payload["verdicts"]
+        if not isinstance(cells, dict) or any(
+            a != "DEFER" and type(a) is not int for a in cells.values()
+        ):
+            raise ValueError("verdicts must map state ids to action ids or 'DEFER'")
         return DecisionPointPolicy(
             n_wedge=int(payload["n_wedge"]),
-            verdicts=verdicts,
-            defer_states=defer,
+            verdicts={int(s): a for s, a in cells.items() if a != "DEFER"},
+            defer_states=frozenset(int(s) for s, a in cells.items() if a == "DEFER"),
             iterations=int(payload["iterations"]),
         )
 
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
         """A copy of ``behavior_rows`` with each verdict state's row one-hot on its action."""
+        num_states, num_actions = behavior_rows.shape
+        if not all(0 <= s < num_states for s in (*self.verdicts, *self.defer_states)):
+            raise ValueError(f"a state id lies outside [0, {num_states})")
+        if not all(0 <= a < num_actions for a in self.verdicts.values()):
+            raise ValueError(f"an action id lies outside [0, {num_actions})")
         rows = behavior_rows.copy()
         for s, a in self.verdicts.items():
             rows[s, :] = 0.0
@@ -188,8 +194,8 @@ def make_smdp(
     virtual absorbing state, carrying the full discounted tail reward; with
     ``"drop"`` it is discarded.
     """
-    if tail_mode not in _TAIL_MODES:
-        raise ValueError(f"tail_mode must be one of {_TAIL_MODES}, got {tail_mode!r}")
+    if tail_mode not in TAIL_MODES:
+        raise ValueError(f"tail_mode must be one of {TAIL_MODES}, got {tail_mode!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     states = tuple(sorted(dp.decision_states))

@@ -283,18 +283,10 @@ def build_gridworld(
 
 
 def build_environment(env_id: str, **params) -> tuple[TabularMdp, BehaviorPolicy]:
-    """Construct a benchmark environment by string id.
-
-    Known ids: ``forest``, ``cql``, ``gridworld``.
-    """
-    builders = {
-        "forest": build_forest_mdp,
-        "cql": build_cql_mdp,
-        "gridworld": _build_gridworld_from_params,
-    }
-    if env_id not in builders:
-        raise ValueError(f"unknown environment id {env_id!r}; expected one of {sorted(builders)}")
-    return builders[env_id](**params)
+    """Construct a benchmark environment by an id of :data:`ENVIRONMENTS`."""
+    if env_id not in ENVIRONMENTS:
+        raise ValueError(f"unknown environment id {env_id!r}; known ids: {sorted(ENVIRONMENTS)}")
+    return ENVIRONMENTS[env_id](**params)
 
 
 def _build_gridworld_from_params(
@@ -309,3 +301,11 @@ def _build_gridworld_from_params(
     return build_gridworld(
         side=side, noise=noise, careless_states=careless_states, gamma=gamma, explore=explore
     )
+
+
+# id -> builder; a builder's keyword parameters are the config keys of its environment.
+ENVIRONMENTS = {
+    "forest": build_forest_mdp,
+    "cql": build_cql_mdp,
+    "gridworld": _build_gridworld_from_params,
+}

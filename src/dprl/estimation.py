@@ -15,7 +15,7 @@ from .mdp import TrajectoryDataset
 
 FIRST_VISIT = "first-visit"
 EVERY_VISIT = "every-visit"
-_MODES = (FIRST_VISIT, EVERY_VISIT)
+VISIT_MODES = (FIRST_VISIT, EVERY_VISIT)
 
 
 @dataclass
@@ -79,8 +79,8 @@ def discounted_suffix_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in VISIT_MODES:
+        raise ValueError(f"mode must be one of {VISIT_MODES}, got {mode!r}")
 
 
 def _first_visits(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .baselines import (
     train_pqi,
     train_spibb,
 )
-from .discrete import DecisionPointPolicy, train_decision_point_policy
+from .discrete import TAIL_MODES, DecisionPointPolicy, train_decision_point_policy
+from .estimation import VISIT_MODES
 from .mdp import BehaviorPolicy, TabularMdp, simulate
 from .solvers import policy_state_values
 
@@ -39,6 +42,10 @@ class MixedPolicy:
         return base.copy() if self.learned is None else self.learned.rows(base)
 
 
+class PolicyError(ValueError):
+    """A policy file that is not valid JSON, not a policy, or does not fit the environment."""
+
+
 def save_policy(policy: DecisionPointPolicy | BaselinePolicy, path: str | Path) -> None:
     """Write ``policy.to_json()`` and a newline, creating the parent directory."""
     path = Path(path)
@@ -46,11 +53,22 @@ def save_policy(policy: DecisionPointPolicy | BaselinePolicy, path: str | Path) 
     path.write_text(policy.to_json() + "\n", encoding="utf-8")
 
 
-def load_policy(path: str | Path) -> DecisionPointPolicy | BaselinePolicy:
-    """Read a file written by :func:`save_policy`, dispatching on its ``kind``."""
+def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPolicy | BaselinePolicy:
+    """Read a :func:`save_policy` file; raise :class:`PolicyError` unless it composes with
+    ``behavior`` into probability rows (ids and rows must fit the behavior's (S, A) shape).
+    """
     text = Path(path).read_text(encoding="utf-8")
-    decision_point = json.loads(text).get("kind") == "decision-point"
-    return (DecisionPointPolicy if decision_point else BaselinePolicy).from_json(text)
+    try:
+        payload = json.loads(text)
+        if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
+            raise ValueError("format is not 'dprl-policy'")
+        kind = DecisionPointPolicy if payload.get("kind") == "decision-point" else BaselinePolicy
+        policy = kind.from_json(text)
+        BehaviorPolicy(policy.rows(behavior.action_probabilities))  # checks the rows
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise PolicyError(f"{path}: {reason}") from exc
+    return policy
 
 
 def exact_value(mdp: TabularMdp, policy: MixedPolicy) -> float:
@@ -158,31 +176,57 @@ class ExperimentResult:
         return out
 
 
+def rule(what: str, kind: type, test: Callable) -> tuple:
+    """A value rule for :func:`check_params`: a non-bool ``kind`` instance passing ``test``."""
+    return what, lambda v: isinstance(v, kind) and not isinstance(v, bool) and test(v)
+
+
+def _one_of(*options: str) -> tuple:
+    return rule(f"one of {list(options)}", str, lambda v: v in options)
+
+
+COUNT = rule("an integer >= 1", numbers.Integral, lambda v: v >= 1)
+FRACTION = rule("a number in (0, 1)", numbers.Real, lambda v: 0 < v < 1)
+
+
+def check_params(params: dict, required: dict, optional: dict) -> None:
+    """Raise ``ValueError`` for the first unknown, missing or rule-breaking key."""
+    rules = {**optional, **required}
+    unknown, missing = sorted(set(params) - set(rules)), sorted(set(required) - set(params))
+    if unknown or missing:
+        raise ValueError(f"unknown keys {unknown}" if unknown else f"missing keys {missing}")
+    for key, value in params.items():
+        if not rules[key][1](value):
+            raise ValueError(f"{key} must be {rules[key][0]}, got {value!r}")
+
+
 def _train_dprl(params, dataset, mdp, behavior):
     policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
     return policy, 1.0 - len(policy.verdicts) / max(1, mdp.num_states - len(mdp.terminal_states))
 
 
 def _train_spibb(params, dataset, mdp, behavior):
-    source = params.get("behavior", "true")
-    if source not in ("true", "estimated"):
-        raise ValueError("spibb behavior must be 'true' or 'estimated'")
-    if source == "estimated":
+    if params.get("behavior") == "estimated":
         behavior = train_behavior_clone(dataset, mdp.num_states, mdp.num_actions)
     return train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma), 0.0
 
 
-# name -> (required keys, optional keys, trainer).  A trainer maps (params,
-# dataset, mdp, behavior) to (policy or None, defer fraction) and looks
-# learners up when called, so patched ones run.
+# name -> (rules of the required keys, rules of the optional keys, trainer).  A
+# trainer maps (params, dataset, mdp, behavior) to (policy or None, defer
+# fraction) and looks learners up when called, so patched ones run.
 ALGORITHMS = {
-    "dprl": ({"n_wedge"}, {"tail_mode", "tol", "count_mode"}, _train_dprl),
-    "spibb": ({"n_wedge"}, {"behavior"}, _train_spibb),
-    "pqi": ({"density_threshold"}, set(),
+    "dprl": ({"n_wedge": COUNT}, {
+        "tail_mode": _one_of(*TAIL_MODES),
+        "tol": rule("a finite number > 0", numbers.Real, lambda v: 0 < v < math.inf),
+        "count_mode": _one_of(*VISIT_MODES),
+    }, _train_dprl),
+    "spibb": ({"n_wedge": rule("a number >= 1", numbers.Real, lambda v: v >= 1)},
+              {"behavior": _one_of("true", "estimated")}, _train_spibb),
+    "pqi": ({"density_threshold": FRACTION}, {},
             lambda p, ds, mdp, b: (train_pqi(ds, p["density_threshold"], mdp.gamma), 0.0)),
-    "behavior_clone": (set(), set(), lambda p, ds, mdp, b: (
+    "behavior_clone": ({}, {}, lambda p, ds, mdp, b: (
         train_behavior_clone(ds, mdp.num_states, mdp.num_actions), 0.0)),
-    "behavior": (set(), set(), lambda p, ds, mdp, b: (None, 1.0)),
+    "behavior": ({}, {}, lambda p, ds, mdp, b: (None, 1.0)),
 }
 
 
@@ -195,7 +239,9 @@ def train_algorithm(
     """Train one registry algorithm on a dataset; returns (policy, defer fraction)."""
     if spec.name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.name!r}")
-    return ALGORITHMS[spec.name][2](spec.params, dataset, mdp, behavior)
+    required, optional, train = ALGORITHMS[spec.name]
+    check_params(spec.params, required, optional)
+    return train(spec.params, dataset, mdp, behavior)
 
 
 def _run_single_seed(args) -> dict[str, tuple[float, float, tuple[str, str] | None]]:

@@ -127,7 +127,8 @@ class BehaviorPolicy:
         if self.action_probabilities.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
         sums = self.action_probabilities.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > _ROW_SUM_TOL or np.any(self.action_probabilities < 0):
+        # Compared so that a NaN entry fails too.
+        if not (np.abs(sums - 1.0) <= _ROW_SUM_TOL).all() or (self.action_probabilities < 0).any():
             raise ValueError("every state's action distribution must be a probability row")
 
     @property

@@ -69,7 +69,7 @@ class TestBaselinePolicy:
         )
         path = tmp_path / "p.json"
         save_policy(policy, path)
-        back = load_policy(path)
+        back = load_policy(path, uniform_behavior(1, 2))
         np.testing.assert_allclose(back.action_probabilities, policy.action_probabilities)
         assert back.kind == "spibb"
         assert back.params == {"n_wedge": 3.0, "behavior": "true"}

@@ -42,6 +42,10 @@ def base_config() -> dict:
     }
 
 
+def forest_behavior():
+    return build_environment("forest", num_chains=2, depth=2, epsilon=0.2, gamma=0.99)[1]
+
+
 def write_config(directory: Path, config: dict, name: str = "config.json") -> Path:
     path = directory / name
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -134,7 +138,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="missing keys"):
             validate_config(config)
 
-    @pytest.mark.parametrize("seeds", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("seeds", [-1, 2.5, "3", True])
     def test_rejects_bad_seed_count(self, seeds):
         config = base_config()
         config["seeds"] = seeds
@@ -151,6 +155,61 @@ class TestValidateConfig:
         config = base_config()
         config["algorithms"] = [{"name": "dqn"}]
         with pytest.raises(ConfigError, match="unknown name"):
+            validate_config(config)
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ({"name": "spibb", "n_wedge": 3, "behavior": "bogus"}, r"\[spibb\]: behavior must be"),
+            ({"name": "dprl", "n_wedge": 3, "tail_mode": "x"}, r"\[dprl\]: tail_mode must be"),
+            ({"name": "dprl", "n_wedge": 3, "count_mode": "x"}, r"\[dprl\]: count_mode must be"),
+            ({"name": "dprl", "n_wedge": 0}, r"\[dprl\]: n_wedge must be an integer >= 1"),
+            ({"name": "dprl", "n_wedge": 2.7}, r"\[dprl\]: n_wedge must be an integer"),
+            ({"name": "dprl", "n_wedge": "5"}, r"\[dprl\]: n_wedge must be an integer"),
+            ({"name": "dprl", "n_wedge": True}, r"\[dprl\]: n_wedge must be an integer"),
+            ({"name": "dprl", "n_wedge": 3, "tol": 0}, r"\[dprl\]: tol must be a finite number > 0"),
+            ({"name": "dprl", "n_wedge": 3, "tol": -1e-8}, r"\[dprl\]: tol must be"),
+            ({"name": "spibb", "n_wedge": "5"}, r"\[spibb\]: n_wedge must be a number >= 1"),
+            ({"name": "spibb", "n_wedge": 0.5}, r"\[spibb\]: n_wedge must be a number >= 1"),
+            ({"name": "pqi", "density_threshold": 2}, r"\[pqi\]: density_threshold must be"),
+            ({"name": "dprl", "n_wedge": 3, "label": "a/b"}, r"\[dprl\]: label must be"),
+            ({"name": "dprl", "n_wedge": 3, "label": "a\\b"}, r"\[dprl\]: label must be"),
+            ({"name": "dprl", "n_wedge": 3, "label": ""}, r"\[dprl\]: label must be"),
+            ({"name": "dprl", "n_wedge": 3, "label": 7}, r"\[dprl\]: label must be"),
+            ({"name": ["dprl"]}, "unknown name"),
+        ],
+    )
+    def test_rejects_bad_algorithm_value(self, entry, match):
+        config = base_config()
+        config["algorithms"] = [entry]
+        with pytest.raises(ConfigError, match=match):
+            validate_config(config)
+
+    def test_spibb_accepts_float_and_infinite_thresholds(self):
+        config = base_config()
+        config["algorithms"] = [{"name": "spibb", "n_wedge": 1e18}, {"name": "spibb", "n_wedge": 2.5},
+                                {"name": "spibb", "n_wedge": float("inf")}]
+        assert len(validate_config(config)["algorithms"]) == 3
+
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("dataset", "horizon", "20", "dataset: horizon must be an integer >= 1"),
+            ("dataset", "horizon", 0, "dataset: horizon must be an integer >= 1"),
+            ("dataset", "horizon", True, "dataset: horizon must be an integer >= 1"),
+            ("dataset", "num_trajectories", -3, "dataset: num_trajectories must be a nonnegative"),
+            ("dataset", "master_seed", -1, "dataset: master_seed must be a nonnegative"),
+            ("bounds", "n_wedge_grid", [2.5], r"bounds: n_wedge_grid must be a list of integers"),
+            ("bounds", "n_wedge_grid", 3, r"bounds: n_wedge_grid must be a list of integers"),
+            ("bounds", "delta", "0.05", r"bounds: delta must be a number in \(0, 1\]"),
+            ("bounds", "delta", 0, r"bounds: delta must be a number in \(0, 1\]"),
+            ("bounds", "pqi_b", 1, r"bounds: pqi_b must be a number in \(0, 1\)"),
+        ],
+    )
+    def test_rejects_bad_dataset_or_bounds_value(self, section, key, value, match):
+        config = base_config()
+        config[section][key] = value
+        with pytest.raises(ConfigError, match=match):
             validate_config(config)
 
     def test_rejects_unknown_algorithm_parameter(self):
@@ -260,6 +319,17 @@ class TestGenerate:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("label", ["dprl", "spibb", "pqi", "behavior_clone", "behavior"])
+    def test_written_file_is_the_loaded_policy_byte_for_byte(self, workspace, label):
+        cfg, out = workspace
+        assert cli.main([
+            "train", "--config", str(cfg), "--out", str(out),
+            "--dataset", str(out / "datasets" / "seed_0002.jsonl"), "--algorithm", label,
+        ]) == 0
+        path = out / f"policy_{label}.json"
+        text = load_policy(path, forest_behavior()).to_json() + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+
     def test_decision_point_policy_round_trips(self, workspace):
         cfg, out = workspace
         dataset = out / "datasets" / "seed_0000.jsonl"
@@ -268,7 +338,7 @@ class TestTrain:
             "--dataset", str(dataset), "--algorithm", "dprl",
         ])
         assert rc == 0
-        policy = load_policy(out / "policy_dprl.json")
+        policy = load_policy(out / "policy_dprl.json", forest_behavior())
         assert policy.n_wedge == 3
         for state, action in policy.verdicts.items():
             assert isinstance(state, int) and isinstance(action, int)
@@ -281,9 +351,9 @@ class TestTrain:
             "--dataset", str(dataset), "--algorithm", "behavior",
         ])
         assert rc == 0
-        policy = load_policy(out / "policy_behavior.json")
+        behavior = forest_behavior()
+        policy = load_policy(out / "policy_behavior.json", behavior)
         assert policy.kind == "behavior"
-        _, behavior = build_environment("forest", num_chains=2, depth=2, epsilon=0.2, gamma=0.99)
         np.testing.assert_array_equal(
             policy.action_probabilities, behavior.action_probabilities
         )
@@ -345,8 +415,8 @@ class TestTrain:
             "--dataset", str(out / "datasets" / "seed_0000.jsonl"), "--algorithm", "spibb",
         ])
         assert rc == 0
-        policy = load_policy(out / "policy_spibb.json")
-        _, behavior = build_environment("forest", num_chains=2, depth=2, epsilon=0.2, gamma=0.99)
+        behavior = forest_behavior()
+        policy = load_policy(out / "policy_spibb.json", behavior)
         np.testing.assert_allclose(
             policy.action_probabilities, behavior.action_probabilities, atol=1e-12
         )
@@ -460,6 +530,84 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("sweep", lambda c: c["algorithms"][1].update(behavior="bogus")),
+            ("sweep", lambda c: c.update(seeds=True)),
+            ("generate", lambda c: c["dataset"].update(horizon=0)),
+            ("bounds", lambda c: c["bounds"].update(delta="0.05")),
+            ("generate", lambda c: c["environment"].update(depth="2")),
+        ],
+        ids=["spibb-behavior", "bool-seeds", "zero-horizon", "string-delta", "string-depth"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, edit):
+        config = base_config()
+        edit(config)
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p["verdicts"].update({"-1": 0}), "state id"),
+            (lambda p: p["verdicts"].update({"999": 0}), "state id"),
+            (lambda p: p["verdicts"].update({"0": 7}), "action id"),
+            (lambda p: p["verdicts"].update({"0": 1.0}), "verdicts must map"),
+            (lambda p: p.update(format="other"), "format"),
+            (lambda p: p.pop("format"), "format"),
+            (lambda p: p.pop("verdicts"), "missing key 'verdicts'"),
+        ],
+        ids=["negative-state", "state-too-large", "action-too-large", "float-action",
+             "other-format", "no-format", "no-verdicts"],
+    )
+    def test_bad_decision_point_file_exits_2(self, workspace, tmp_path, capsys, edit, match):
+        payload = {"format": "dprl-policy", "kind": "decision-point", "n_wedge": 1,
+                   "iterations": 1, "decision_states": [0], "verdicts": {"0": 1, "1": "DEFER"}}
+        edit(payload)
+        self.assert_policy_error(workspace, tmp_path, capsys, json.dumps(payload), match)
+
+    @pytest.mark.parametrize(
+        "first_row, match",
+        [
+            ([2.0, 0.0, 0.0], "probability row"),
+            ([1.5, -0.5, 0.0], "probability row"),
+            ([float("nan")] * 3, "probability row"),
+            (["0.5", 0.5, 0.0], "numbers"),
+            (None, "shape"),
+        ],
+        ids=["not-stochastic", "negative", "nan", "string-entry", "too-few-rows"],
+    )
+    def test_bad_row_file_exits_2(self, workspace, tmp_path, capsys, first_row, match):
+        rows = forest_behavior().action_probabilities.tolist()
+        assert len(rows[0]) == 3
+        if first_row is None:
+            rows.pop()
+        else:
+            rows[0] = first_row
+        text = json.dumps({"format": "dprl-policy", "kind": "spibb", "params": {}, "rows": rows})
+        self.assert_policy_error(workspace, tmp_path, capsys, text, match)
+
+    def test_invalid_json_policy_exits_2(self, workspace, tmp_path, capsys):
+        self.assert_policy_error(workspace, tmp_path, capsys, "{not json", "p.json")
+
+    @staticmethod
+    def assert_policy_error(workspace, tmp_path, capsys, text, match):
+        cfg, _ = workspace
+        policy = tmp_path / "p.json"
+        policy.write_text(text, encoding="utf-8")
+        rc = cli.main([
+            "evaluate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--policy", str(policy),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"policy error: {policy}: ")
+        assert match in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 2

@@ -326,7 +326,7 @@ class TestPolicyObject:
         assert policy.decision_state_ids() == (3, 10)
         path = tmp_path / "policy.json"
         save_policy(policy, path)
-        back = load_policy(path)
+        back = load_policy(path, uniform_behavior(11, 2))
         assert back.verdicts == policy.verdicts
         assert back.defer_states == policy.defer_states
         assert back.n_wedge == 5 and back.iterations == 2

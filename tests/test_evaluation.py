@@ -205,6 +205,21 @@ class TestTrainDispatch:
                 behavior,
             )
 
+    @pytest.mark.parametrize(
+        "name, params, match",
+        [
+            ("dprl", {"n_wedge": 3, "typo": 1}, "unknown keys"),
+            ("dprl", {}, "missing keys"),
+            ("dprl", {"n_wedge": 2.5}, "n_wedge must be an integer"),
+            ("pqi", {"density_threshold": 0}, "density_threshold must be"),
+        ],
+    )
+    def test_registry_rules_apply_to_library_calls(self, name, params, match):
+        mdp, behavior = build_forest_mdp(num_chains=1, depth=1)
+        ds = simulate(mdp, behavior, num_trajectories=2, horizon=5, master_seed=0)
+        with pytest.raises(ValueError, match=match):
+            train_algorithm(AlgorithmSpec(name=name, label="x", params=params), ds, mdp, behavior)
+
     def test_unknown_name_rejected(self):
         mdp, behavior = build_forest_mdp(num_chains=1, depth=1)
         ds = simulate(mdp, behavior, num_trajectories=2, horizon=5, master_seed=0)

@@ -102,6 +102,8 @@ class TestContainers:
     def test_behavior_policy_rejects_non_probability_rows(self):
         with pytest.raises(ValueError):
             BehaviorPolicy(np.array([[0.7, 0.7]]))
+        with pytest.raises(ValueError):
+            BehaviorPolicy(np.array([[0.5, 0.5], [np.nan, 1.0]]))
 
 
 class TestSeeds:
