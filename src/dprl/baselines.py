@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import BehaviorPolicy, TrajectoryDataset
+from .mdp import TrajectoryDataset
 
 
 @dataclass
@@ -74,15 +74,6 @@ class BaselinePolicy:
         return self.action_probabilities.copy()
 
 
-def policy_rows(policy) -> np.ndarray:
-    """Accept a behavior policy, baseline policy or raw (S, A) array."""
-    if isinstance(policy, np.ndarray):
-        return np.asarray(policy, dtype=np.float64)
-    if isinstance(policy, (BehaviorPolicy, BaselinePolicy)):
-        return policy.action_probabilities
-    raise TypeError(f"cannot extract action rows from {type(policy).__name__}")
-
-
 def fit_mle_model(
     dataset: TrajectoryDataset,
     num_states: int | None = None,
@@ -133,22 +124,21 @@ def train_spibb(
     n_wedge,
     gamma: float,
     model: MleModel | None = None,
-    max_iterations: int = 200,
 ) -> BaselinePolicy:
     """Constrained policy iteration keeping behavior mass on rare pairs.
 
     Probability mass on pairs with fewer than ``n_wedge`` observations is
-    copied from ``behavior`` (true rows, or an estimate such as a cloned
-    policy); the remaining mass concentrates on the best sufficiently
-    observed action under the learned model.  ``n_wedge=inf`` therefore
-    returns the behavior exactly, and ``n_wedge=1`` on full coverage is
-    plain greedy policy iteration on the learned model.
+    copied from ``behavior.action_probabilities`` (true rows, or an estimate
+    such as a cloned policy); the remaining mass concentrates on the best
+    sufficiently observed action under the learned model.  ``n_wedge=inf``
+    therefore returns the behavior exactly, and ``n_wedge=1`` on full
+    coverage is plain greedy policy iteration on the learned model.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if model is None:
         model = fit_mle_model(dataset)
-    behavior_rows = policy_rows(behavior)
+    behavior_rows = behavior.action_probabilities
     num_states, num_actions = behavior_rows.shape
     free = model.n_sa >= n_wedge
     # Sum each state's free behavior mass as its compacted row, as numpy would.
@@ -163,7 +153,7 @@ def train_spibb(
     # chosen[s] = -1 marks states whose whole row stays behavior mass.
     chosen = np.full(num_states, -1, dtype=np.int64)
     rows = behavior_rows.copy()
-    for _ in range(max_iterations):
+    for _ in range(200):
         values = _evaluate_rows_on_model(model, rows, gamma)
         q = model.r_hat + gamma * model.p_hat @ values
         best = np.where(free, q, -np.inf).argmax(axis=1)
@@ -181,12 +171,7 @@ def train_spibb(
     else:
         raise RuntimeError("constrained policy iteration did not stabilize")
 
-    label = "true" if isinstance(behavior, BehaviorPolicy) else "estimated"
-    return BaselinePolicy(
-        action_probabilities=rows,
-        kind="spibb",
-        params={"n_wedge": float(n_wedge), "behavior": label},
-    )
+    return BaselinePolicy(rows, kind="spibb", params={"n_wedge": float(n_wedge)})
 
 
 def train_pqi(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import inspect
 import json
 import numbers
 import os
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
-_ANY = ("any value", lambda v: True)  # a section checked on its own, or by the builder
+_ANY = ("any value", lambda v: True)  # a section checked on its own
 _NONNEGATIVE = rule("a nonnegative integer", numbers.Integral, lambda v: v >= 0)
 _CONFIG = {"environment": _ANY, "dataset": _ANY, "seeds": _NONNEGATIVE, "algorithms": _ANY}
 _DATASET = {"num_trajectories": _NONNEGATIVE, "horizon": COUNT, "master_seed": _NONNEGATIVE}
@@ -81,9 +80,8 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("environment: must be an object with an 'id'")
     if not isinstance(env["id"], str) or env["id"] not in ENVIRONMENTS:
         raise ConfigError(f"environment: unknown id {env['id']!r}")
-    keys = inspect.signature(ENVIRONMENTS[env["id"]]).parameters
     _check(f"environment[{env['id']}]", {k: v for k, v in env.items() if k != "id"}, {},
-           dict.fromkeys(keys, _ANY))
+           ENVIRONMENTS[env["id"]][0])
     _check("dataset", config["dataset"], _DATASET, {})
 
     algorithms = config["algorithms"]
@@ -149,16 +147,35 @@ def _algorithm_specs(config: dict) -> list[AlgorithmSpec]:
     return specs
 
 
-def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env_value = os.environ.get(JOBS_ENV_VAR, "")
-    if env_value.strip():
+def _integer_flag(value_rule: tuple):
+    """An argparse ``type`` reading an integer that must pass a config rule."""
+    what, test = value_rule
+
+    def parse(text: str) -> int:
         try:
-            return max(1, int(env_value))
-        except ValueError as exc:
-            raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {env_value!r}") from exc
-    return 1
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not test(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_SEEDS_FLAG, _JOBS_FLAG = _integer_flag(_NONNEGATIVE), _integer_flag(COUNT)
+
+
+def _resolve_jobs(args) -> int:
+    if args.jobs is not None:
+        return args.jobs
+    env_value = os.environ.get(JOBS_ENV_VAR, "")
+    if not env_value.strip():
+        return 1
+    try:
+        return _JOBS_FLAG(env_value)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{JOBS_ENV_VAR} {exc}") from None
 
 
 def _out_dir(args, config: dict) -> Path:
@@ -331,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         if seeds:
-            p.add_argument("--seeds", type=int, default=None, help="override config seed count")
+            p.add_argument("--seeds", type=_SEEDS_FLAG, default=None,
+                           help="override config seed count")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None, help="worker processes")
+            p.add_argument("--jobs", type=_JOBS_FLAG, default=None, help="worker processes")
 
     p = sub.add_parser("generate", help="write per-seed trajectory datasets")
     common(p, seeds=True)

@@ -262,22 +262,21 @@ def smdp_policy_iteration(
     model: SmdpModel,
     dp: DecisionPointSets,
     estimates: ValueEstimates,
-    tol: float = 1e-8,
-    max_iterations: int | None = None,
     history: list | None = None,
 ) -> DecisionPointPolicy:
     """Exact policy iteration over the elevated model.
 
-    The value vector is initialized from the logging policy's estimated
-    state values and the initial verdict at each decision point is the
-    highest-``q_hat`` advantageous action.  Each round alternates an exact
-    evaluation solve (per-transition discounts, absorbing tail worth zero)
-    with a greedy improvement restricted to the advantageous actions; pairs
-    lacking elevated data are scored by their raw ``q_hat``.  Iteration
-    stops when the sup-norm value change drops to ``tol`` or the verdicts
-    stabilize.  Ties always resolve to the lowest action index.
+    The initial verdict at each decision point is its highest-``q_hat``
+    advantageous action.  Each round solves ``(I - W_pi) v = r_pi`` exactly,
+    where ``W`` holds the per-transition discounted weights into decision
+    points (the absorbing tail is worth zero) and a pair lacking elevated
+    data has a zero weight row and reward ``q_hat``.  It then scores every
+    advantageous pair by ``r + W v`` and takes each state's best, ties to the
+    lowest action index.  The one stopping rule: iteration stops when that
+    greedy policy equals the current one.  ``history``, if given, receives
+    ``(values, policy)`` of every round.
     """
-    states = model.states
+    states = np.array(model.states, dtype=np.int64)
     num_dp = len(states)
     if num_dp == 0:
         return DecisionPointPolicy(
@@ -287,64 +286,34 @@ def smdp_policy_iteration(
             iterations=0,
             provenance=dp,
         )
-    if max_iterations is None:
-        max_iterations = max(64, 4 * num_dp * model.p_tilde.shape[1])
-    q_hat = estimates.q_hat
-    actions = [dp.advantageous[s] for s in states]
-    # Discounted transition weights into decision-point columns only; the
-    # absorbing column contributes no continuation value.
-    weights = model.p_tilde[:, :, :num_dp] * model.gamma_tilde[:, :, :num_dp]
-
-    def evaluate(policy: np.ndarray) -> np.ndarray:
-        system = np.eye(num_dp)
-        rhs = np.empty(num_dp)
-        for i, s in enumerate(states):
-            a = policy[i]
-            if model.row_mask[i, a]:
-                system[i, :] -= weights[i, a]
-                rhs[i] = model.r_bar[i, a]
-            else:
-                rhs[i] = q_hat[s, a]  # no elevated data; pin to the raw estimate
+    num_actions = model.p_tilde.shape[1]
+    advantageous = np.zeros((num_dp, num_actions), dtype=bool)
+    for i, s in enumerate(model.states):
+        advantageous[i, list(dp.advantageous[s])] = True
+    q_hat = estimates.q_hat[states]
+    has_data = model.row_mask
+    weights = np.where(
+        has_data[:, :, None], model.p_tilde[:, :, :num_dp] * model.gamma_tilde[:, :, :num_dp], 0.0
+    )
+    reward = np.where(has_data, model.r_bar, q_hat)
+    rows = np.arange(num_dp)
+    policy = np.where(advantageous, q_hat, -np.inf).argmax(axis=1)
+    for iterations in range(1, max(64, 4 * num_dp * num_actions) + 1):
+        system = np.eye(num_dp) - weights[rows, policy]
         try:
-            return np.linalg.solve(system, rhs)
+            values = np.linalg.solve(system, reward[rows, policy])
         except np.linalg.LinAlgError as exc:
-            diag = np.abs(np.diag(system) - 1.0)
-            worst = states[int(np.argmax(diag))]
+            worst = model.states[int(np.argmax(np.abs(np.diag(system) - 1.0)))]
             raise RuntimeError(
                 f"singular evaluation system; check segment discounts at decision state {worst}"
             ) from exc
-
-    def improve(values: np.ndarray) -> np.ndarray:
-        policy = np.empty(num_dp, dtype=np.int64)
-        for i, s in enumerate(states):
-            best_action = actions[i][0]
-            best_score = -np.inf
-            for a in actions[i]:
-                if model.row_mask[i, a]:
-                    score = model.r_bar[i, a] + float(np.dot(weights[i, a], values))
-                else:
-                    score = q_hat[s, a]
-                if score > best_score:
-                    best_score = score
-                    best_action = a
-            policy[i] = best_action
-        return policy
-
-    policy = np.array(
-        [acts[int(np.argmax([q_hat[s, a] for a in acts]))] for s, acts in zip(states, actions)],
-        dtype=np.int64,
-    )
-    previous = np.array([estimates.v_hat[s] for s in states])
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        values = evaluate(policy)
         if history is not None:
-            history.append((values.copy(), policy.copy()))
-        if float(np.max(np.abs(values - previous))) <= tol:
-            break
-        previous = values
-        improved = improve(values)
+            history.append((values, policy))
+        # One (1 x D) @ (D x 1) product per pair, which numpy computes with the same
+        # BLAS dot as np.dot(weights[i, a], values).  A gemv (weights @ values)
+        # rounds differently and can flip a last-bit tie between two actions.
+        scores = reward + (weights[:, :, None, :] @ values[:, None])[:, :, 0, 0]
+        improved = np.where(advantageous, scores, -np.inf).argmax(axis=1)
         if np.array_equal(improved, policy):
             break
         policy = improved
@@ -365,7 +334,6 @@ def train_decision_point_policy(
     n_wedge: int,
     gamma: float,
     tail_mode: str = TAIL_ABSORB,
-    tol: float = 1e-8,
     count_mode: str = FIRST_VISIT,
 ) -> DecisionPointPolicy:
     """Count, estimate, gate, elevate and optimize in one call."""
@@ -373,4 +341,4 @@ def train_decision_point_policy(
     estimates = monte_carlo_estimates(dataset, gamma, mode=count_mode)
     dp = identify_decision_points(counts, estimates, n_wedge)
     model = make_smdp(dataset, dp, gamma, tail_mode=tail_mode)
-    return smdp_policy_iteration(model, dp, estimates, tol=tol)
+    return smdp_policy_iteration(model, dp, estimates)

@@ -17,8 +17,11 @@ Three families:
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from .evaluation import COUNT, FRACTION, rule
 from .mdp import BehaviorPolicy, RewardSpec, TabularMdp
 from .solvers import optimal_values
 
@@ -259,10 +262,13 @@ def build_gridworld(
     mdp = _grid_mdp(side, noise, gamma)
     num_states = mdp.num_states
     if careless_states is not None:
-        careless_states = frozenset(int(s) for s in careless_states)
+        careless_states = list(careless_states)
         for s in careless_states:
+            if not _is_integer(s):
+                raise ValueError(f"careless state {s!r} is not an integer")
             if not 0 <= s < num_states:
                 raise ValueError(f"careless state {s} out of range")
+        careless_states = frozenset(int(s) for s in careless_states)
 
     _, q_star, greedy = optimal_values(mdp)
     if careless_states is None:
@@ -286,26 +292,29 @@ def build_environment(env_id: str, **params) -> tuple[TabularMdp, BehaviorPolicy
     """Construct a benchmark environment by an id of :data:`ENVIRONMENTS`."""
     if env_id not in ENVIRONMENTS:
         raise ValueError(f"unknown environment id {env_id!r}; known ids: {sorted(ENVIRONMENTS)}")
-    return ENVIRONMENTS[env_id](**params)
+    return ENVIRONMENTS[env_id][1](**params)
 
 
-def _build_gridworld_from_params(
-    side: int = 10,
-    noise: float = 0.9,
-    careless_states=None,
-    gamma: float = 0.95,
-    explore: float = 0.0,
-) -> tuple[TabularMdp, BehaviorPolicy]:
-    if careless_states is not None:
-        careless_states = frozenset(int(s) for s in careless_states)
-    return build_gridworld(
-        side=side, noise=noise, careless_states=careless_states, gamma=gamma, explore=explore
-    )
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# id -> builder; a builder's keyword parameters are the config keys of its environment.
+_EPSILON = rule("a number in [0, 0.5]", numbers.Real, lambda v: 0 <= v <= 0.5)
+_PROBABILITY = rule("a number in [0, 1]", numbers.Real, lambda v: 0 <= v <= 1)
+
+# id -> (rules of its config keys, builder); the keys are the builder's keyword parameters.
 ENVIRONMENTS = {
-    "forest": build_forest_mdp,
-    "cql": build_cql_mdp,
-    "gridworld": _build_gridworld_from_params,
+    "forest": (
+        {"num_chains": COUNT, "depth": COUNT, "epsilon": _EPSILON, "gamma": FRACTION},
+        build_forest_mdp,
+    ),
+    "cql": ({"num_risky": COUNT, "epsilon": _EPSILON, "gamma": FRACTION}, build_cql_mdp),
+    "gridworld": ({
+        "side": rule("an integer >= 2", numbers.Integral, lambda v: v >= 2),
+        "noise": _PROBABILITY,
+        "careless_states": rule("null or a list of integers", (list, type(None)),
+                                lambda v: v is None or all(map(_is_integer, v))),
+        "gamma": FRACTION,
+        "explore": _PROBABILITY,
+    }, build_gridworld),
 }

@@ -206,20 +206,20 @@ def _train_dprl(params, dataset, mdp, behavior):
 
 
 def _train_spibb(params, dataset, mdp, behavior):
-    if params.get("behavior") == "estimated":
+    label = params.get("behavior", "true")
+    if label == "estimated":
         behavior = train_behavior_clone(dataset, mdp.num_states, mdp.num_actions)
-    return train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma), 0.0
+    policy = train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma)
+    policy.params["behavior"] = label
+    return policy, 0.0
 
 
 # name -> (rules of the required keys, rules of the optional keys, trainer).  A
 # trainer maps (params, dataset, mdp, behavior) to (policy or None, defer
 # fraction) and looks learners up when called, so patched ones run.
 ALGORITHMS = {
-    "dprl": ({"n_wedge": COUNT}, {
-        "tail_mode": _one_of(*TAIL_MODES),
-        "tol": rule("a finite number > 0", numbers.Real, lambda v: 0 < v < math.inf),
-        "count_mode": _one_of(*VISIT_MODES),
-    }, _train_dprl),
+    "dprl": ({"n_wedge": COUNT}, {"tail_mode": _one_of(*TAIL_MODES),
+                                  "count_mode": _one_of(*VISIT_MODES)}, _train_dprl),
     "spibb": ({"n_wedge": rule("a number >= 1", numbers.Real, lambda v: v >= 1)},
               {"behavior": _one_of("true", "estimated")}, _train_spibb),
     "pqi": ({"density_threshold": FRACTION}, {},

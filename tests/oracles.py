@@ -142,6 +142,60 @@ def enumerate_smdp_policies(model, decision_sets, estimates):
     return envelope
 
 
+def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
+    """Policy iteration with per-state evaluate/improve loops; stops on a stable policy.
+
+    Appends ``(values, policy)`` per round to ``history`` and returns
+    ``(verdicts, iterations)``, or raises after ``max(64, 4 * D * A)`` rounds.
+    """
+    states = model.states
+    num_dp = len(states)
+    if num_dp == 0:
+        return {}, 0
+    q_hat = estimates.q_hat
+    actions = [decision_sets.advantageous[s] for s in states]
+    weights = model.p_tilde[:, :, :num_dp] * model.gamma_tilde[:, :, :num_dp]
+
+    def evaluate(policy):
+        system = np.eye(num_dp)
+        rhs = np.empty(num_dp)
+        for i, s in enumerate(states):
+            a = policy[i]
+            if model.row_mask[i, a]:
+                system[i, :] -= weights[i, a]
+                rhs[i] = model.r_bar[i, a]
+            else:
+                rhs[i] = q_hat[s, a]
+        return np.linalg.solve(system, rhs)
+
+    def improve(values):
+        policy = np.empty(num_dp, dtype=np.int64)
+        for i, s in enumerate(states):
+            best_action, best_score = actions[i][0], -np.inf
+            for a in actions[i]:
+                if model.row_mask[i, a]:
+                    score = model.r_bar[i, a] + float(np.dot(weights[i, a], values))
+                else:
+                    score = q_hat[s, a]
+                if score > best_score:
+                    best_score, best_action = score, a
+            policy[i] = best_action
+        return policy
+
+    policy = np.array(
+        [acts[int(np.argmax([q_hat[s, a] for a in acts]))] for s, acts in zip(states, actions)],
+        dtype=np.int64,
+    )
+    for iterations in range(1, max(64, 4 * num_dp * model.p_tilde.shape[1]) + 1):
+        values = evaluate(policy)
+        history.append((values.copy(), policy.copy()))
+        improved = improve(values)
+        if np.array_equal(improved, policy):
+            return {int(s): int(a) for s, a in zip(states, policy)}, iterations
+        policy = improved
+    raise RuntimeError("semi-Markov policy iteration did not converge")
+
+
 def sort_slice_cvar(values, alpha: float) -> float:
     """Mean of the worst ceil(alpha * n) outcomes, by explicit sort."""
     ordered = sorted(float(v) for v in values)

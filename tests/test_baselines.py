@@ -10,14 +10,20 @@ from conftest import make_dataset, make_traj, random_datasets, random_mdp, unifo
 from dprl.baselines import (
     BaselinePolicy,
     fit_mle_model,
-    policy_rows,
     train_behavior_clone,
     train_pqi,
     train_spibb,
 )
 from dprl.envs import build_forest_mdp
 from dprl.estimation import EVERY_VISIT, count_visits
-from dprl.evaluation import MixedPolicy, exact_value, load_policy, save_policy
+from dprl.evaluation import (
+    AlgorithmSpec,
+    MixedPolicy,
+    exact_value,
+    load_policy,
+    save_policy,
+    train_algorithm,
+)
 from dprl.mdp import BehaviorPolicy, simulate
 
 FOREST_BEHAVIOR_ROOT_VALUE = 0.54336744
@@ -77,14 +83,6 @@ class TestBaselinePolicy:
     def test_from_json_requires_rows(self):
         with pytest.raises(ValueError):
             BaselinePolicy.from_json('{"kind": "spibb"}')
-
-    def test_policy_rows_accepts_three_forms(self):
-        rows = np.array([[0.5, 0.5]])
-        np.testing.assert_allclose(policy_rows(rows), rows)
-        np.testing.assert_allclose(policy_rows(BehaviorPolicy(rows)), rows)
-        np.testing.assert_allclose(
-            policy_rows(BaselinePolicy(action_probabilities=rows, kind="x")), rows
-        )
 
 
 class TestSpibb:
@@ -199,12 +197,13 @@ class TestSpibb:
             )
 
     def test_estimated_behavior_label(self):
-        ds = make_dataset([make_traj([0, 0], [0, 1], [0.1, 0.2])], 1, 2)
-        clone = train_behavior_clone(ds)
-        policy = train_spibb(ds, clone, n_wedge=1, gamma=0.9)
-        assert policy.params["behavior"] == "estimated"
-        true_policy = train_spibb(ds, uniform_behavior(1, 2), n_wedge=1, gamma=0.9)
-        assert true_policy.params["behavior"] == "true"
+        mdp, behavior = build_forest_mdp(num_chains=1, depth=1, epsilon=0.2)
+        ds = simulate(mdp, behavior, num_trajectories=10, horizon=3, master_seed=0)
+        for params, label in (({}, "true"), ({"behavior": "true"}, "true"),
+                              ({"behavior": "estimated"}, "estimated")):
+            spec = AlgorithmSpec("spibb", "spibb", {"n_wedge": 1, **params})
+            policy, _ = train_algorithm(spec, ds, mdp, behavior)
+            assert policy.params == {"n_wedge": 1.0, "behavior": label}
 
     def test_gamma_validation(self):
         ds = make_dataset([make_traj([0], [0], [0.1])], 1, 1)
@@ -328,7 +327,7 @@ class TestColumnarMatchesLoops:
         reference = train_behavior_clone(ds) if cloned else behavior
         got = train_spibb(ds, reference, n_wedge, gamma)
         model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
-        expected = oracles.loop_spibb_rows(model, policy_rows(reference), n_wedge, gamma)
+        expected = oracles.loop_spibb_rows(model, reference.action_probabilities, n_wedge, gamma)
         assert_same_array(got.action_probabilities, expected)
 
     @settings(max_examples=150, deadline=None)

@@ -126,6 +126,24 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             validate_config(config)
 
+    @pytest.mark.parametrize(
+        "environment, match",
+        [
+            ({"id": "gridworld", "careless_states": [2.7]}, "careless_states must be null or"),
+            ({"id": "gridworld", "careless_states": [True]}, "careless_states must be null or"),
+            ({"id": "gridworld", "noise": True}, r"noise must be a number in \[0, 1\]"),
+            ({"id": "gridworld", "side": 1}, "side must be an integer >= 2"),
+            ({"id": "forest", "num_chains": 2.0}, "num_chains must be an integer >= 1"),
+            ({"id": "forest", "gamma": 1}, r"gamma must be a number in \(0, 1\)"),
+            ({"id": "cql", "epsilon": 0.7}, r"epsilon must be a number in \[0, 0.5\]"),
+        ],
+    )
+    def test_rejects_bad_environment_value(self, environment, match):
+        config = base_config()
+        config["environment"] = environment
+        with pytest.raises(ConfigError, match=rf"environment\[{environment['id']}\]: {match}"):
+            validate_config(config)
+
     def test_rejects_unknown_dataset_key(self):
         config = base_config()
         config["dataset"]["episodes"] = 10
@@ -167,8 +185,8 @@ class TestValidateConfig:
             ({"name": "dprl", "n_wedge": 2.7}, r"\[dprl\]: n_wedge must be an integer"),
             ({"name": "dprl", "n_wedge": "5"}, r"\[dprl\]: n_wedge must be an integer"),
             ({"name": "dprl", "n_wedge": True}, r"\[dprl\]: n_wedge must be an integer"),
-            ({"name": "dprl", "n_wedge": 3, "tol": 0}, r"\[dprl\]: tol must be a finite number > 0"),
-            ({"name": "dprl", "n_wedge": 3, "tol": -1e-8}, r"\[dprl\]: tol must be"),
+            ({"name": "dprl", "n_wedge": 3, "tol": 1e-8}, r"unknown keys \['tol'\]"),
+            ({"name": "dprl", "n_wedge": 3, "tol": 0}, r"unknown keys \['tol'\]"),
             ({"name": "spibb", "n_wedge": "5"}, r"\[spibb\]: n_wedge must be a number >= 1"),
             ({"name": "spibb", "n_wedge": 0.5}, r"\[spibb\]: n_wedge must be a number >= 1"),
             ({"name": "pqi", "density_threshold": 2}, r"\[pqi\]: density_threshold must be"),
@@ -270,6 +288,12 @@ class TestJobsResolution:
     def test_garbage_environment_variable_rejected(self, monkeypatch):
         monkeypatch.setenv(cli.JOBS_ENV_VAR, "many")
         with pytest.raises(ConfigError, match=cli.JOBS_ENV_VAR):
+            cli._resolve_jobs(Namespace(jobs=None))
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_environment_variable_below_one_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(cli.JOBS_ENV_VAR, value)
+        with pytest.raises(ConfigError, match=f"{cli.JOBS_ENV_VAR} must be an integer >= 1"):
             cli._resolve_jobs(Namespace(jobs=None))
 
 
@@ -538,8 +562,10 @@ class TestExitCodes:
             ("generate", lambda c: c["dataset"].update(horizon=0)),
             ("bounds", lambda c: c["bounds"].update(delta="0.05")),
             ("generate", lambda c: c["environment"].update(depth="2")),
+            ("sweep", lambda c: c["algorithms"][0].update(tol=1e-8)),
         ],
-        ids=["spibb-behavior", "bool-seeds", "zero-horizon", "string-delta", "string-depth"],
+        ids=["spibb-behavior", "bool-seeds", "zero-horizon", "string-delta", "string-depth",
+             "dprl-tol"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, edit):
         config = base_config()
@@ -548,6 +574,27 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--seeds", "-2"], "argument --seeds: must be a nonnegative integer"),
+            (["sweep", "--seeds", "-1"], "argument --seeds: must be a nonnegative integer"),
+            (["sweep", "--seeds", "2.5"], "argument --seeds: must be a nonnegative integer"),
+            (["sweep", "--jobs", "-3"], "argument --jobs: must be an integer >= 1"),
+            (["sweep", "--jobs", "0"], "argument --jobs: must be an integer >= 1"),
+        ],
+        ids=["generate-negative-seeds", "sweep-negative-seeds", "sweep-fractional-seeds",
+             "sweep-negative-jobs", "sweep-zero-jobs"],
+    )
+    def test_bad_integer_flag_exits_2(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import make_dataset, make_traj, random_mdp, uniform_behavior
+from conftest import make_dataset, make_traj, random_datasets, random_mdp, uniform_behavior
 from dprl.discrete import (
     TAIL_ABSORB,
     TAIL_DROP,
+    TAIL_MODES,
     DecisionPointPolicy,
     DecisionPointSets,
     identify_decision_points,
@@ -15,8 +18,9 @@ from dprl.discrete import (
     smdp_policy_iteration,
     train_decision_point_policy,
 )
-from dprl.estimation import FIRST_VISIT, count_visits, monte_carlo_estimates
-from dprl.evaluation import load_policy, save_policy
+from dprl.envs import build_environment
+from dprl.estimation import FIRST_VISIT, VISIT_MODES, count_visits, monte_carlo_estimates
+from dprl.evaluation import MixedPolicy, exact_value, load_policy, save_policy
 from dprl.mdp import simulate
 
 
@@ -48,6 +52,21 @@ def pipeline(dataset, n_wedge, gamma, tail_mode=TAIL_ABSORB):
     dp = identify_decision_points(counts, estimates, n_wedge)
     model = make_smdp(dataset, dp, gamma, tail_mode)
     return counts, estimates, dp, model
+
+
+def assert_matches_loop_oracle(ds, tail_mode, count_mode, n_wedge, gamma):
+    """Verdicts, iteration count and every round's bytes equal the loop oracle's."""
+    counts = count_visits(ds, count_mode)
+    est = monte_carlo_estimates(ds, gamma, count_mode)
+    dp = identify_decision_points(counts, est, n_wedge)
+    model = make_smdp(ds, dp, gamma, tail_mode)
+    expected_history, history = [], []
+    verdicts, iterations = oracles.loop_smdp_policy_iteration(model, dp, est, expected_history)
+    policy = smdp_policy_iteration(model, dp, est, history=history)
+    assert policy.verdicts == verdicts
+    assert policy.iterations == iterations
+    as_bytes = [(v.tobytes(), p.tobytes()) for v, p in expected_history]
+    assert [(v.tobytes(), p.tobytes()) for v, p in history] == as_bytes
 
 
 class TestGate:
@@ -305,11 +324,53 @@ class TestPolicyIteration:
             checked += 1
         assert checked >= 80
 
-    def test_nonconvergence_guard_raises(self):
+    def test_nonconvergence_guard_raises(self, monkeypatch):
         ds = multi_step_dataset()
         _, est, dp, model = pipeline(ds, n_wedge=2, gamma=0.9)
+        monkeypatch.setattr(np, "array_equal", lambda a, b: False)  # never stable
         with pytest.raises(RuntimeError, match="did not converge"):
-            smdp_policy_iteration(model, dp, est, tol=0.0, max_iterations=1)
+            smdp_policy_iteration(model, dp, est)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        random_datasets(),
+        st.sampled_from(TAIL_MODES),
+        st.sampled_from(VISIT_MODES),
+        st.integers(1, 3),
+        st.sampled_from([0.5, 0.9]),
+    )
+    @example(multi_step_dataset(), TAIL_DROP, FIRST_VISIT, 2, 0.9)  # pairs pinned to q_hat
+    @example(multi_step_dataset(), TAIL_ABSORB, FIRST_VISIT, 10**6, 0.9)  # no decision states
+    def test_matches_loop_oracle(self, ds, tail_mode, count_mode, n_wedge, gamma):
+        assert_matches_loop_oracle(ds, tail_mode, count_mode, n_wedge, gamma)
+
+    def test_matches_loop_oracle_on_a_last_bit_tie(self):
+        # At state 31 two actions' scores tie up to the last bit: scores from one
+        # gemv instead of per-pair dots pick the other action here.
+        mdp, behavior = build_environment("gridworld", side=10, noise=0.9, explore=0.2)
+        ds = simulate(mdp, behavior, 25, 100, 6)
+        assert_matches_loop_oracle(ds, TAIL_ABSORB, FIRST_VISIT, 2, mdp.gamma)
+
+    def test_pairs_without_elevated_rows_are_pinned_to_q_hat(self):
+        # Dropped tails leave (0, a0) and (1, a0) without segments.
+        ds = multi_step_dataset()
+        _, est, dp, model = pipeline(ds, n_wedge=2, gamma=0.9, tail_mode=TAIL_DROP)
+        assert not model.row_mask[0, 0] and not model.row_mask[1, 0]
+        history = []
+        smdp_policy_iteration(model, dp, est, history=history)
+        np.testing.assert_array_equal(history[0][0], [est.q_hat[0, 0], est.q_hat[1, 0]])
+
+    def test_forest_stops_on_stable_policy_only(self):
+        # A value-change tolerance stopped this seed after 1 round with action 2 at
+        # state 31; the stable policy takes action 0 there, at the same exact value.
+        mdp, behavior = build_environment("forest", num_chains=10)
+        ds = simulate(mdp, behavior, 100, 30, 0)
+        policy = train_decision_point_policy(ds, n_wedge=10, gamma=mdp.gamma)
+        assert policy.iterations == 2
+        assert policy.verdicts == {31: 0, 33: 0}
+        value = exact_value(mdp, MixedPolicy(policy, behavior))
+        stopped_early = DecisionPointPolicy(10, {31: 2, 33: 0}, policy.defer_states, 1)
+        assert value == exact_value(mdp, MixedPolicy(stopped_early, behavior))
 
 
 class TestPolicyObject:

@@ -1,9 +1,12 @@
 """Benchmark environment layout and logging-policy tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from dprl.envs import (
+    ENVIRONMENTS,
     build_cql_mdp,
     build_environment,
     build_forest_mdp,
@@ -230,6 +233,16 @@ class TestRegistry:
     def test_forest_by_id(self):
         mdp, _ = build_environment("forest", num_chains=1, depth=1)
         assert mdp.name.startswith("forest(")
+
+    @pytest.mark.parametrize("env_id", ["forest", "cql", "gridworld"])
+    def test_rules_cover_exactly_the_builder_keywords(self, env_id):
+        rules, builder = ENVIRONMENTS[env_id]
+        assert set(rules) == set(inspect.signature(builder).parameters)
+
+    @pytest.mark.parametrize("state", [2.7, True, "2"])
+    def test_gridworld_rejects_non_integer_careless_state(self, state):
+        with pytest.raises(ValueError, match="not an integer"):
+            build_environment("gridworld", side=3, careless_states=[state])
 
     def test_gridworld_accepts_careless_list(self):
         mdp, behavior = build_environment(
