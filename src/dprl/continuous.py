@@ -20,7 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .balltree import BallTree
-from .estimation import segment_suffix_returns
+from .discrete import advantage_mask
+from .estimation import (
+    EVERY_VISIT,
+    FIRST_VISIT,
+    _visit_means,
+    segment_ids,
+    segment_suffix_returns,
+)
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -85,7 +92,6 @@ class NeighborIndex:
         time_indices: np.ndarray,
         metric_weights: np.ndarray,
         radius: float,
-        leaf_size: int = 16,
     ) -> None:
         self.states = np.asarray(states, dtype=np.float64)
         self.actions = np.asarray(actions, dtype=np.int64)
@@ -100,16 +106,16 @@ class NeighborIndex:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.radius = float(radius)
-        self.leaf_size = leaf_size
         self._scale = np.sqrt(self.metric_weights)
         self._scaled = self.states * self._scale[None, :]
-        self._tree = BallTree(self._scaled, leaf_size=leaf_size)
+        self._tree = BallTree(self._scaled)
+        self._universe = tuple(np.unique(self.actions).tolist())
 
     def __len__(self) -> int:
         return len(self.states)
 
     def action_universe(self) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.unique(self.actions))
+        return self._universe
 
     def neighbors(self, state: np.ndarray) -> np.ndarray:
         """Indices of stored points within ``radius``, ascending."""
@@ -122,7 +128,6 @@ class NeighborIndex:
             "format": "neighbor-index",
             "metric_weights": self.metric_weights.tolist(),
             "radius": self.radius,
-            "leaf_size": self.leaf_size,
             "points": [
                 {
                     "state": self.states[i].tolist(),
@@ -140,6 +145,7 @@ class NeighborIndex:
 
     @staticmethod
     def load(path: str | Path) -> "NeighborIndex":
+        """Read a :meth:`save` file; a ``leaf_size`` key, which older files carry, is ignored."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("format") != "neighbor-index":
             raise ValueError("not a neighbor-index file")
@@ -154,7 +160,6 @@ class NeighborIndex:
             time_indices=np.array([p["time"] for p in points], dtype=np.int64),
             metric_weights=np.array(payload["metric_weights"], dtype=np.float64),
             radius=float(payload["radius"]),
-            leaf_size=int(payload["leaf_size"]),
         )
 
 
@@ -163,7 +168,6 @@ def build_index(
     gamma: float,
     metric_weights: np.ndarray,
     radius: float,
-    leaf_size: int = 16,
 ) -> NeighborIndex:
     """Store every timestep of every trajectory with its suffix return."""
     if not 0.0 < gamma < 1.0:
@@ -183,28 +187,11 @@ def build_index(
         states=all_states,
         actions=all_actions,
         returns=all_returns,
-        trajectory_ids=np.repeat(np.arange(len(lengths)), lengths),
+        trajectory_ids=segment_ids(offsets),
         time_indices=all_times,
         metric_weights=metric_weights,
         radius=radius,
-        leaf_size=leaf_size,
     )
-
-
-def _first_per_trajectory(index: NeighborIndex, candidate_ids: np.ndarray) -> np.ndarray:
-    """Keep only the earliest in-ball point of each source trajectory.
-
-    Candidates arrive ascending; insertion order is time-ordered within a
-    trajectory, so the first id seen per trajectory is the earliest.
-    """
-    keep: list[int] = []
-    seen: set[int] = set()
-    for i in candidate_ids:
-        n = int(index.trajectory_ids[i])
-        if n not in seen:
-            seen.add(n)
-            keep.append(int(i))
-    return np.asarray(keep, dtype=np.int64)
 
 
 def query(
@@ -215,43 +202,38 @@ def query(
 ) -> ContinuousVerdict:
     """Decide at a query state from its radius neighborhood, or defer.
 
-    Defers when the state neighborhood holds at most ``n_wedge`` points, or
-    when no action has both more than enough neighbors (at least
-    ``n_wedge``) and an estimated value at least the state estimate.
-    Otherwise returns the advantageous action with the highest estimate,
-    ties to the lowest action index.
+    The tabular estimator and gate, applied to the neighborhood: each
+    action is a key, each source trajectory a visit group, and
+    ``NEIGHBOR_FIRST``/``NEIGHBOR_ALL`` count visits the way first-visit and
+    every-visit estimation do.  Defers when the neighborhood holds at most
+    ``n_wedge`` points or :func:`advantage_mask` passes no action; otherwise
+    returns the passing action with the highest estimate, ties to the lowest
+    action index.
     """
     if n_wedge < 1:
         raise ValueError("n_wedge must be >= 1")
     if neighbor_mode not in _NEIGHBOR_MODES:
         raise ValueError(f"neighbor_mode must be one of {_NEIGHBOR_MODES}")
+    mode = FIRST_VISIT if neighbor_mode == NEIGHBOR_FIRST else EVERY_VISIT
     hits = index.neighbors(state)
-    if neighbor_mode == NEIGHBOR_FIRST:
-        state_ids = _first_per_trajectory(index, hits)
-    else:
-        state_ids = hits
-    state_count = int(len(state_ids))
-    v_estimate = float(np.mean(index.returns[state_ids])) if state_count else None
-
-    q_estimates: dict[int, float] = {}
-    action_counts: dict[int, int] = {}
-    for a in index.action_universe():
-        a_ids = hits[index.actions[hits] == a]
-        if neighbor_mode == NEIGHBOR_FIRST:
-            a_ids = _first_per_trajectory(index, a_ids)
-        action_counts[a] = int(len(a_ids))
-        if len(a_ids):
-            q_estimates[a] = float(np.mean(index.returns[a_ids]))
-
-    if state_count <= n_wedge or v_estimate is None:
-        return ContinuousVerdict(None, v_estimate, q_estimates, action_counts, state_count)
+    universe = index.action_universe()
+    # Keys and groups as ranks 0, 1, ...; trajectory ids may be any integers.
+    keys = np.searchsorted(universe, index.actions[hits])
+    groups = np.unique(index.trajectory_ids[hits], return_inverse=True)[1]
+    returns = index.returns[hits]
+    (v_hat,), (state_count,) = _visit_means(np.zeros_like(keys), returns, groups, mode, 1)
+    q_hat, counts = _visit_means(keys, returns, groups, mode, len(universe))
+    passing = advantage_mask(counts, q_hat, v_hat, n_wedge)
     decision = None
-    best = -np.inf
-    for a in sorted(q_estimates):
-        if action_counts[a] >= n_wedge and q_estimates[a] >= v_estimate and q_estimates[a] > best:
-            best = q_estimates[a]
-            decision = a
-    return ContinuousVerdict(decision, v_estimate, q_estimates, action_counts, state_count)
+    if state_count > n_wedge and passing.any():
+        decision = universe[int(np.where(passing, q_hat, -np.inf).argmax())]
+    return ContinuousVerdict(
+        decision=decision,
+        v_estimate=float(v_hat) if state_count else None,
+        q_estimates={a: float(q) for a, q, n in zip(universe, q_hat, counts) if n},
+        action_counts=dict(zip(universe, counts.tolist())),
+        state_count=int(state_count),
+    )
 
 
 @dataclass
@@ -275,25 +257,17 @@ def estimate_covering_number(index: NeighborIndex, n_wedge: int) -> CoveringNumb
         raise ValueError("n_wedge must be >= 1")
     if len(index) == 0:
         raise ValueError("index holds no points")
-    m_dense = 0
-    extra = 0
+    m_dense = m_total = 0
     for a in index.action_universe():
-        local_ids = np.nonzero(index.actions == a)[0]
-        pts = index._scaled[local_ids]
-        tree = BallTree(pts, leaf_size=index.leaf_size)
-        neighbor_counts = np.array(
-            [len(tree.query_radius(pts[i], index.radius)) for i in range(len(local_ids))]
-        )
-        core = neighbor_counts >= n_wedge
-        covered = np.zeros(len(local_ids), dtype=bool)
-        for i in np.nonzero(core)[0]:
-            if covered[i]:
-                continue
-            covered[tree.query_radius(pts[i], index.radius)] = True
-            m_dense += 1
-        for i in range(len(local_ids)):
-            if covered[i]:
-                continue
-            covered[tree.query_radius(pts[i], index.radius)] = True
-            extra += 1
-    return CoveringNumbers(m_dense=m_dense, m_total=m_dense + extra)
+        pts = index._scaled[index.actions == a]
+        tree = BallTree(pts)
+        core = np.flatnonzero([len(tree.query_radius(p, index.radius)) >= n_wedge for p in pts])
+        # Greedy centres over the core points first, then over all points: the
+        # first part covers the dense region, the whole extends it everywhere.
+        covered = np.zeros(len(pts), dtype=bool)
+        for k, i in enumerate(np.concatenate([core, np.arange(len(pts))]).tolist()):
+            if not covered[i]:
+                covered[tree.query_radius(pts[i], index.radius)] = True
+                m_dense += k < len(core)
+                m_total += 1
+    return CoveringNumbers(m_dense=m_dense, m_total=m_total)

@@ -113,19 +113,31 @@ class DecisionPointPolicy:
 
     @staticmethod
     def from_json(text: str) -> "DecisionPointPolicy":
+        """Parse :meth:`to_json` output; ``ValueError`` for a malformed or inconsistent file."""
         payload = json.loads(text)
         if payload.get("kind") != "decision-point":
             raise ValueError("not a decision-point policy file")
+        for key, low in (("n_wedge", 1), ("iterations", 0)):
+            if type(payload[key]) is not int or payload[key] < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {payload[key]!r}")
         cells = payload["verdicts"]
         if not isinstance(cells, dict) or any(
             a != "DEFER" and type(a) is not int for a in cells.values()
         ):
             raise ValueError("verdicts must map state ids to action ids or 'DEFER'")
+        for key in cells:  # one spelling per id, so no two keys name the same state
+            if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
+                raise ValueError(f"verdict key {key!r} is not a canonical state id")
+        verdicts = {int(s): a for s, a in cells.items() if a != "DEFER"}
+        listed = payload["decision_states"]
+        if not (isinstance(listed, list) and all(type(s) is int for s in listed)
+                and listed == sorted(verdicts)):
+            raise ValueError(f"decision_states must list the non-DEFER states {sorted(verdicts)}")
         return DecisionPointPolicy(
-            n_wedge=int(payload["n_wedge"]),
-            verdicts={int(s): a for s, a in cells.items() if a != "DEFER"},
+            n_wedge=payload["n_wedge"],
+            verdicts=verdicts,
             defer_states=frozenset(int(s) for s, a in cells.items() if a == "DEFER"),
-            iterations=int(payload["iterations"]),
+            iterations=payload["iterations"],
         )
 
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
@@ -142,28 +154,25 @@ class DecisionPointPolicy:
         return rows
 
 
+def advantage_mask(counts: np.ndarray, q_hat: np.ndarray, v_hat, n_wedge: int) -> np.ndarray:
+    """The gate: True where an action's count is at least ``n_wedge`` and ``q_hat >= v_hat``.
+
+    ``v_hat`` holds one value per row of ``q_hat`` (a scalar for one row).
+    Ties qualify; undefined (nan) estimates never do.
+    """
+    return (counts >= n_wedge) & (q_hat >= np.asarray(v_hat)[..., None])
+
+
 def identify_decision_points(
     counts: CountTable, estimates: ValueEstimates, n_wedge: int
 ) -> DecisionPointSets:
-    """Gate actions by visit count and estimated advantage.
+    """Decision points are the states where :func:`advantage_mask` passes some action.
 
-    An action qualifies at a state when its count is at least ``n_wedge``
-    and its estimated value is at least the state's estimated value (ties
-    qualify).  Undefined estimates never qualify.
+    Every other observed state defers.
     """
     if n_wedge < 1:
         raise ValueError("n_wedge must be >= 1")
-    eligible = (
-        (counts.n_sa >= n_wedge)
-        & estimates.support_mask
-        & estimates.state_support[:, None]
-    )
-    advantageous_mask = np.zeros_like(eligible)
-    rows, cols = np.nonzero(eligible)
-    if rows.size:
-        advantageous_mask[rows, cols] = (
-            estimates.q_hat[rows, cols] >= estimates.v_hat[rows]
-        )
+    advantageous_mask = advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge)
     advantageous: dict[int, tuple[int, ...]] = {}
     for s in np.nonzero(advantageous_mask.any(axis=1))[0]:
         advantageous[int(s)] = tuple(int(a) for a in np.nonzero(advantageous_mask[s])[0])

@@ -21,7 +21,7 @@ import numbers
 
 import numpy as np
 
-from .evaluation import COUNT, FRACTION, rule
+from .evaluation import COUNT, FRACTION, check_params, rule
 from .mdp import BehaviorPolicy, RewardSpec, TabularMdp
 from .solvers import optimal_values
 
@@ -289,10 +289,12 @@ def build_gridworld(
 
 
 def build_environment(env_id: str, **params) -> tuple[TabularMdp, BehaviorPolicy]:
-    """Construct a benchmark environment by an id of :data:`ENVIRONMENTS`."""
+    """Build environment ``env_id`` of :data:`ENVIRONMENTS`; ``ValueError`` if its rules fail."""
     if env_id not in ENVIRONMENTS:
         raise ValueError(f"unknown environment id {env_id!r}; known ids: {sorted(ENVIRONMENTS)}")
-    return ENVIRONMENTS[env_id][1](**params)
+    rules, build = ENVIRONMENTS[env_id]
+    check_params(params, {}, rules)
+    return build(**params)
 
 
 def _is_integer(value) -> bool:

@@ -78,34 +78,39 @@ def discounted_suffix_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return segment_suffix_returns(rewards, [0, len(rewards)], gamma)
 
 
+def segment_ids(offsets: np.ndarray) -> np.ndarray:
+    """Per step, the index of its segment ``offsets[i]:offsets[i + 1]``."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
 def _check_mode(mode: str) -> None:
     if mode not in VISIT_MODES:
         raise ValueError(f"mode must be one of {VISIT_MODES}, got {mode!r}")
 
 
-def _first_visits(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Step of the first visit to each (trajectory, key), grouped by key in trajectory order."""
-    num_trajs = len(offsets) - 1
-    trajs = np.repeat(np.arange(num_trajs), np.diff(offsets))
-    return np.unique(keys * num_trajs + trajs, return_index=True)[1]
+def _first_visits(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Ascending steps of the first visit to each (key, group); group ids are nonnegative."""
+    return np.sort(np.unique(keys * (groups.max(initial=-1) + 1) + groups, return_index=True)[1])
 
 
-def _visit_means(keys, values, offsets, mode: str, num_keys: int) -> np.ndarray:
-    """Per-key mean of ``values`` over the steps ``mode`` counts; nan for unseen keys.
+def _visit_means(keys, values, groups, mode: str, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key mean of ``values`` over the steps ``mode`` counts, and how many there were.
 
-    Each key's values are reduced as one contiguous slice in dataset order,
-    exactly as ``np.mean`` of that key's list would be (numpy sums pairwise).
+    A key nobody visited gets mean nan and count 0.  Each key's values are
+    reduced as one contiguous slice in step order, exactly as ``np.mean`` of
+    that key's list would be (numpy sums pairwise).
     """
-    if mode == FIRST_VISIT:
-        steps = _first_visits(keys, offsets)
-    else:
-        steps = np.argsort(keys, kind="stable")
+    steps = _first_visits(keys, groups) if mode == FIRST_VISIT else np.arange(len(keys))
+    steps = steps[np.argsort(keys[steps], kind="stable")]
     keys, values = keys[steps], values[steps]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    bounds = np.append(starts, len(keys)).tolist()
-    out = np.full(num_keys, np.nan)
-    out[keys[starts]] = [np.mean(values[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return out
+    bounds = np.append(starts, len(keys))
+    means = np.full(num_keys, np.nan)
+    sizes = np.zeros(num_keys, dtype=np.int64)
+    cuts = bounds.tolist()
+    means[keys[starts]] = [np.mean(values[a:b]) for a, b in zip(cuts, cuts[1:])]
+    sizes[keys[starts]] = np.diff(bounds)
+    return means, sizes
 
 
 def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTable:
@@ -119,7 +124,7 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     states, actions, _, offsets = dataset.columns()
     pairs = states * num_actions + actions
     if mode == FIRST_VISIT:
-        pairs = pairs[_first_visits(pairs, offsets)]
+        pairs = pairs[_first_visits(pairs, segment_ids(offsets))]
     n_sa = np.bincount(pairs, minlength=num_states * num_actions).reshape(num_states, num_actions)
     return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
 
@@ -140,9 +145,10 @@ def monte_carlo_estimates(
     num_states, num_actions = dataset.num_states, dataset.num_actions
     states, actions, rewards, offsets = dataset.columns()
     returns = segment_suffix_returns(rewards, offsets, gamma)
-    v_hat = _visit_means(states, returns, offsets, mode, num_states)
+    trajs = segment_ids(offsets)
+    v_hat = _visit_means(states, returns, trajs, mode, num_states)[0]
     pairs = states * num_actions + actions
-    q_hat = _visit_means(pairs, returns, offsets, mode, num_states * num_actions)
+    q_hat = _visit_means(pairs, returns, trajs, mode, num_states * num_actions)[0]
     q_hat = q_hat.reshape(num_states, num_actions)
     return ValueEstimates(
         v_hat=v_hat,

@@ -340,8 +340,7 @@ def _id_column(values: tuple, limit: int, what: str, where: str) -> np.ndarray:
 def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -> Trajectory:
     try:
         record = json.loads(line)
-        steps = record["steps"]
-        seed = int(record["seed"])
+        steps, seed = record["steps"], record["seed"]
         states, actions, rewards = zip(*steps) if steps else ((), (), ())
         well_formed = sum(map(len, steps)) == 3 * len(steps)
         numeric = all(type(r) in (int, float) for r in rewards)
@@ -350,6 +349,8 @@ def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -
         raise DatasetError(
             f'{where}: expected {{"seed": int, "steps": [[s, a, r], ...]}} ({exc})'
         ) from exc
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise DatasetError(f"{where}: seed {seed!r} is not an integer in [0, 2**64)")
     if not well_formed:
         raise DatasetError(f"{where}: every step must be a [state, action, reward] triple")
     if not numeric or not np.isfinite(reward_array).all():
@@ -374,8 +375,9 @@ def load_dataset(
     """Read a line-delimited trajectory file written by :func:`save_dataset`.
 
     State/action space sizes are inferred from the data when not supplied.
-    Ids outside ``[0, num_states)`` or ``[0, num_actions)``, non-integer ids
-    and non-finite rewards raise :class:`DatasetError` naming the line.
+    Ids outside ``[0, num_states)`` or ``[0, num_actions)``, non-integer ids,
+    seeds that are not integers in ``[0, 2**64)`` and non-finite rewards
+    raise :class:`DatasetError` naming the line.
     """
     id_limit = 2**63  # int64 range, when the sizes are inferred
     trajectories: list[Trajectory] = []

@@ -12,7 +12,9 @@ from bisect import bisect_right
 
 import numpy as np
 
+from dprl.balltree import BallTree
 from dprl.baselines import MleModel
+from dprl.continuous import NEIGHBOR_FIRST, ContinuousVerdict, CoveringNumbers
 from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
 from dprl.mdp import trajectory_seed
 
@@ -582,3 +584,76 @@ def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
         else:
             rows[s, :] = 1.0 / num_actions
     return rows
+
+
+def _first_per_trajectory(index, candidate_ids: np.ndarray) -> np.ndarray:
+    """Keep only the earliest in-ball point of each source trajectory.
+
+    Candidates arrive ascending, so the first id seen per trajectory is the
+    earliest in index order.
+    """
+    keep: list[int] = []
+    seen: set[int] = set()
+    for i in candidate_ids:
+        n = int(index.trajectory_ids[i])
+        if n not in seen:
+            seen.add(n)
+            keep.append(int(i))
+    return np.asarray(keep, dtype=np.int64)
+
+
+def loop_query(index, state: np.ndarray, n_wedge: int, neighbor_mode: str):
+    """Radius-neighborhood verdict with its own per-action loop and best-action scan."""
+    hits = index.neighbors(state)
+    if neighbor_mode == NEIGHBOR_FIRST:
+        state_ids = _first_per_trajectory(index, hits)
+    else:
+        state_ids = hits
+    state_count = int(len(state_ids))
+    v_estimate = float(np.mean(index.returns[state_ids])) if state_count else None
+
+    q_estimates: dict[int, float] = {}
+    action_counts: dict[int, int] = {}
+    for a in (int(a) for a in np.unique(index.actions)):
+        a_ids = hits[index.actions[hits] == a]
+        if neighbor_mode == NEIGHBOR_FIRST:
+            a_ids = _first_per_trajectory(index, a_ids)
+        action_counts[a] = int(len(a_ids))
+        if len(a_ids):
+            q_estimates[a] = float(np.mean(index.returns[a_ids]))
+
+    if state_count <= n_wedge or v_estimate is None:
+        return ContinuousVerdict(None, v_estimate, q_estimates, action_counts, state_count)
+    decision = None
+    best = -np.inf
+    for a in sorted(q_estimates):
+        if action_counts[a] >= n_wedge and q_estimates[a] >= v_estimate and q_estimates[a] > best:
+            best = q_estimates[a]
+            decision = a
+    return ContinuousVerdict(decision, v_estimate, q_estimates, action_counts, state_count)
+
+
+def two_pass_covering_number(index, n_wedge: int):
+    """Greedy covers with one pass over the dense core and a second extension pass."""
+    scaled = index.states * np.sqrt(index.metric_weights)
+    m_dense = 0
+    extra = 0
+    for a in np.unique(index.actions):
+        pts = scaled[index.actions == a]
+        tree = BallTree(pts)
+        neighbor_counts = np.array(
+            [len(tree.query_radius(pts[i], index.radius)) for i in range(len(pts))]
+        )
+        core = neighbor_counts >= n_wedge
+        covered = np.zeros(len(pts), dtype=bool)
+        for i in np.nonzero(core)[0]:
+            if covered[i]:
+                continue
+            covered[tree.query_radius(pts[i], index.radius)] = True
+            m_dense += 1
+        for i in range(len(pts)):
+            if covered[i]:
+                continue
+            covered[tree.query_radius(pts[i], index.radius)] = True
+            extra += 1
+    return CoveringNumbers(m_dense=m_dense, m_total=m_dense + extra)

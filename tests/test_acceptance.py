@@ -231,7 +231,6 @@ def test_criterion_6_oracle_equivalences():
             time_indices=np.zeros(num_points, dtype=np.int64),
             metric_weights=weights,
             radius=radius,
-            leaf_size=int(rng.integers(1, 20)),
         )
         q = rng.normal(size=dim)
         got = sorted(index.neighbors(q))

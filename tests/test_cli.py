@@ -600,16 +600,36 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda p: p["verdicts"].update({"-1": 0}), "state id"),
-            (lambda p: p["verdicts"].update({"999": 0}), "state id"),
+            (lambda p: p.update(verdicts={"-1": 0}, decision_states=[-1]), "state id"),
+            (lambda p: p.update(verdicts={"999": 0}, decision_states=[999]), "state id"),
             (lambda p: p["verdicts"].update({"0": 7}), "action id"),
             (lambda p: p["verdicts"].update({"0": 1.0}), "verdicts must map"),
             (lambda p: p.update(format="other"), "format"),
             (lambda p: p.pop("format"), "format"),
             (lambda p: p.pop("verdicts"), "missing key 'verdicts'"),
+            (lambda p: p.update(n_wedge=2.7), "n_wedge must be an integer >= 1, got 2.7"),
+            (lambda p: p.update(n_wedge="20"), "n_wedge must be an integer >= 1, got '20'"),
+            (lambda p: p.update(n_wedge=True), "n_wedge must be an integer >= 1, got True"),
+            (lambda p: p.update(n_wedge=0), "n_wedge must be an integer >= 1, got 0"),
+            (lambda p: p.update(iterations=2.7), "iterations must be an integer >= 0, got 2.7"),
+            (lambda p: p.update(iterations="20"), "iterations must be an integer >= 0, got '20'"),
+            (lambda p: p.update(iterations=True), "iterations must be an integer >= 0, got True"),
+            (lambda p: p.update(iterations=-1), "iterations must be an integer >= 0, got -1"),
+            (lambda p: p["verdicts"].update({"00": 2}), "key '00' is not a canonical state id"),
+            (lambda p: p.update(verdicts={"+0": 1}), "key '+0' is not a canonical state id"),
+            (lambda p: p.update(verdicts={" 0": 1}), "key ' 0' is not a canonical state id"),
+            (lambda p: p.update(decision_states=[]), "decision_states must list"),
+            (lambda p: p.update(decision_states=[0, 1]), "decision_states must list"),
+            (lambda p: p.update(decision_states=[0.0]), "decision_states must list"),
+            (lambda p: p.update(decision_states=[False]), "decision_states must list"),
+            (lambda p: p.pop("decision_states"), "missing key 'decision_states'"),
         ],
         ids=["negative-state", "state-too-large", "action-too-large", "float-action",
-             "other-format", "no-format", "no-verdicts"],
+             "other-format", "no-format", "no-verdicts", "float-n-wedge", "string-n-wedge",
+             "bool-n-wedge", "zero-n-wedge", "float-iterations", "string-iterations",
+             "bool-iterations", "negative-iterations", "zero-padded-key", "plus-key",
+             "space-key", "decision-states-short", "decision-states-with-defer",
+             "float-decision-state", "bool-decision-state", "no-decision-states"],
     )
     def test_bad_decision_point_file_exits_2(self, workspace, tmp_path, capsys, edit, match):
         payload = {"format": "dprl-policy", "kind": "decision-point", "n_wedge": 1,

@@ -1,7 +1,11 @@
 """Neighborhood variant: metric tree, radius queries, covering numbers."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_dataset, make_traj, random_mdp, uniform_behavior
@@ -20,7 +24,7 @@ from dprl.discrete import identify_decision_points
 from dprl.mdp import simulate
 
 
-def flat_index(points, actions, returns, radius, weights=None, leaf_size=16):
+def flat_index(points, actions, returns, radius, weights=None):
     """Index over loose points, one synthetic trajectory id per point."""
     points = np.asarray(points, dtype=np.float64)
     k = len(points)
@@ -35,6 +39,96 @@ def flat_index(points, actions, returns, radius, weights=None, leaf_size=16):
         metric_weights=np.asarray(weights, dtype=np.float64),
         radius=radius,
     )
+
+
+@st.composite
+def random_indexes(draw):
+    """Small indexes on a coarse lattice, so neighborhoods share points and groups grow past 8.
+
+    Actions come from a set with gaps (ids 1, 3 and 4 are never stored),
+    trajectory ids are interleaved, negative or huge rather than in index
+    order, and returns span six orders of magnitude or take only the values
+    0 and 1, so that actions tie.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(0, 60))
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        returns = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
+    else:
+        returns = rng.integers(0, 2, size=size) * 1.0
+    return NeighborIndex(
+        states=rng.integers(0, 4, size=(size, dim)) * 0.5,
+        actions=rng.choice([0, 2, 5], size=size, p=rng.dirichlet(np.ones(3))),
+        returns=returns,
+        trajectory_ids=rng.choice([-3, 0, 1, 4, 5, 7, 9, 11, 2**40], size=size),
+        time_indices=np.zeros(size, dtype=np.int64),
+        metric_weights=rng.uniform(0.5, 2.0, size=dim),
+        radius=draw(st.sampled_from([0.0, 0.5, 0.8, 1.2, 3.0])),
+    )
+
+
+def float_bytes(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def assert_same_verdict(got, want):
+    assert got.decision == want.decision
+    assert got.state_count == want.state_count
+    assert got.action_counts == want.action_counts
+    assert float_bytes(got.v_estimate) == float_bytes(want.v_estimate)
+    assert {a: float_bytes(q) for a, q in got.q_estimates.items()} == {
+        a: float_bytes(q) for a, q in want.q_estimates.items()
+    }
+
+
+class TestMatchesLoopOracles:
+    """``query`` and ``estimate_covering_number`` equal the per-action loops in ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_indexes(), st.data())
+    def test_query(self, index, data):
+        mode = data.draw(st.sampled_from([NEIGHBOR_ALL, NEIGHBOR_FIRST]))
+        # lattice points, and a point far outside it whose neighborhood is empty
+        state = data.draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 0.7, 50.0]))
+        state = np.full(index.states.shape[1], state)
+        n_wedge = data.draw(st.integers(1, len(index.neighbors(state)) + 2))
+        assert_same_verdict(
+            query(index, state, n_wedge, mode), oracles.loop_query(index, state, n_wedge, mode)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_indexes(), st.integers(1, 12))
+    def test_covering_number(self, index, n_wedge):
+        if len(index):
+            got = estimate_covering_number(index, n_wedge)
+            assert got == oracles.two_pass_covering_number(index, n_wedge)
+
+    def test_empty_neighborhood_and_empty_index(self):
+        index = flat_index(np.zeros((2, 1)), [0, 3], [0.5, 0.25], radius=0.1)
+        for target in (index, flat_index(np.empty((0, 1)), [], [], radius=0.1)):
+            for mode in (NEIGHBOR_ALL, NEIGHBOR_FIRST):
+                verdict = query(target, np.array([9.0]), 1, mode)
+                assert_same_verdict(verdict, oracles.loop_query(target, np.array([9.0]), 1, mode))
+        assert query(index, np.array([9.0]), 1).action_counts == {0: 0, 3: 0}
+
+    def test_first_visit_means_follow_index_order_not_trajectory_ids(self):
+        # nine co-located points of action 0 from nine trajectories whose ids run
+        # backwards: pairwise summation of these returns depends on their order
+        returns = np.array([1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 2.0, 5.0, 7.0])
+        index = NeighborIndex(
+            states=np.zeros((9, 1)),
+            actions=np.zeros(9, dtype=np.int64),
+            returns=returns,
+            trajectory_ids=np.arange(9)[::-1],
+            time_indices=np.zeros(9, dtype=np.int64),
+            metric_weights=np.ones(1),
+            radius=0.5,
+        )
+        verdict = query(index, np.zeros(1), 1, NEIGHBOR_FIRST)
+        assert float_bytes(verdict.v_estimate) == float_bytes(np.mean(returns))
+        assert float_bytes(verdict.v_estimate) != float_bytes(np.mean(returns[::-1]))
+        assert_same_verdict(verdict, oracles.loop_query(index, np.zeros(1), 1, NEIGHBOR_FIRST))
 
 
 class TestBallTree:
@@ -160,6 +254,17 @@ class TestIndex:
         assert back.radius == index.radius
         q = rng.random(2)
         np.testing.assert_array_equal(back.neighbors(q), index.neighbors(q))
+
+    def test_load_ignores_the_leaf_size_of_older_files(self, tmp_path):
+        index = flat_index(np.arange(6.0).reshape(3, 2), [0, 1, 0], [0.5, 0.25, 1.0], 3.0)
+        path = tmp_path / "index.json"
+        index.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "leaf_size" not in payload
+        path.write_text(json.dumps({**payload, "leaf_size": 4}), encoding="utf-8")
+        back = NeighborIndex.load(path)
+        assert back.states.tobytes() == index.states.tobytes()
+        assert_same_verdict(query(back, np.ones(2), 1), query(index, np.ones(2), 1))
 
     def test_load_rejects_other_formats(self, tmp_path):
         path = tmp_path / "bogus.json"

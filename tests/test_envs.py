@@ -241,8 +241,27 @@ class TestRegistry:
 
     @pytest.mark.parametrize("state", [2.7, True, "2"])
     def test_gridworld_rejects_non_integer_careless_state(self, state):
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match="careless_states must be null or a list of integers"):
             build_environment("gridworld", side=3, careless_states=[state])
+
+    @pytest.mark.parametrize(
+        "env_id, params, message",
+        [
+            ("gridworld", {"side": 3, "noise": True}, "noise must be a number in [0, 1], got True"),
+            ("gridworld", {"side": 3.0}, "side must be an integer >= 2, got 3.0"),
+            ("forest", {"num_chains": 2.0}, "num_chains must be an integer >= 1, got 2.0"),
+            ("forest", {"depth": True}, "depth must be an integer >= 1, got True"),
+            ("cql", {"epsilon": 0.7}, "epsilon must be a number in [0, 0.5], got 0.7"),
+            ("cql", {"gamma": 1}, "gamma must be a number in (0, 1), got 1"),
+            ("cql", {"size": 3}, "unknown keys ['size']"),
+        ],
+        ids=["bool-noise", "float-side", "float-chains", "bool-depth", "wide-epsilon",
+             "gamma-one", "unknown-key"],
+    )
+    def test_library_calls_apply_the_registry_rules(self, env_id, params, message):
+        with pytest.raises(ValueError) as info:
+            build_environment(env_id, **params)
+        assert str(info.value) == message
 
     def test_gridworld_accepts_careless_list(self):
         mdp, behavior = build_environment(

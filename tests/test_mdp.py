@@ -297,6 +297,22 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="line 1: expected"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "seed", ["5.7", "true", '"5"', "1e3", "-1", str(2**64), "null", "[5]"]
+    )
+    def test_seed_must_be_an_integer_in_uint64_range(self, tmp_path, seed):
+        path = tmp_path / "data.jsonl"
+        good = json.dumps({"seed": 0, "steps": [[0, 0, 0.5]]})
+        path.write_text(f'{good}\n{{"seed": {seed}, "steps": [[0, 0, 0.5]]}}\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"line 2: seed .* is not an integer in \[0, 2\*\*64"):
+            load_dataset(path)
+
+    def test_seed_range_ends_are_accepted(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        lines = [json.dumps({"seed": seed, "steps": []}) for seed in (0, 2**64 - 1)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert [t.seed for t in load_dataset(path)] == [0, 2**64 - 1]
+
     def test_is_a_value_error(self):
         assert issubclass(DatasetError, ValueError)
 
