@@ -75,11 +75,14 @@ class ContinuousVerdict:
 class NeighborIndex:
     """Radius-searchable store of logged timesteps and their returns.
 
+    A radius query is one exact vectorised scan over the stored points,
+    O(K·d) per query; building the index does no search-structure work.
+
     Attributes:
         states: ``(K, d)`` raw state vectors in insertion order, which is
             trajectory-major and time-minor.
         actions / returns / trajectory_ids / time_indices: ``(K,)`` aligned.
-        metric_weights: ``(d,)`` positive per-dimension weights.
+        metric_weights: ``(d,)`` positive, finite per-dimension weights.
         radius: neighborhood radius in the weighted metric.
     """
 
@@ -99,16 +102,21 @@ class NeighborIndex:
         self.trajectory_ids = np.asarray(trajectory_ids, dtype=np.int64)
         self.time_indices = np.asarray(time_indices, dtype=np.int64)
         self.metric_weights = np.asarray(metric_weights, dtype=np.float64)
-        if self.metric_weights.ndim != 1 or np.any(self.metric_weights <= 0):
-            raise ValueError("metric_weights must be positive per dimension")
-        if self.states.ndim != 2 or self.states.shape[1] != len(self.metric_weights):
+        w = self.metric_weights
+        if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("metric_weights must be positive and finite per dimension")
+        if self.states.ndim != 2 or self.states.shape[1] != len(w):
             raise ValueError("state dimension does not match metric_weights")
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+        for name in ("actions", "returns", "trajectory_ids", "time_indices"):
+            if getattr(self, name).shape != (len(self.states),):
+                raise ValueError(f"{name} must be 1-d with one entry per state")
+        for name in ("states", "returns"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         self.radius = float(radius)
-        self._scale = np.sqrt(self.metric_weights)
-        self._scaled = self.states * self._scale[None, :]
-        self._tree = BallTree(self._scaled)
+        if not 0.0 <= self.radius < np.inf:
+            raise ValueError("radius must be finite and >= 0")
+        self._scale = np.sqrt(w)
         self._universe = tuple(np.unique(self.actions).tolist())
 
     def __len__(self) -> int:
@@ -118,12 +126,19 @@ class NeighborIndex:
         return self._universe
 
     def neighbors(self, state: np.ndarray) -> np.ndarray:
-        """Indices of stored points within ``radius``, ascending."""
-        scaled = np.asarray(state, dtype=np.float64) * self._scale
-        return self._tree.query_radius(scaled, self.radius)
+        """Indices of stored points within ``radius`` (inclusive), ascending.
+
+        The distance is ``BallTree``'s per-point test on scaled points, so
+        results equal a tree search over ``states * sqrt(metric_weights)``.
+        """
+        state = np.asarray(state, dtype=np.float64)
+        if state.shape != self._scale.shape:
+            raise ValueError(f"state must have shape {self._scale.shape}, got {state.shape}")
+        dist = np.sqrt(((self.states * self._scale - state * self._scale) ** 2).sum(axis=1))
+        return np.flatnonzero(dist <= self.radius)
 
     def save(self, path: str | Path) -> None:
-        """Persist raw points; trees are rebuilt on load."""
+        """Persist the raw points, weights and radius as JSON."""
         payload = {
             "format": "neighbor-index",
             "metric_weights": self.metric_weights.tolist(),
@@ -259,7 +274,7 @@ def estimate_covering_number(index: NeighborIndex, n_wedge: int) -> CoveringNumb
         raise ValueError("index holds no points")
     m_dense = m_total = 0
     for a in index.action_universe():
-        pts = index._scaled[index.actions == a]
+        pts = index.states[index.actions == a] * index._scale
         tree = BallTree(pts)
         core = np.flatnonzero([len(tree.query_radius(p, index.radius)) >= n_wedge for p in pts])
         # Greedy centres over the core points first, then over all points: the

@@ -34,6 +34,12 @@ def linear_scan_neighbors(
     return np.asarray(out, dtype=np.int64)
 
 
+def tree_neighbors(index, state: np.ndarray) -> np.ndarray:
+    """Radius query through a ball tree over the index's scaled points."""
+    scale = np.sqrt(index.metric_weights)
+    return BallTree(index.states * scale).query_radius(state * scale, index.radius)
+
+
 def straight_line_smdp(
     trajectories, decision_states, gamma: float, tail_mode: str = "absorb"
 ) -> dict:

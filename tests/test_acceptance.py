@@ -215,7 +215,7 @@ def test_criterion_6_oracle_equivalences():
     rng = np.random.default_rng(20260823)
     checks: dict[str, bool] = {}
 
-    # (a) hand-built ball tree vs linear scan over 100 random indices
+    # (a) index radius queries vs linear scan over 100 random indices
     ok = True
     for _ in range(100):
         num_points = int(rng.integers(1, 60))

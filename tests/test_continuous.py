@@ -1,4 +1,4 @@
-"""Neighborhood variant: metric tree, radius queries, covering numbers."""
+"""Neighborhood variant: radius scan, ball tree, queries, covering numbers."""
 
 import json
 
@@ -66,6 +66,38 @@ def random_indexes(draw):
         metric_weights=rng.uniform(0.5, 2.0, size=dim),
         radius=draw(st.sampled_from([0.0, 0.5, 0.8, 1.2, 3.0])),
     )
+
+
+@st.composite
+def scan_cases(draw):
+    """An index, a query state, and the id of a stored point on the radius or ``None``.
+
+    Points sit on a half-unit lattice, so duplicates are common, or are
+    normal draws.  The radius is 0, a lattice distance, or the scaled
+    distance from the query to a stored point computed with the scan's own
+    arithmetic, which puts that point exactly on the boundary.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    size = draw(st.sampled_from([0, 1, 2, 5, 20, 50]))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(size, dim)) * 0.5
+        state = rng.integers(-2, 3, size=dim) * 0.5
+    else:
+        points = rng.normal(size=(size, dim))
+        state = rng.normal(size=dim)
+    weights = rng.uniform(0.1, 10.0, size=dim) if draw(st.booleans()) else np.ones(dim)
+    kind = draw(st.sampled_from(["zero", "lattice", "boundary"]))
+    on_radius = None
+    radius = 0.0
+    if kind == "lattice":
+        radius = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    elif kind == "boundary" and size:
+        on_radius = draw(st.integers(0, size - 1))
+        scale = np.sqrt(weights)
+        radius = float(np.sqrt(((points[on_radius] * scale - state * scale) ** 2).sum()))
+    index = flat_index(points, rng.integers(0, 3, size), rng.normal(size=size), radius, weights)
+    return index, state, on_radius
 
 
 def float_bytes(value):
@@ -212,6 +244,25 @@ class TestIndex:
                 oracles.linear_scan_neighbors(points, weights, q, 0.4),
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_neighbors_equal_a_ball_tree_byte_for_byte(self, case):
+        index, state, on_radius = case
+        got = index.neighbors(state)
+        want = oracles.tree_neighbors(index, state)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if on_radius is not None:
+            assert on_radius in got
+
+    @pytest.mark.parametrize("state", [0.5, [0.5], [0.5, 0.5, 0.5]])
+    def test_query_state_must_match_the_index_dimension(self, state):
+        index = flat_index(np.full((3, 2), 0.5), [0, 1, 0], [0.5, 0.25, 1.0], 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            index.neighbors(np.asarray(state))
+        with pytest.raises(ValueError, match="shape"):
+            query(index, np.asarray(state), 1)
+
     def test_dimension_scaling_covariance(self):
         rng = np.random.default_rng(4)
         points = rng.random((80, 2))
@@ -284,6 +335,51 @@ class TestIndex:
         )
         with pytest.raises(ValueError, match="dimension"):
             build_index([traj], gamma=0.9, metric_weights=np.ones(2), radius=0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("actions", np.zeros(2)),
+            ("actions", np.zeros((3, 1))),
+            ("returns", np.zeros(4)),
+            ("trajectory_ids", np.zeros(2)),
+            ("time_indices", np.zeros((1, 3))),
+            ("states", [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]]),
+            ("states", [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]]),
+            ("returns", [0.0, np.nan, 0.0]),
+            ("returns", [0.0, 0.0, np.inf]),
+            ("metric_weights", [1.0, np.nan]),
+            ("metric_weights", [np.inf, 1.0]),
+            ("radius", np.nan),
+            ("radius", np.inf),
+        ],
+    )
+    def test_rejects_malformed_fields(self, field, value):
+        fields = dict(
+            states=np.zeros((3, 2)),
+            actions=np.zeros(3, dtype=np.int64),
+            returns=np.zeros(3),
+            trajectory_ids=np.arange(3),
+            time_indices=np.zeros(3, dtype=np.int64),
+            metric_weights=np.ones(2),
+            radius=0.5,
+        )
+        with pytest.raises(ValueError, match=field):
+            NeighborIndex(**{**fields, field: value})
+
+    def test_build_and_load_inherit_the_checks(self, tmp_path):
+        traj = ContinuousTrajectory(
+            states=np.array([[0.0], [np.nan]]), actions=np.zeros(2), rewards=np.zeros(2)
+        )
+        with pytest.raises(ValueError, match="states"):
+            build_index([traj], gamma=0.9, metric_weights=np.ones(1), radius=0.1)
+        path = tmp_path / "index.json"
+        flat_index(np.zeros((2, 1)), [0, 0], [0.5, 0.25], 0.1).save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["points"][1]["return"] = float("nan")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="returns"):
+            NeighborIndex.load(path)
 
 
 class TestQuery:
