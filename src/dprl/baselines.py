@@ -15,21 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import TrajectoryDataset
+from .solvers import bellman_system, discounted_lookahead
 
 
 @dataclass
 class MleModel:
     """Empirical MDP estimate from a dataset.
 
-    ``n_sa`` counts every reward observation; ``transition_counts`` only
-    steps with a recorded successor, so a trajectory's final step (whose
-    arrival state is not logged) contributes a reward but no transition.
+    ``n_sa`` counts every reward observation.  ``p_hat`` divides successor
+    counts by the steps of each pair that have a recorded successor, so a
+    trajectory's final step (whose arrival state is not logged) contributes
+    a reward but no transition, and a pair seen only there keeps an all-zero
+    row.  The model holds one ``(S, A, S)`` table, ``p_hat``.
     """
 
     p_hat: np.ndarray
     r_hat: np.ndarray
     n_sa: np.ndarray
-    transition_counts: np.ndarray
     total_steps: int
 
 
@@ -81,7 +83,7 @@ def fit_mle_model(
 ) -> MleModel:
     """Maximum-likelihood transition and mean-reward tables.
 
-    Rewards are summed in dataset order.  The ``(S, A, S)`` tables are only
+    Rewards are summed in dataset order.  The ``(S, A, S)`` table is only
     written where a transition was seen, so untouched pages stay unmapped.
     """
     num_states = num_states if num_states is not None else dataset.num_states
@@ -97,25 +99,17 @@ def fit_mle_model(
     step = np.flatnonzero(has_next)
     seen, counts = np.unique(pairs[step] * num_states + states[step + 1], return_counts=True)
     successor_totals = np.bincount(pairs[step], minlength=num_pairs)
-    transition_counts = np.zeros((num_states, num_actions, num_states), dtype=np.int64)
-    transition_counts.flat[seen] = counts
-    p_hat = np.zeros(transition_counts.shape)
+    p_hat = np.zeros((num_states, num_actions, num_states))
     p_hat.flat[seen] = counts / successor_totals[seen // num_states]
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(
-        p_hat=p_hat,
-        r_hat=r_hat,
-        n_sa=n_sa,
-        transition_counts=transition_counts,
-        total_steps=len(states),
-    )
+    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa, total_steps=len(states))
 
 
 def _evaluate_rows_on_model(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
     r_pi = (model.r_hat * rows).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    return np.linalg.solve(np.eye(len(r_pi)) - gamma * p_pi, r_pi)
+    return np.linalg.solve(bellman_system(p_pi, gamma), r_pi)
 
 
 def train_spibb(
@@ -155,7 +149,7 @@ def train_spibb(
     rows = behavior_rows.copy()
     for _ in range(200):
         values = _evaluate_rows_on_model(model, rows, gamma)
-        q = model.r_hat + gamma * model.p_hat @ values
+        q = model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
         best = np.where(free, q, -np.inf).argmax(axis=1)
         # Hold the incumbent on near-ties; flipping between equal-value
         # allocations would never reach exact stability.
@@ -201,8 +195,9 @@ def train_pqi(
     density = model.n_sa / model.total_steps
     surviving = density >= density_threshold
 
+    # Filtered pairs earn nothing and lead nowhere: their reward, their row
+    # of the policy's transition matrix and their lookahead are zeroed.
     r_mod = np.where(surviving, model.r_hat, 0.0)
-    p_mod = np.where(surviving[:, :, None], model.p_hat, 0.0)
 
     # Choice set: surviving actions, else the majority fallback, else (unseen) all.
     seen = model.n_sa.sum(axis=1) > 0
@@ -213,10 +208,13 @@ def train_pqi(
     states = np.arange(num_states)
     policy = np.argmax(allowed, axis=1)
     for _ in range(num_states * num_actions + 1):
-        r_pi = r_mod[states, policy]
-        p_pi = p_mod[states, policy]
-        values = np.linalg.solve(np.eye(num_states) - gamma * p_pi, r_pi)
-        q = r_mod + gamma * p_mod @ values
+        p_pi = model.p_hat[states, policy]
+        p_pi[~surviving[states, policy]] = 0.0
+        values = np.linalg.solve(bellman_system(p_pi, gamma), r_mod[states, policy])
+        del p_pi  # free the system before the lookahead's block buffer exists
+        lookahead = discounted_lookahead(model.p_hat, values, gamma)
+        lookahead[~surviving] = 0.0
+        q = r_mod + lookahead
         best = np.where(allowed, q, -np.inf).argmax(axis=1)
         # Switch only on strict improvement; ties keep the incumbent.
         switch = q[states, best] > q[states, policy] + 1e-12

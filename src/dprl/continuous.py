@@ -130,10 +130,14 @@ class NeighborIndex:
 
         The distance is ``BallTree``'s per-point test on scaled points, so
         results equal a tree search over ``states * sqrt(metric_weights)``.
+        A state of the wrong shape or with a NaN or infinite coordinate
+        raises ``ValueError``.
         """
         state = np.asarray(state, dtype=np.float64)
         if state.shape != self._scale.shape:
             raise ValueError(f"state must have shape {self._scale.shape}, got {state.shape}")
+        if not np.isfinite(state).all():
+            raise ValueError(f"state must be finite, got {state.tolist()}")
         dist = np.sqrt(((self.states * self._scale - state * self._scale) ** 2).sum(axis=1))
         return np.flatnonzero(dist <= self.radius)
 

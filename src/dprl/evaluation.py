@@ -236,11 +236,17 @@ def train_algorithm(
     mdp: TabularMdp,
     behavior: BehaviorPolicy,
 ) -> tuple[DecisionPointPolicy | BaselinePolicy | None, float]:
-    """Train one registry algorithm on a dataset; returns (policy, defer fraction)."""
+    """Train one registry algorithm on a dataset; returns (policy, defer fraction).
+
+    The dataset must have the MDP's numbers of states and actions.
+    """
     if spec.name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.name!r}")
     required, optional, train = ALGORITHMS[spec.name]
     check_params(spec.params, required, optional)
+    shapes = (dataset.num_states, dataset.num_actions), (mdp.num_states, mdp.num_actions)
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"dataset has (states, actions) {shapes[0]}, the MDP has {shapes[1]}")
     return train(spec.params, dataset, mdp, behavior)
 
 

@@ -12,6 +12,38 @@ import numpy as np
 from .mdp import TabularMdp
 
 
+def discounted_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
+    """``(gamma * P) @ values`` for an ``(S, A, S)`` table, byte for byte.
+
+    The product is formed a block of states at a time, so the scaled copy of
+    the table never exceeds ``max(S, A) * S`` floats instead of ``S * A * S``.
+    numpy multiplies each state's ``(A, S)`` slice by ``values`` on its own,
+    so blocking over states leaves every float as it was.
+    """
+    num_states, num_actions, _ = transitions.shape
+    out = np.empty((num_states, num_actions))
+    block = max(1, num_states // max(1, num_actions))
+    scaled = np.empty((min(block, num_states),) + transitions.shape[1:])
+    for lo in range(0, num_states, block):
+        hi = min(lo + block, num_states)
+        np.multiply(transitions[lo:hi], gamma, out=scaled[:hi - lo])
+        np.matmul(scaled[:hi - lo], values, out=out[lo:hi])
+    return out
+
+
+def bellman_system(p_pi: np.ndarray, gamma: float) -> np.ndarray:
+    """Turn the ``(S, S)`` buffer ``p_pi`` into ``I - gamma * p_pi`` in place; returns it.
+
+    The floats equal those of the identity minus ``gamma * p_pi``, signed
+    zeros included: ``0.0 - gamma * p`` gives +0.0 where ``p *= -gamma``
+    would give -0.0.
+    """
+    np.multiply(p_pi, gamma, out=p_pi)
+    np.subtract(0.0, p_pi, out=p_pi)
+    p_pi.flat[:: len(p_pi) + 1] += 1.0
+    return p_pi
+
+
 def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     """Solve the Bellman evaluation system for a stochastic tabular policy.
 
@@ -25,10 +57,8 @@ def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     action_rows = np.asarray(action_rows, dtype=np.float64)
     if action_rows.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("action_rows shape must be (S, A)")
-    r_bar = (mdp.rewards.mean() * action_rows).sum(axis=1)
-    p_pi = np.einsum("sa,sat->st", action_rows, mdp.transitions)
-    system = np.eye(mdp.num_states) - mdp.gamma * p_pi
-    rhs = r_bar.copy()
+    rhs = (mdp.rewards.mean() * action_rows).sum(axis=1)
+    system = bellman_system(np.einsum("sa,sat->st", action_rows, mdp.transitions), mdp.gamma)
     for t in mdp.terminal_states:
         system[t, :] = 0.0
         system[t, t] = 1.0
@@ -44,7 +74,7 @@ def q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).copy()
     for t in mdp.terminal_states:
         values[t] = 0.0
-    q = mdp.rewards.mean() + mdp.gamma * mdp.transitions @ values
+    q = mdp.rewards.mean() + discounted_lookahead(mdp.transitions, values, mdp.gamma)
     for t in mdp.terminal_states:
         q[t, :] = 0.0
     return q

@@ -500,19 +500,23 @@ def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
     )
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(
-        p_hat=p_hat,
-        r_hat=r_hat,
-        n_sa=n_sa,
-        transition_counts=transition_counts,
-        total_steps=dataset.total_steps(),
-    )
+    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa, total_steps=dataset.total_steps())
+
+
+def dense_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
+    """``(gamma * P) @ values`` with the whole scaled ``(S, A, S)`` copy."""
+    return (gamma * transitions) @ values
+
+
+def dense_bellman_system(p_pi: np.ndarray, gamma: float) -> np.ndarray:
+    """``I - gamma * P_pi`` from a fresh identity."""
+    return np.eye(len(p_pi)) - gamma * p_pi
 
 
 def _solve_rows(model, rows: np.ndarray, gamma: float) -> np.ndarray:
     r_pi = (model.r_hat * rows).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    return np.linalg.solve(np.eye(len(r_pi)) - gamma * p_pi, r_pi)
+    return np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
 
 
 def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> np.ndarray:
@@ -534,7 +538,7 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
     rows = behavior_rows.copy()
     for _ in range(200):
         values = _solve_rows(model, rows, gamma)
-        q = model.r_hat + gamma * model.p_hat @ values
+        q = model.r_hat + dense_lookahead(model.p_hat, values, gamma)
         new_chosen = chosen.copy()
         for s in range(num_states):
             free = free_lists[s]
@@ -569,8 +573,8 @@ def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
     for _ in range(num_states * num_actions + 1):
         r_pi = r_mod[np.arange(num_states), policy]
         p_pi = p_mod[np.arange(num_states), policy]
-        values = np.linalg.solve(np.eye(num_states) - gamma * p_pi, r_pi)
-        q = r_mod + gamma * p_mod @ values
+        values = np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
+        q = r_mod + dense_lookahead(p_mod, values, gamma)
         new_policy = policy.copy()
         changed = False
         for s, c in enumerate(choice_sets):

@@ -49,7 +49,6 @@ class TestMleModel:
         assert model.r_hat[0, 0] == pytest.approx(0.6)
         assert model.r_hat[1, 0] == pytest.approx(0.3)
         # only the first trajectory records a successor for (0, a0)
-        assert model.transition_counts[0, 0, 1] == 1
         np.testing.assert_allclose(model.p_hat[0, 0], [0.0, 1.0, 0.0])
         # final steps leave no successor: the row stays an all-zero sink
         np.testing.assert_allclose(model.p_hat[1, 0], 0.0)
@@ -228,6 +227,18 @@ class TestPqi:
         # unseen state falls back to uniform
         np.testing.assert_allclose(policy.action_probabilities[1], [0.5, 0.5])
 
+    def test_fallback_state_leads_nowhere(self):
+        # State 1 has no surviving pair: it falls back to action 0, whose rare
+        # move into the rewarding loop at state 2 is filtered, so reaching
+        # state 1 is worth 0 and state 0 takes the 0.1 arm instead.
+        trajs = [make_traj([0, 1, 2], [0, 0, 0], [0.0, 0.0, 1.0])]
+        trajs += [make_traj([0], [0], [0.0]) for _ in range(3)]
+        trajs += [make_traj([0, 3], [1, 0], [0.1, 0.0]) for _ in range(4)]
+        trajs += [make_traj([2, 2, 2, 2], [0, 0, 0, 0], [1.0] * 4)]
+        ds = make_dataset(trajs, num_states=4, num_actions=2)
+        policy = train_pqi(ds, density_threshold=0.1, gamma=0.9)
+        np.testing.assert_array_equal(policy.action_probabilities[:2], [[0.0, 1.0], [1.0, 0.0]])
+
     def test_zero_and_unit_thresholds_rejected(self):
         ds = self.two_arm_dataset()
         for bad in (0.0, 1.0, -0.5):
@@ -311,7 +322,7 @@ class TestColumnarMatchesLoops:
     def test_fit_mle_model(self, ds):
         got = fit_mle_model(ds)
         expected = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
-        for name in ("p_hat", "r_hat", "n_sa", "transition_counts"):
+        for name in ("p_hat", "r_hat", "n_sa"):
             assert_same_array(getattr(got, name), getattr(expected, name))
         assert got.total_steps == expected.total_steps == ds.total_steps()
 

@@ -263,6 +263,15 @@ class TestIndex:
         with pytest.raises(ValueError, match="shape"):
             query(index, np.asarray(state), 1)
 
+    @pytest.mark.parametrize("state", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_query_state_rejected(self, state):
+        index = flat_index(np.zeros((30, 2)), [0] * 30, np.linspace(0.0, 1.0, 30), 1.0)
+        assert query(index, np.zeros(2), 5).decision == 0
+        with pytest.raises(ValueError, match="finite"):
+            index.neighbors(np.asarray(state))
+        with pytest.raises(ValueError, match="finite"):
+            query(index, np.asarray(state), 5)
+
     def test_dimension_scaling_covariance(self):
         rng = np.random.default_rng(4)
         points = rng.random((80, 2))

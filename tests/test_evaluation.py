@@ -1,5 +1,7 @@
 """Policy composition, exact and rollout evaluation, tail risk, harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import (
 from dprl.baselines import BaselinePolicy
 from dprl.discrete import DecisionPointPolicy
 from dprl import evaluation
-from dprl.envs import build_forest_mdp
+from dprl.envs import build_forest_mdp, build_gridworld
 from dprl.evaluation import (
     AlgorithmSpec,
     MixedPolicy,
@@ -219,6 +221,27 @@ class TestTrainDispatch:
         ds = simulate(mdp, behavior, num_trajectories=2, horizon=5, master_seed=0)
         with pytest.raises(ValueError, match=match):
             train_algorithm(AlgorithmSpec(name=name, label="x", params=params), ds, mdp, behavior)
+
+    VALID_PARAMS = {
+        "dprl": {"n_wedge": 2},
+        "spibb": {"n_wedge": 3},
+        "pqi": {"density_threshold": 0.02},
+        "behavior_clone": {},
+        "behavior": {},
+    }
+
+    @pytest.mark.parametrize("name", sorted(evaluation.ALGORITHMS))
+    def test_dataset_of_another_environment_rejected(self, name):
+        grid, grid_behavior = build_gridworld(side=4)
+        ds = simulate(grid, grid_behavior, num_trajectories=5, horizon=5, master_seed=0)
+        forest, behavior = build_forest_mdp(num_chains=1, depth=1)
+        spec = AlgorithmSpec(name=name, label="x", params=self.VALID_PARAMS[name])
+        with pytest.raises(ValueError, match=r"dataset has .* \(16, 4\), the MDP has \(5, 3\)"):
+            train_algorithm(spec, ds, forest, behavior)
+        # the same number of states with a different number of actions
+        narrow = dataclasses.replace(ds, trajectories=[], num_states=forest.num_states)
+        with pytest.raises(ValueError, match=r"\(5, 4\), the MDP has \(5, 3\)"):
+            train_algorithm(spec, narrow, forest, behavior)
 
     def test_unknown_name_rejected(self):
         mdp, behavior = build_forest_mdp(num_chains=1, depth=1)
