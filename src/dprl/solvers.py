@@ -22,7 +22,7 @@ def discounted_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: flo
     """
     num_states, num_actions, _ = transitions.shape
     out = np.empty((num_states, num_actions))
-    block = max(1, num_states // max(1, num_actions))
+    block = max(1, num_states // num_actions)
     scaled = np.empty((min(block, num_states),) + transitions.shape[1:])
     for lo in range(0, num_states, block):
         hi = min(lo + block, num_states)
