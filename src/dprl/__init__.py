@@ -60,7 +60,6 @@ from .estimation import (
     CountTable,
     ValueEstimates,
     count_visits,
-    discounted_suffix_returns,
     monte_carlo_estimates,
 )
 from .evaluation import (
@@ -69,8 +68,6 @@ from .evaluation import (
     MixedPolicy,
     cvar,
     exact_value,
-    mc_value,
-    rollout_returns,
     run_reliability_experiment,
     train_algorithm,
 )
@@ -131,7 +128,6 @@ __all__ = [
     "count_visits",
     "cvar",
     "default_careless_states",
-    "discounted_suffix_returns",
     "dprl_continuous_bound",
     "dprl_discrete_bound",
     "estimate_covering_number",
@@ -140,13 +136,11 @@ __all__ = [
     "identify_decision_points",
     "load_dataset",
     "make_smdp",
-    "mc_value",
     "monte_carlo_estimates",
     "optimal_values",
     "policy_state_values",
     "pqi_bound",
     "q_from_values",
-    "rollout_returns",
     "run_reliability_experiment",
     "save_dataset",
     "simulate",

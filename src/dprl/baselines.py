@@ -76,21 +76,16 @@ class BaselinePolicy:
         return self.action_probabilities.copy()
 
 
-def fit_mle_model(
-    dataset: TrajectoryDataset,
-    num_states: int | None = None,
-    num_actions: int | None = None,
-) -> MleModel:
+def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     """Maximum-likelihood transition and mean-reward tables.
 
     Rewards are summed in dataset order.  The ``(S, A, S)`` table is only
     written where a transition was seen, so untouched pages stay unmapped.
     """
-    num_states = num_states if num_states is not None else dataset.num_states
-    num_actions = num_actions if num_actions is not None else dataset.num_actions
+    num_states, num_actions = dataset.num_states, dataset.num_actions
     num_pairs = num_states * num_actions
-    states, actions, rewards, offsets = dataset.columns()
-    pairs = states * num_actions + actions
+    states, rewards, offsets = dataset.states, dataset.rewards, dataset.offsets
+    pairs = states * num_actions + dataset.actions
     n_sa = np.bincount(pairs, minlength=num_pairs).reshape(num_states, num_actions)
     reward_sums = np.bincount(pairs, weights=rewards, minlength=num_pairs)  # int when empty
     reward_sums = reward_sums.astype(np.float64, copy=False).reshape(num_states, num_actions)
@@ -133,6 +128,9 @@ def train_spibb(
     if model is None:
         model = fit_mle_model(dataset)
     behavior_rows = behavior.action_probabilities
+    if behavior_rows.shape != model.n_sa.shape:
+        raise ValueError(f"behavior rows have shape {behavior_rows.shape}, "
+                         f"the model has (states, actions) {model.n_sa.shape}")
     num_states, num_actions = behavior_rows.shape
     free = model.n_sa >= n_wedge
     # Sum each state's free behavior mass as its compacted row, as numpy would.
@@ -239,11 +237,16 @@ def train_behavior_clone(
     num_states: int | None = None,
     num_actions: int | None = None,
 ) -> BaselinePolicy:
-    """Per-state empirical action frequencies; uniform at unseen states."""
-    num_states = num_states if num_states is not None else dataset.num_states
-    num_actions = num_actions if num_actions is not None else dataset.num_actions
-    states, actions, _, _ = dataset.columns()
-    n_sa = np.bincount(states * num_actions + actions, minlength=num_states * num_actions)
+    """Per-state empirical action frequencies; uniform at unseen states.
+
+    Sizes, when given, must equal the dataset's.
+    """
+    shape = dataset.num_states, dataset.num_actions
+    if (num_states, num_actions) not in ((None, None), shape):
+        raise ValueError(f"sizes ({num_states}, {num_actions}) differ from the dataset's {shape}")
+    num_states, num_actions = shape
+    n_sa = np.bincount(dataset.states * num_actions + dataset.actions,
+                       minlength=num_states * num_actions)
     n_sa = n_sa.reshape(num_states, num_actions).astype(np.float64)
     rows = np.full((num_states, num_actions), 1.0 / num_actions)
     visited = n_sa.sum(axis=1) > 0

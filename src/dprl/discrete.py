@@ -215,34 +215,32 @@ def make_smdp(
     disc = np.zeros((num_dp, num_actions, num_dp + 1))
     gain = np.zeros((num_dp, num_actions, num_dp + 1))
 
-    for traj in dataset:
-        length = len(traj)
-        if length == 0 or num_dp == 0:
-            continue
+    all_states, all_actions = dataset.states.tolist(), dataset.actions.tolist()
+    bounds = dataset.offsets.tolist() if num_dp else [0]  # no decision state, no segment
+    for start, end in zip(bounds, bounds[1:]):
+        states_t = all_states[start:end]
         visits: list[int] = []
         seen: set[int] = set()
-        for t, s in enumerate(traj.states):
-            s = int(s)
+        for t, s in enumerate(states_t):
             if s in pos and s not in seen:
                 seen.add(s)
                 visits.append(t)
         if not visits:
             continue
+        length = end - start
+        rewards = dataset.rewards[start:end]
         powers = gamma ** np.arange(length + 1)
         for t, t_next in zip(visits, visits[1:]):
-            i = pos[int(traj.states[t])]
-            a = int(traj.actions[t])
-            j = pos[int(traj.states[t_next])]
+            i, a, j = pos[states_t[t]], all_actions[start + t], pos[states_t[t_next]]
             counts[i, a, j] += 1
             disc[i, a, j] += powers[t_next - t]
-            gain[i, a, j] += float(np.dot(traj.rewards[t:t_next], powers[: t_next - t]))
+            gain[i, a, j] += float(np.dot(rewards[t:t_next], powers[: t_next - t]))
         if tail_mode == TAIL_ABSORB:
             t = visits[-1]
-            i = pos[int(traj.states[t])]
-            a = int(traj.actions[t])
+            i, a = pos[states_t[t]], all_actions[start + t]
             counts[i, a, num_dp] += 1
             disc[i, a, num_dp] += powers[length - t]
-            gain[i, a, num_dp] += float(np.dot(traj.rewards[t:], powers[: length - t]))
+            gain[i, a, num_dp] += float(np.dot(rewards[t:], powers[: length - t]))
 
     observed = counts > 0
     p_tilde = np.zeros_like(disc)

@@ -73,11 +73,6 @@ def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: floa
     return out
 
 
-def discounted_suffix_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """``G[t] = sum_k gamma**(k - t) * rewards[k]`` for ``k`` from ``t`` on."""
-    return segment_suffix_returns(rewards, [0, len(rewards)], gamma)
-
-
 def segment_ids(offsets: np.ndarray) -> np.ndarray:
     """Per step, the index of its segment ``offsets[i]:offsets[i + 1]``."""
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
@@ -121,10 +116,9 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     """
     _check_mode(mode)
     num_states, num_actions = dataset.num_states, dataset.num_actions
-    states, actions, _, offsets = dataset.columns()
-    pairs = states * num_actions + actions
+    pairs = dataset.states * num_actions + dataset.actions
     if mode == FIRST_VISIT:
-        pairs = pairs[_first_visits(pairs, segment_ids(offsets))]
+        pairs = pairs[_first_visits(pairs, segment_ids(dataset.offsets))]
     n_sa = np.bincount(pairs, minlength=num_states * num_actions).reshape(num_states, num_actions)
     return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
 
@@ -143,11 +137,10 @@ def monte_carlo_estimates(
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     num_states, num_actions = dataset.num_states, dataset.num_actions
-    states, actions, rewards, offsets = dataset.columns()
-    returns = segment_suffix_returns(rewards, offsets, gamma)
-    trajs = segment_ids(offsets)
-    v_hat = _visit_means(states, returns, trajs, mode, num_states)[0]
-    pairs = states * num_actions + actions
+    returns = segment_suffix_returns(dataset.rewards, dataset.offsets, gamma)
+    trajs = segment_ids(dataset.offsets)
+    v_hat = _visit_means(dataset.states, returns, trajs, mode, num_states)[0]
+    pairs = dataset.states * num_actions + dataset.actions
     q_hat = _visit_means(pairs, returns, trajs, mode, num_states * num_actions)[0]
     q_hat = q_hat.reshape(num_states, num_actions)
     return ValueEstimates(

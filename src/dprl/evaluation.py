@@ -3,8 +3,7 @@
 A learned policy is always evaluated composed with the true logging policy:
 wherever it defers, the logging policy acts.  Values are computed by a
 direct Bellman solve on the true MDP, so per-seed results are deterministic
-functions of the learned policy alone; a Monte-Carlo rollout estimator is
-provided as a cross-check.
+functions of the learned policy alone.
 """
 
 from __future__ import annotations
@@ -74,37 +73,6 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
 def exact_value(mdp: TabularMdp, policy: MixedPolicy) -> float:
     """Exact discounted start-state value of the composed policy."""
     return float(policy_state_values(mdp, policy.rows())[mdp.start_state])
-
-
-def rollout_returns(
-    mdp: TabularMdp,
-    policy: MixedPolicy,
-    rollouts: int,
-    seed: int,
-    horizon: int = 200,
-) -> np.ndarray:
-    """Discounted start-state returns of independent rollouts."""
-    if rollouts < 1:
-        raise ValueError("rollouts must be >= 1")
-    rows = policy.rows()
-    sampler = BehaviorPolicy(action_probabilities=rows, kind="rollout-mixture")
-    dataset = simulate(mdp, sampler, rollouts, horizon, seed)
-    out = np.empty(rollouts)
-    for i, traj in enumerate(dataset):
-        powers = mdp.gamma ** np.arange(len(traj))
-        out[i] = float(np.dot(powers, traj.rewards))
-    return out
-
-
-def mc_value(
-    mdp: TabularMdp,
-    policy: MixedPolicy,
-    rollouts: int,
-    seed: int,
-    horizon: int = 200,
-) -> float:
-    """Sample-mean cross-check of :func:`exact_value` (biased by truncation)."""
-    return float(rollout_returns(mdp, policy, rollouts, seed, horizon=horizon).mean())
 
 
 def cvar(values, alpha: float) -> float:
@@ -208,7 +176,7 @@ def _train_dprl(params, dataset, mdp, behavior):
 def _train_spibb(params, dataset, mdp, behavior):
     label = params.get("behavior", "true")
     if label == "estimated":
-        behavior = train_behavior_clone(dataset, mdp.num_states, mdp.num_actions)
+        behavior = train_behavior_clone(dataset)
     policy = train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma)
     policy.params["behavior"] = label
     return policy, 0.0
@@ -224,8 +192,7 @@ ALGORITHMS = {
               {"behavior": _one_of("true", "estimated")}, _train_spibb),
     "pqi": ({"density_threshold": FRACTION}, {},
             lambda p, ds, mdp, b: (train_pqi(ds, p["density_threshold"], mdp.gamma), 0.0)),
-    "behavior_clone": ({}, {}, lambda p, ds, mdp, b: (
-        train_behavior_clone(ds, mdp.num_states, mdp.num_actions), 0.0)),
+    "behavior_clone": ({}, {}, lambda p, ds, mdp, b: (train_behavior_clone(ds), 0.0)),
     "behavior": ({}, {}, lambda p, ds, mdp, b: (None, 1.0)),
 }
 

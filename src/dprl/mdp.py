@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -166,38 +167,74 @@ class Trajectory:
 
 @dataclass
 class TrajectoryDataset:
-    """A batch of trajectories plus provenance needed to regenerate it."""
+    """A batch of trajectories stored as flat step columns.
 
-    trajectories: list[Trajectory]
+    ``states``, ``actions`` and ``rewards`` hold every step in dataset order;
+    trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` and was drawn from
+    ``seeds[i]``.  Construction checks that the columns have equal length,
+    that ``offsets`` runs from 0 to that length without decreasing, and that
+    every id lies in ``[0, num_states)`` or ``[0, num_actions)``.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    offsets: np.ndarray
+    seeds: list[int]
     num_states: int
     num_actions: int
-    mdp_descriptor: str = ""
-    behavior_descriptor: str = ""
-    master_seed: int = 0
 
-    def __len__(self) -> int:
-        return len(self.trajectories)
+    def __post_init__(self) -> None:
+        for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
+            ids = np.asarray(getattr(self, name))
+            if ids.size and ids.dtype.kind not in "iu":  # no silent truncation of 1.5 to 1
+                raise ValueError(f"{name} must hold integer ids, not {ids.dtype}")
+            outside = (ids < 0) | (ids >= limit)
+            if outside.any():
+                raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
+            setattr(self, name, ids.astype(np.int64, copy=False))
+        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        # Python ints, as the JSONL writes them; index() refuses floats.
+        self.seeds = [operator.index(s) for s in self.seeds]
+        steps = self.states.size
+        if not self.states.shape == self.actions.shape == self.rewards.shape == (steps,):
+            raise ValueError("states, actions and rewards must be 1-d columns of equal length")
+        if (self.offsets.shape != (len(self.seeds) + 1,) or self.offsets[0] != 0
+                or self.offsets[-1] != steps or (np.diff(self.offsets) < 0).any()):
+            raise ValueError(f"offsets must run from 0 to {steps} without decreasing, "
+                             f"one more entry than the {len(self.seeds)} seeds")
 
-    def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self.trajectories)
-
-    def total_steps(self) -> int:
-        return sum(len(t) for t in self.trajectories)
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat ``(states, actions, rewards, offsets)``, rebuilt per call so never stale.
-
-        Trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` of each step column.
-        """
-        trajs = self.trajectories
+    @classmethod
+    def from_trajectories(
+        cls, trajectories, num_states: int, num_actions: int
+    ) -> "TrajectoryDataset":
+        """Concatenate per-trajectory arrays into the columns, in the given order."""
+        trajs = list(trajectories)
         offsets = np.zeros(len(trajs) + 1, dtype=np.int64)
         np.cumsum([len(t) for t in trajs], out=offsets[1:])
-        return (
-            np.concatenate([np.empty(0, np.int64), *(t.states for t in trajs)]),
-            np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajs)]),
-            np.concatenate([np.empty(0), *(t.rewards for t in trajs)]),
-            offsets,
+        return cls(
+            states=np.concatenate([np.empty(0, np.int64), *(t.states for t in trajs)]),
+            actions=np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajs)]),
+            rewards=np.concatenate([np.empty(0), *(t.rewards for t in trajs)]),
+            offsets=offsets,
+            seeds=[t.seed for t in trajs],
+            num_states=num_states,
+            num_actions=num_actions,
         )
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        """Each trajectory, its arrays views into the columns."""
+        bounds = self.offsets.tolist()
+        for seed, start, end in zip(self.seeds, bounds, bounds[1:]):
+            yield Trajectory(self.states[start:end], self.actions[start:end],
+                             self.rewards[start:end], seed)
+
+    def total_steps(self) -> int:
+        return len(self.states)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:
@@ -283,32 +320,32 @@ def simulate(
     # Each trajectory keeps its own stream, so trajectory i is reproducible
     # on its own; blocks of trajectories then step in lockstep.  The block
     # size bounds the padded buffers at _LOCKSTEP_SLOTS steps.
-    trajectories: list[Trajectory] = []
+    seeds: list[int] = []
+    columns = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)])
+    lengths = [np.zeros(1, dtype=np.int64)]  # offsets are their running sum
     block = max(1, _LOCKSTEP_SLOTS // horizon)
     for first in range(0, num_trajectories, block):
-        indices = range(first, min(first + block, num_trajectories))
-        seeds = [trajectory_seed(master_seed, i) for i in indices]
-        draws = np.empty((len(seeds), horizon, 3))
-        for row, seed in zip(draws, seeds):
+        block_seeds = [trajectory_seed(master_seed, i)
+                       for i in range(first, min(first + block, num_trajectories))]
+        draws = np.empty((len(block_seeds), horizon, 3))
+        for row, seed in zip(draws, block_seeds):
             np.random.default_rng(seed).random(out=row)
-        states, actions, rewards, lengths = _lockstep_rollout(mdp, policy, draws)
-        # Compact copies, so the dataset does not pin the padded buffers.
-        trajectories += [
-            Trajectory(
-                states=states[i, :n].copy(),
-                actions=actions[i, :n].copy(),
-                rewards=rewards[i, :n].copy(),
-                seed=seed,
-            )
-            for i, (seed, n) in enumerate(zip(seeds, lengths.tolist()))
-        ]
+        *padded, block_lengths = _lockstep_rollout(mdp, policy, draws)
+        # A row-major mask keeps each episode's steps, episodes in order.
+        logged = np.arange(horizon) < block_lengths[:, None]
+        for column, values in zip(columns, padded):
+            column.append(values[logged])
+        seeds += block_seeds
+        lengths.append(block_lengths)
+    states, actions, rewards = (np.concatenate(column) for column in columns)
     return TrajectoryDataset(
-        trajectories=trajectories,
+        states=states,
+        actions=actions,
+        rewards=rewards,
+        offsets=np.cumsum(np.concatenate(lengths)),
+        seeds=seeds,
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
-        mdp_descriptor=mdp.name,
-        behavior_descriptor=policy.kind,
-        master_seed=master_seed,
     )
 
 
@@ -321,7 +358,7 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for traj in dataset.trajectories:
+        for traj in dataset:
             steps = list(zip(traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()))
             fh.write(json.dumps({"seed": traj.seed, "steps": steps}) + "\n")
 
@@ -368,9 +405,6 @@ def load_dataset(
     path: str | Path,
     num_states: int | None = None,
     num_actions: int | None = None,
-    mdp_descriptor: str = "",
-    behavior_descriptor: str = "",
-    master_seed: int = 0,
 ) -> TrajectoryDataset:
     """Read a line-delimited trajectory file written by :func:`save_dataset`.
 
@@ -397,11 +431,4 @@ def load_dataset(
         num_states = max((int(t.states.max()) for t in trajectories if len(t)), default=-1) + 1
     if num_actions is None:
         num_actions = max((int(t.actions.max()) for t in trajectories if len(t)), default=-1) + 1
-    return TrajectoryDataset(
-        trajectories=trajectories,
-        num_states=num_states,
-        num_actions=num_actions,
-        mdp_descriptor=mdp_descriptor,
-        behavior_descriptor=behavior_descriptor,
-        master_seed=master_seed,
-    )
+    return TrajectoryDataset.from_trajectories(trajectories, num_states, num_actions)

@@ -28,18 +28,8 @@ def make_traj(states, actions, rewards, seed: int = 0) -> Trajectory:
     )
 
 
-def make_dataset(
-    trajectories,
-    num_states: int,
-    num_actions: int,
-    master_seed: int = 0,
-) -> TrajectoryDataset:
-    return TrajectoryDataset(
-        trajectories=list(trajectories),
-        num_states=num_states,
-        num_actions=num_actions,
-        master_seed=master_seed,
-    )
+def make_dataset(trajectories, num_states: int, num_actions: int) -> TrajectoryDataset:
+    return TrajectoryDataset.from_trajectories(trajectories, num_states, num_actions)
 
 
 def deterministic_chain(

@@ -1,0 +1,101 @@
+"""Integer-tier golden answers: what dprl decides on a fixed grid of configs.
+
+For every seed of every config this records the sha256 of the dataset's
+JSONL bytes, the first-visit count table's hash, the dprl verdicts and
+defer set, the policy-iteration count and C_{N∧} (pairs seen at least
+``n_wedge`` times).  None of these is a float, so they do not move with the
+BLAS kernel or thread count; ``tests/test_golden.py`` checks them.
+
+Regenerate the manifest (only when answers are meant to change) with
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from dprl.bounds import count_c_n_wedge
+from dprl.discrete import train_decision_point_policy
+from dprl.envs import build_environment
+from dprl.estimation import FIRST_VISIT, count_visits
+from dprl.mdp import save_dataset, simulate
+
+MANIFEST = Path(__file__).with_name("manifest.jsonl")
+
+# name -> the environment, dataset, seeds and dprl entry of a CLI config.
+CONFIGS = {
+    "readme": {
+        "environment": {"id": "forest", "num_chains": 10, "depth": 3, "epsilon": 0.2,
+                        "gamma": 0.99},
+        "dataset": {"num_trajectories": 100, "horizon": 30, "master_seed": 7},
+        "seeds": 100,
+        "dprl": {"n_wedge": 10},
+    },
+    "criterion-8": {
+        "environment": {"id": "forest", "num_chains": 2, "depth": 2, "epsilon": 0.2,
+                        "gamma": 0.99},
+        "dataset": {"num_trajectories": 30, "horizon": 20, "master_seed": 7},
+        "seeds": 3,
+        "dprl": {"n_wedge": 3},
+    },
+    "gridworld-10x10": {
+        "environment": {"id": "gridworld", "side": 10, "noise": 0.9},
+        "dataset": {"num_trajectories": 100, "horizon": 100, "master_seed": 0},
+        "seeds": 5,
+        "dprl": {"n_wedge": 20},
+    },
+    "forest-50": {
+        "environment": {"id": "forest", "num_chains": 50},
+        "dataset": {"num_trajectories": 100, "horizon": 30, "master_seed": 0},
+        "seeds": 5,
+        "dprl": {"n_wedge": 10},
+    },
+}
+
+
+def seed_answers(config: dict, workdir: Path) -> list[dict]:
+    """One record per seed ``master_seed + i``, as ``dprl generate`` and ``sweep`` draw them."""
+    env = dict(config["environment"])
+    mdp, behavior = build_environment(env.pop("id"), **env)
+    spec, params = config["dataset"], config["dprl"]
+    records = []
+    for i in range(config["seeds"]):
+        master = spec["master_seed"] + i
+        dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"], master)
+        path = workdir / f"seed_{master}.jsonl"
+        save_dataset(dataset, path)
+        counts = count_visits(dataset, mode=FIRST_VISIT)
+        policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
+        records.append({
+            "master_seed": master,
+            "jsonl_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "n_sa_sha256": hashlib.sha256(
+                json.dumps(counts.n_sa.tolist()).encode("utf-8")
+            ).hexdigest(),
+            "c_n_wedge": count_c_n_wedge(counts, params["n_wedge"]),
+            "pi_iterations": policy.iterations,
+            "verdicts": {str(s): a for s, a in sorted(policy.verdicts.items())},
+            "defer_states": sorted(policy.defer_states),
+        })
+    return records
+
+
+def manifest_lines(workdir: Path) -> list[str]:
+    """Per config, one line holding the config, then one line per seed."""
+    lines = []
+    for name, config in CONFIGS.items():
+        lines.append(json.dumps({"name": name, "config": config}, sort_keys=True))
+        for record in seed_answers(config, workdir):
+            lines.append(json.dumps({"name": name, **record}, sort_keys=True))
+    return lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = manifest_lines(Path(tmp))
+    MANIFEST.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} lines to {MANIFEST}")

@@ -16,7 +16,7 @@ from dprl.balltree import BallTree
 from dprl.baselines import MleModel
 from dprl.continuous import NEIGHBOR_FIRST, ContinuousVerdict, CoveringNumbers
 from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
-from dprl.mdp import trajectory_seed
+from dprl.mdp import BehaviorPolicy, simulate, trajectory_seed
 
 
 def linear_scan_neighbors(
@@ -265,7 +265,7 @@ def mle_from_dataset_loops(dataset, num_states: int, num_actions: int):
     r_sum = np.zeros((num_states, num_actions))
     r_n = np.zeros((num_states, num_actions))
     t_n = np.zeros((num_states, num_actions, num_states))
-    for traj in dataset.trajectories:
+    for traj in dataset:
         steps = len(traj.states)
         for t in range(steps):
             s, a = int(traj.states[t]), int(traj.actions[t])
@@ -427,6 +427,24 @@ def loop_suffix_returns(rewards, gamma: float) -> np.ndarray:
         acc = rewards[t] + gamma * acc
         out[t] = acc
     return out
+
+
+def rollout_returns(mdp, policy, rollouts: int, seed: int, horizon: int = 200) -> np.ndarray:
+    """Discounted start-state returns of ``policy``'s composed rows over independent rollouts."""
+    if rollouts < 1:
+        raise ValueError("rollouts must be >= 1")
+    sampler = BehaviorPolicy(action_probabilities=policy.rows(), kind="rollout-mixture")
+    dataset = simulate(mdp, sampler, rollouts, horizon, seed)
+    out = np.empty(rollouts)
+    for i, traj in enumerate(dataset):
+        powers = mdp.gamma ** np.arange(len(traj))
+        out[i] = float(np.dot(powers, traj.rewards))
+    return out
+
+
+def mc_value(mdp, policy, rollouts: int, seed: int, horizon: int = 200) -> float:
+    """Sample-mean cross-check of ``evaluation.exact_value`` (biased by truncation)."""
+    return float(rollout_returns(mdp, policy, rollouts, seed, horizon=horizon).mean())
 
 
 def loop_count_visits(dataset, mode: str):

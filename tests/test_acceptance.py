@@ -267,7 +267,7 @@ def test_criterion_6_oracle_equivalences():
         for tail_mode in ("absorb", "drop"):
             model = make_smdp(dataset, dp, gamma=0.9, tail_mode=tail_mode)
             expected = oracles.straight_line_smdp(
-                dataset.trajectories, set(dp.decision_states), 0.9, tail_mode=tail_mode
+                dataset, set(dp.decision_states), 0.9, tail_mode=tail_mode
             )
             pos = {s: i for i, s in enumerate(model.states)}
             for (s, a, dest), cell in expected.items():
@@ -303,7 +303,7 @@ def test_criterion_6_oracle_equivalences():
     eye = np.eye(5)
     one_hot = [
         ContinuousTrajectory(states=eye[t.states], actions=t.actions, rewards=t.rewards)
-        for t in dataset.trajectories
+        for t in dataset
     ]
     index = build_index(one_hot, gamma=0.9, metric_weights=np.ones(5), radius=0.5)
     ok = True

@@ -14,7 +14,7 @@ from dprl.baselines import (
     train_pqi,
     train_spibb,
 )
-from dprl.envs import build_forest_mdp
+from dprl.envs import build_forest_mdp, build_gridworld
 from dprl.estimation import EVERY_VISIT, count_visits
 from dprl.evaluation import (
     AlgorithmSpec,
@@ -209,6 +209,13 @@ class TestSpibb:
         with pytest.raises(ValueError):
             train_spibb(ds, uniform_behavior(1, 1), n_wedge=1, gamma=1.0)
 
+    def test_behavior_of_another_shape_rejected(self):
+        grid, grid_behavior = build_gridworld(side=4)
+        ds = simulate(grid, grid_behavior, num_trajectories=5, horizon=5, master_seed=0)
+        _, forest_behavior = build_forest_mdp(num_chains=1, depth=1)
+        with pytest.raises(ValueError, match=r"shape \(5, 3\), the model has .* \(16, 4\)"):
+            train_spibb(ds, forest_behavior, n_wedge=1, gamma=0.9)
+
 
 class TestPqi:
     def two_arm_dataset(self):
@@ -295,6 +302,14 @@ class TestBehaviorClone:
         np.testing.assert_allclose(clone.action_probabilities[1], [0.5, 0.5])
         np.testing.assert_allclose(clone.action_probabilities.sum(axis=1), 1.0)
         assert clone.kind == "behavior-clone"
+
+    def test_explicit_sizes_must_match_the_dataset(self):
+        ds = make_dataset([make_traj([0, 1], [2, 0], [0.0, 0.0])], 2, 3)
+        same = train_behavior_clone(ds, 2, 3).action_probabilities
+        np.testing.assert_array_equal(same, train_behavior_clone(ds).action_probabilities)
+        for sizes in ((3, 3), (2, 2), (2, None)):
+            with pytest.raises(ValueError, match=r"differ from the dataset's \(2, 3\)"):
+                train_behavior_clone(ds, *sizes)
 
 
 def assert_same_array(got, expected):

@@ -546,7 +546,7 @@ class TestDiscreteAgreement:
             ContinuousTrajectory(
                 states=eye[t.states], actions=t.actions, rewards=t.rewards
             )
-            for t in ds.trajectories
+            for t in ds
         ]
         index = build_index(trajs, gamma=0.9, metric_weights=np.ones(5), radius=0.5)
         for s in range(5):

@@ -94,7 +94,7 @@ class TestCql:
         from dprl.mdp import simulate
 
         ds = simulate(mdp, behavior, num_trajectories=20, horizon=10, master_seed=0)
-        assert all(len(t.states) == 1 for t in ds.trajectories)
+        assert all(len(t.states) == 1 for t in ds)
 
     def test_logger_rows(self):
         _, behavior = build_cql_mdp(num_risky=4, epsilon=0.1)

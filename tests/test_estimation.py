@@ -11,7 +11,6 @@ from dprl.estimation import (
     EVERY_VISIT,
     FIRST_VISIT,
     count_visits,
-    discounted_suffix_returns,
     monte_carlo_estimates,
     segment_suffix_returns,
 )
@@ -47,20 +46,22 @@ def small_datasets(draw):
     return make_dataset(trajs, NUM_STATES, NUM_ACTIONS)
 
 
+def one_segment_returns(rewards, gamma: float) -> np.ndarray:
+    return segment_suffix_returns(rewards, [0, len(rewards)], gamma)
+
+
 class TestSuffixReturns:
     def test_two_step_example(self):
-        np.testing.assert_allclose(
-            discounted_suffix_returns(np.array([1.0, 1.0]), 0.5), [1.5, 1.0]
-        )
+        np.testing.assert_allclose(one_segment_returns(np.array([1.0, 1.0]), 0.5), [1.5, 1.0])
 
     def test_single_step_is_identity(self):
-        np.testing.assert_allclose(discounted_suffix_returns(np.array([0.3]), 0.9), [0.3])
+        np.testing.assert_allclose(one_segment_returns(np.array([0.3]), 0.9), [0.3])
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         rewards = rng.random(7)
         gamma = 0.8
-        got = discounted_suffix_returns(rewards, gamma)
+        got = one_segment_returns(rewards, gamma)
         for t in range(7):
             direct = sum(gamma ** (k - t) * rewards[k] for k in range(t, 7))
             assert got[t] == pytest.approx(direct, rel=1e-12)
@@ -153,8 +154,8 @@ class TestMonteCarlo:
         est = monte_carlo_estimates(ds, gamma, mode=mode)
         # recompute contributing returns per state by hand
         per_state: dict[int, list[float]] = {}
-        for traj in ds.trajectories:
-            suffix = discounted_suffix_returns(traj.rewards, gamma)
+        for traj in ds:
+            suffix = oracles.loop_suffix_returns(traj.rewards, gamma)
             seen = set()
             for t, s in enumerate(traj.states):
                 s = int(s)
@@ -211,12 +212,11 @@ class TestColumnarMatchesLoops:
     @settings(max_examples=100, deadline=None)
     @given(random_datasets(), st.sampled_from([0.1, 0.9, 0.99]))
     def test_suffix_returns(self, ds, gamma):
-        _, _, rewards, offsets = ds.columns()
-        got = segment_suffix_returns(rewards, offsets, gamma)
+        got = segment_suffix_returns(ds.rewards, ds.offsets, gamma)
         expected = [oracles.loop_suffix_returns(t.rewards, gamma) for t in ds]
         assert_same_array(got, np.concatenate([np.empty(0), *expected]))
         for traj, want in zip(ds, expected):
-            assert_same_array(discounted_suffix_returns(traj.rewards, gamma), want)
+            assert_same_array(one_segment_returns(traj.rewards, gamma), want)
 
     def test_columns_follow_dataset_order(self):
         ds = make_dataset(
@@ -225,12 +225,13 @@ class TestColumnarMatchesLoops:
             NUM_STATES,
             NUM_ACTIONS,
         )
-        states, actions, rewards, offsets = ds.columns()
-        assert states.tolist() == [1, 2, 3] and actions.tolist() == [0, 1, 1]
-        assert rewards.tolist() == [0.5, 0.25, 1.0] and offsets.tolist() == [0, 2, 2, 3]
-        assert [c.dtype for c in ds.columns()] == [np.int64, np.int64, np.float64, np.int64]
-        ds.trajectories.pop()  # rebuilt per call, never stale
-        assert ds.columns()[3].tolist() == [0, 2, 2]
+        assert ds.states.tolist() == [1, 2, 3] and ds.actions.tolist() == [0, 1, 1]
+        assert ds.rewards.tolist() == [0.5, 0.25, 1.0] and ds.offsets.tolist() == [0, 2, 2, 3]
+        columns = (ds.states, ds.actions, ds.rewards, ds.offsets)
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.float64, np.int64]
+        # The stored columns are the only copy: iteration slices them.
+        assert [t.rewards.tolist() for t in ds] == [[0.5, 0.25], [], [1.0]]
+        assert all(t.rewards.base is ds.rewards for t in ds)
 
     def test_no_trajectories(self):
         ds = make_dataset([], NUM_STATES, NUM_ACTIONS)

@@ -20,8 +20,6 @@ from dprl.evaluation import (
     MixedPolicy,
     cvar,
     exact_value,
-    mc_value,
-    rollout_returns,
     run_reliability_experiment,
     train_algorithm,
 )
@@ -104,30 +102,30 @@ class TestRollouts:
         rows[:, 0] = 1.0
         policy = MixedPolicy(BaselinePolicy(rows, kind="probe"), behavior)
         exact = exact_value(mdp, policy)
-        returns = rollout_returns(mdp, policy, rollouts=20, seed=3)
+        returns = oracles.rollout_returns(mdp, policy, rollouts=20, seed=3)
         np.testing.assert_allclose(returns, exact, atol=1e-12)
-        assert mc_value(mdp, policy, rollouts=20, seed=3) == pytest.approx(exact)
+        assert oracles.mc_value(mdp, policy, rollouts=20, seed=3) == pytest.approx(exact)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_sample_mean_brackets_exact_value(self, seed):
         mdp, behavior = three_state_eval_chain()
         policy = MixedPolicy(None, behavior)
         exact = exact_value(mdp, policy)
-        returns = rollout_returns(mdp, policy, rollouts=400, seed=seed)
+        returns = oracles.rollout_returns(mdp, policy, rollouts=400, seed=seed)
         sem = returns.std(ddof=1) / np.sqrt(len(returns))
         assert abs(returns.mean() - exact) <= 3.0 * sem
 
     def test_same_seed_reproduces_returns(self):
         mdp, behavior = three_state_eval_chain()
         policy = MixedPolicy(None, behavior)
-        a = rollout_returns(mdp, policy, rollouts=50, seed=11)
-        b = rollout_returns(mdp, policy, rollouts=50, seed=11)
+        a = oracles.rollout_returns(mdp, policy, rollouts=50, seed=11)
+        b = oracles.rollout_returns(mdp, policy, rollouts=50, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_rollouts_rejected(self):
         mdp, behavior = three_state_eval_chain()
         with pytest.raises(ValueError, match="rollouts"):
-            rollout_returns(mdp, MixedPolicy(None, behavior), rollouts=0, seed=0)
+            oracles.rollout_returns(mdp, MixedPolicy(None, behavior), rollouts=0, seed=0)
 
 
 class TestCvar:
@@ -239,7 +237,8 @@ class TestTrainDispatch:
         with pytest.raises(ValueError, match=r"dataset has .* \(16, 4\), the MDP has \(5, 3\)"):
             train_algorithm(spec, ds, forest, behavior)
         # the same number of states with a different number of actions
-        narrow = dataclasses.replace(ds, trajectories=[], num_states=forest.num_states)
+        narrow = dataclasses.replace(ds, states=[], actions=[], rewards=[], offsets=[0], seeds=[],
+                                     num_states=forest.num_states)
         with pytest.raises(ValueError, match=r"\(5, 4\), the MDP has \(5, 3\)"):
             train_algorithm(spec, narrow, forest, behavior)
 

@@ -19,6 +19,7 @@ from dprl.mdp import (
     DatasetError,
     RewardSpec,
     TabularMdp,
+    TrajectoryDataset,
     load_dataset,
     save_dataset,
     simulate,
@@ -124,8 +125,8 @@ class TestSimulate:
     def test_single_state_loop_runs_full_horizon(self):
         mdp = single_state_loop()
         ds = simulate(mdp, uniform_behavior(1, 1), num_trajectories=3, horizon=5, master_seed=0)
-        assert len(ds.trajectories) == 3
-        for traj in ds.trajectories:
+        assert len(ds) == 3
+        for traj in ds:
             assert traj.states.tolist() == [0] * 5
             assert traj.actions.tolist() == [0] * 5
             np.testing.assert_allclose(traj.rewards, 0.5)
@@ -133,7 +134,7 @@ class TestSimulate:
     def test_terminal_state_never_recorded_as_step(self):
         mdp = deterministic_chain(4)
         ds = simulate(mdp, uniform_behavior(4, 2), num_trajectories=5, horizon=50, master_seed=1)
-        for traj in ds.trajectories:
+        for traj in ds:
             assert 3 not in traj.states
             assert len(traj.states) == 3  # reaches terminal in exactly 3 moves
 
@@ -146,7 +147,7 @@ class TestSimulate:
             start_state=0,
         )
         ds = simulate(mdp, uniform_behavior(1, 1), num_trajectories=10, horizon=20, master_seed=3)
-        for traj in ds.trajectories:
+        for traj in ds:
             assert np.all(traj.rewards >= 0.25) and np.all(traj.rewards <= 0.75)
 
     def test_same_master_seed_reproduces_identical_data(self):
@@ -154,7 +155,7 @@ class TestSimulate:
         pol = uniform_behavior(5, 2)
         a = simulate(mdp, pol, num_trajectories=8, horizon=10, master_seed=11)
         b = simulate(mdp, pol, num_trajectories=8, horizon=10, master_seed=11)
-        for ta, tb in zip(a.trajectories, b.trajectories):
+        for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.states, tb.states)
             np.testing.assert_array_equal(ta.actions, tb.actions)
             np.testing.assert_array_equal(ta.rewards, tb.rewards)
@@ -167,7 +168,7 @@ class TestSimulate:
         b = simulate(mdp, pol, num_trajectories=8, horizon=10, master_seed=12)
         assert any(
             ta.actions.tolist() != tb.actions.tolist()
-            for ta, tb in zip(a.trajectories, b.trajectories)
+            for ta, tb in zip(a, b)
         )
 
     def test_transition_frequency_matches_binomial_rate(self):
@@ -184,7 +185,7 @@ class TestSimulate:
             start_state=0,
         )
         ds = simulate(mdp, uniform_behavior(3, 1), num_trajectories=1000, horizon=2, master_seed=5)
-        rare = sum(1 for traj in ds.trajectories if traj.states[1] == 1)
+        rare = sum(1 for traj in ds if traj.states[1] == 1)
         # three-sigma band: 3 * sqrt(0.1 * 0.9 / 1000) ~ 0.0285
         assert abs(rare / 1000 - 0.1) <= 0.0285
 
@@ -201,7 +202,7 @@ class TestSimulate:
     def test_zero_trajectories_allowed(self):
         mdp = single_state_loop()
         ds = simulate(mdp, uniform_behavior(1, 1), num_trajectories=0, horizon=5, master_seed=0)
-        assert ds.trajectories == [] and ds.total_steps() == 0
+        assert list(ds) == [] and ds.total_steps() == 0
 
 
 class TestSerialization:
@@ -211,8 +212,8 @@ class TestSerialization:
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
         back = load_dataset(path, num_states=5, num_actions=2)
-        assert len(back.trajectories) == 6
-        for ta, tb in zip(ds.trajectories, back.trajectories):
+        assert len(back) == 6
+        for ta, tb in zip(ds, back):
             np.testing.assert_array_equal(ta.states, tb.states)
             np.testing.assert_array_equal(ta.actions, tb.actions)
             np.testing.assert_allclose(ta.rewards, tb.rewards)
@@ -241,8 +242,8 @@ class TestSerialization:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert [len(t) for t in back] == [0, 1]
-        assert back.trajectories[0].states.dtype == np.int64
-        assert back.trajectories[0].rewards.dtype == np.float64
+        assert back.states.dtype == np.int64 and next(iter(back)).states.dtype == np.int64
+        assert back.rewards.dtype == np.float64 and next(iter(back)).rewards.dtype == np.float64
         assert back.num_states == 2 and back.num_actions == 1
 
 
@@ -317,6 +318,46 @@ class TestLoadValidation:
         assert issubclass(DatasetError, ValueError)
 
 
+class TestDatasetConstruction:
+    """The columns are checked once, when a dataset is built."""
+
+    def columns(self, **changes):
+        fields = dict(states=[0, 1, 2], actions=[1, 0, 1], rewards=[0.5, 0.25, 1.0],
+                      offsets=[0, 2, 3], seeds=[4, 5], num_states=3, num_actions=2)
+        return {**fields, **changes}
+
+    def test_consistent_columns_accepted(self):
+        ds = TrajectoryDataset(**self.columns(seeds=[np.uint64(4), 5]))
+        assert len(ds) == 2 and ds.total_steps() == 3
+        assert [type(s) for s in ds.seeds] == [int, int]
+        assert [t.states.tolist() for t in ds] == [[0, 1], [2]]
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(actions=[1, 0]), "equal length"),
+            (dict(rewards=[0.5, 0.25, 1.0, 0.0]), "equal length"),
+            (dict(states=[[0, 1, 2]]), "1-d columns"),
+            (dict(states=[0, 1.5, 2]), "states must hold integer ids"),
+            (dict(actions=[1.0, 0.0, 1.0]), "actions must hold integer ids"),
+            (dict(seeds=[4, 5.0]), "cannot be interpreted as an integer"),
+            (dict(offsets=[1, 2, 3]), "offsets must run from 0 to 3"),  # start
+            (dict(offsets=[0, 2, 4]), "offsets must run from 0 to 3"),  # end
+            (dict(offsets=[0, 3, 2, 3], seeds=[4, 5, 6]), "without decreasing"),
+            (dict(offsets=[0, 3]), "one more entry than the 2 seeds"),
+            (dict(states=[0, 3, 2]), r"state id 3 outside \[0, 3\)"),
+            (dict(states=[0, -1, 2]), r"state id -1 outside"),
+            (dict(actions=[1, 2, 0]), r"action id 2 outside \[0, 2\)"),
+            # Step (0, 3) with 3 actions would be counted as pair (1, 0).
+            (dict(states=[0], actions=[3], rewards=[0.5], offsets=[0, 1], seeds=[0],
+                  num_actions=3), r"action id 3 outside \[0, 3\)"),
+        ],
+    )
+    def test_inconsistent_columns_rejected(self, changes, message):
+        with pytest.raises((TypeError, ValueError), match=message):
+            TrajectoryDataset(**self.columns(**changes))
+
+
 @st.composite
 def small_mdps(draw):
     """Random small MDP and logger with terminals, zero-mass tails and short rows."""
@@ -368,8 +409,8 @@ class TestLockstepMatchesOracle:
         mdp, policy = case
         ds = simulate(mdp, policy, num_trajectories, horizon, master_seed)
         expected = bisect_simulate(mdp, policy, num_trajectories, horizon, master_seed)
-        assert len(ds.trajectories) == len(expected)
-        for traj, (seed, states, actions, rewards) in zip(ds.trajectories, expected):
+        assert len(ds) == len(expected)
+        for traj, (seed, states, actions, rewards) in zip(ds, expected):
             assert type(traj.seed) is int and traj.seed == seed
             assert_same_episode(traj, states, actions, rewards)
 
@@ -418,7 +459,7 @@ class TestLockstepMatchesOracle:
         for traj, (seed, *episode) in zip(one, bisect_simulate(mdp, policy, 5, 1, 2)):
             assert len(traj) == 1 and traj.seed == seed
             assert_same_episode(traj, *episode)
-        assert simulate(mdp, policy, 0, 1, 2).trajectories == []
+        assert list(simulate(mdp, policy, 0, 1, 2)) == []
 
     def test_blocked_lockstep_equals_oracle(self, monkeypatch):
         # Blocks of 2 trajectories at horizon 3 (7 // 3), with a ragged last block.
@@ -431,9 +472,14 @@ class TestLockstepMatchesOracle:
         for traj, (_, *episode) in zip(ds, expected):
             assert_same_episode(traj, *episode)
 
-    def test_trajectories_own_compact_arrays(self):
+    def test_stored_columns_are_compact(self, monkeypatch):
+        # Blocks of 2 episodes at horizon 50, each 3 steps long: the columns
+        # hold total_steps() entries, not num_trajectories * horizon.
+        monkeypatch.setattr(mdp_module, "_LOCKSTEP_SLOTS", 100)
         mdp = deterministic_chain(4)
-        ds = simulate(mdp, uniform_behavior(4, 2), num_trajectories=3, horizon=50, master_seed=1)
-        for traj in ds:
-            for arr in (traj.states, traj.actions, traj.rewards):
-                assert arr.base is None and arr.flags.c_contiguous and arr.shape == (3,)
+        ds = simulate(mdp, uniform_behavior(4, 2), num_trajectories=5, horizon=50, master_seed=1)
+        assert ds.total_steps() == 15 and ds.offsets.tolist() == [0, 3, 6, 9, 12, 15]
+        for column in (ds.states, ds.actions, ds.rewards):
+            assert column.base is None and column.flags.c_contiguous and column.shape == (15,)
+        for traj in ds:  # views into the columns, not copies
+            assert traj.states.base is ds.states and traj.rewards.base is ds.rewards

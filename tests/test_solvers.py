@@ -130,7 +130,7 @@ class TestMemory:
         table = num_states * num_actions * num_states * 8
         square = num_states * num_states * 8
         calls = {
-            "fit_mle_model": (lambda: fit_mle_model(dataset, num_states, num_actions),
+            "fit_mle_model": (lambda: fit_mle_model(dataset),
                               table + 2 * square),
             "train_spibb": (lambda: train_spibb(dataset, behavior, 10, mdp.gamma),
                             table + 2 * square),
