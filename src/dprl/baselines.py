@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimation import EVERY_VISIT, count_visits
 from .mdp import TrajectoryDataset
 from .solvers import bellman_system, discounted_lookahead
 
@@ -86,7 +87,7 @@ def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     num_pairs = num_states * num_actions
     states, rewards, offsets = dataset.states, dataset.rewards, dataset.offsets
     pairs = states * num_actions + dataset.actions
-    n_sa = np.bincount(pairs, minlength=num_pairs).reshape(num_states, num_actions)
+    n_sa = count_visits(dataset, EVERY_VISIT).n_sa
     reward_sums = np.bincount(pairs, weights=rewards, minlength=num_pairs)  # int when empty
     reward_sums = reward_sums.astype(np.float64, copy=False).reshape(num_states, num_actions)
     has_next = np.ones(len(states), dtype=bool)  # all but each trajectory's last step
@@ -244,11 +245,8 @@ def train_behavior_clone(
     shape = dataset.num_states, dataset.num_actions
     if (num_states, num_actions) not in ((None, None), shape):
         raise ValueError(f"sizes ({num_states}, {num_actions}) differ from the dataset's {shape}")
-    num_states, num_actions = shape
-    n_sa = np.bincount(dataset.states * num_actions + dataset.actions,
-                       minlength=num_states * num_actions)
-    n_sa = n_sa.reshape(num_states, num_actions).astype(np.float64)
-    rows = np.full((num_states, num_actions), 1.0 / num_actions)
+    n_sa = count_visits(dataset, EVERY_VISIT).n_sa.astype(np.float64)
+    rows = np.full(shape, 1.0 / dataset.num_actions)
     visited = n_sa.sum(axis=1) > 0
     rows[visited] = n_sa[visited] / n_sa[visited].sum(axis=1, keepdims=True)
     return BaselinePolicy(action_probabilities=rows, kind="behavior-clone", params={})

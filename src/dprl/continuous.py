@@ -12,9 +12,7 @@ advantage gate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +79,7 @@ class NeighborIndex:
     Attributes:
         states: ``(K, d)`` raw state vectors in insertion order, which is
             trajectory-major and time-minor.
-        actions / returns / trajectory_ids / time_indices: ``(K,)`` aligned.
+        actions / returns / trajectory_ids: ``(K,)`` aligned.
         metric_weights: ``(d,)`` positive, finite per-dimension weights.
         radius: neighborhood radius in the weighted metric.
     """
@@ -92,7 +90,6 @@ class NeighborIndex:
         actions: np.ndarray,
         returns: np.ndarray,
         trajectory_ids: np.ndarray,
-        time_indices: np.ndarray,
         metric_weights: np.ndarray,
         radius: float,
     ) -> None:
@@ -100,14 +97,13 @@ class NeighborIndex:
         self.actions = np.asarray(actions, dtype=np.int64)
         self.returns = np.asarray(returns, dtype=np.float64)
         self.trajectory_ids = np.asarray(trajectory_ids, dtype=np.int64)
-        self.time_indices = np.asarray(time_indices, dtype=np.int64)
         self.metric_weights = np.asarray(metric_weights, dtype=np.float64)
         w = self.metric_weights
         if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("metric_weights must be positive and finite per dimension")
         if self.states.ndim != 2 or self.states.shape[1] != len(w):
             raise ValueError("state dimension does not match metric_weights")
-        for name in ("actions", "returns", "trajectory_ids", "time_indices"):
+        for name in ("actions", "returns", "trajectory_ids"):
             if getattr(self, name).shape != (len(self.states),):
                 raise ValueError(f"{name} must be 1-d with one entry per state")
         for name in ("states", "returns"):
@@ -141,46 +137,6 @@ class NeighborIndex:
         dist = np.sqrt(((self.states * self._scale - state * self._scale) ** 2).sum(axis=1))
         return np.flatnonzero(dist <= self.radius)
 
-    def save(self, path: str | Path) -> None:
-        """Persist the raw points, weights and radius as JSON."""
-        payload = {
-            "format": "neighbor-index",
-            "metric_weights": self.metric_weights.tolist(),
-            "radius": self.radius,
-            "points": [
-                {
-                    "state": self.states[i].tolist(),
-                    "action": int(self.actions[i]),
-                    "return": float(self.returns[i]),
-                    "trajectory": int(self.trajectory_ids[i]),
-                    "time": int(self.time_indices[i]),
-                }
-                for i in range(len(self))
-            ],
-        }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-    @staticmethod
-    def load(path: str | Path) -> "NeighborIndex":
-        """Read a :meth:`save` file; a ``leaf_size`` key, which older files carry, is ignored."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "neighbor-index":
-            raise ValueError("not a neighbor-index file")
-        points = payload["points"]
-        dim = len(payload["metric_weights"])
-        states = np.array([p["state"] for p in points], dtype=np.float64).reshape(len(points), dim)
-        return NeighborIndex(
-            states=states,
-            actions=np.array([p["action"] for p in points], dtype=np.int64),
-            returns=np.array([p["return"] for p in points], dtype=np.float64),
-            trajectory_ids=np.array([p["trajectory"] for p in points], dtype=np.int64),
-            time_indices=np.array([p["time"] for p in points], dtype=np.int64),
-            metric_weights=np.array(payload["metric_weights"], dtype=np.float64),
-            radius=float(payload["radius"]),
-        )
-
 
 def build_index(
     trajectories: Sequence[ContinuousTrajectory],
@@ -201,13 +157,11 @@ def build_index(
     all_actions = np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajectories)])
     rewards = np.concatenate([np.empty(0), *(t.rewards for t in trajectories)])
     all_returns = segment_suffix_returns(rewards, offsets, gamma)
-    all_times = np.arange(len(all_actions)) - np.repeat(offsets[:-1], lengths)
     return NeighborIndex(
         states=all_states,
         actions=all_actions,
         returns=all_returns,
         trajectory_ids=segment_ids(offsets),
-        time_indices=all_times,
         metric_weights=metric_weights,
         radius=radius,
     )

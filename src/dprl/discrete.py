@@ -20,8 +20,10 @@ from .estimation import (
     FIRST_VISIT,
     CountTable,
     ValueEstimates,
+    _first_visits,
     count_visits,
     monte_carlo_estimates,
+    segment_ids,
 )
 from .mdp import TrajectoryDataset
 
@@ -67,14 +69,12 @@ class SmdpModel:
     """
 
     states: tuple[int, ...]
-    gamma: float
     counts: np.ndarray
     p_tilde: np.ndarray
     gamma_tilde: np.ndarray
     r_tilde: np.ndarray
     r_bar: np.ndarray
     row_mask: np.ndarray
-    tail_mode: str
 
 
 @dataclass
@@ -195,52 +195,47 @@ def make_smdp(
     """Accumulate the elevated transition model over decision points.
 
     Within each trajectory the first visit of every decision-point state is
-    recorded; consecutive recorded times ``(t, t')`` contribute one segment
-    keyed by the state-action at ``t`` and the state at ``t'``, carrying the
-    discount ``gamma**(t' - t)`` and the discounted reward over steps ``t``
-    through ``t' - 1``.  With ``tail_mode="absorb"`` the remainder of each
+    recorded (the estimator's first-visit rule, keyed by state); consecutive
+    recorded times ``(t, t')`` contribute one segment keyed by the
+    state-action at ``t`` and the state at ``t'``, carrying the discount
+    ``gamma**(t' - t)`` and the discounted reward over steps ``t`` through
+    ``t' - 1``.  With ``tail_mode="absorb"`` the remainder of each
     trajectory after its last recorded visit becomes a segment into the
     virtual absorbing state, carrying the full discounted tail reward; with
-    ``"drop"`` it is discarded.
+    ``"drop"`` it is discarded.  Segments are summed in dataset order, each
+    reward as one dot product, so the tables equal a per-trajectory loop's.
     """
     if tail_mode not in TAIL_MODES:
         raise ValueError(f"tail_mode must be one of {TAIL_MODES}, got {tail_mode!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     states = tuple(sorted(dp.decision_states))
-    pos = {s: i for i, s in enumerate(states)}
     num_dp = len(states)
-    num_actions = dataset.num_actions
-    counts = np.zeros((num_dp, num_actions, num_dp + 1), dtype=np.int64)
-    disc = np.zeros((num_dp, num_actions, num_dp + 1))
-    gain = np.zeros((num_dp, num_actions, num_dp + 1))
+    counts = np.zeros((num_dp, dataset.num_actions, num_dp + 1), dtype=np.int64)
+    disc = np.zeros(counts.shape)
+    gain = np.zeros(counts.shape)
 
-    all_states, all_actions = dataset.states.tolist(), dataset.actions.tolist()
-    bounds = dataset.offsets.tolist() if num_dp else [0]  # no decision state, no segment
-    for start, end in zip(bounds, bounds[1:]):
-        states_t = all_states[start:end]
-        visits: list[int] = []
-        seen: set[int] = set()
-        for t, s in enumerate(states_t):
-            if s in pos and s not in seen:
-                seen.add(s)
-                visits.append(t)
-        if not visits:
-            continue
-        length = end - start
-        rewards = dataset.rewards[start:end]
-        powers = gamma ** np.arange(length + 1)
-        for t, t_next in zip(visits, visits[1:]):
-            i, a, j = pos[states_t[t]], all_actions[start + t], pos[states_t[t_next]]
-            counts[i, a, j] += 1
-            disc[i, a, j] += powers[t_next - t]
-            gain[i, a, j] += float(np.dot(rewards[t:t_next], powers[: t_next - t]))
-        if tail_mode == TAIL_ABSORB:
-            t = visits[-1]
-            i, a = pos[states_t[t]], all_actions[start + t]
-            counts[i, a, num_dp] += 1
-            disc[i, a, num_dp] += powers[length - t]
-            gain[i, a, num_dp] += float(np.dot(rewards[t:], powers[: length - t]))
+    # Segments run from each first visit to the next one in its trajectory;
+    # the last one runs to the trajectory's end, into the absorbing column.
+    trajs = segment_ids(dataset.offsets)
+    steps = np.flatnonzero(np.isin(dataset.states, states))
+    starts = steps[_first_visits(dataset.states[steps], trajs[steps])]
+    rows = np.searchsorted(states, dataset.states[starts])
+    owner = trajs[starts]
+    last = np.diff(owner, append=-1) != 0
+    ends = np.where(last, dataset.offsets[owner + 1], np.roll(starts, -1))
+    targets = np.where(last, num_dp, np.roll(rows, -1))
+    if tail_mode == TAIL_DROP:
+        starts, ends, rows, targets = (x[~last] for x in (starts, ends, rows, targets))
+    powers = gamma ** np.arange((ends - starts).max(initial=0) + 1)
+    # One dot per segment (a prefix sum would round differently); add.at then
+    # accumulates the segments in dataset order.
+    gains = [float(np.dot(dataset.rewards[t:u], powers[: u - t]))
+             for t, u in zip(starts.tolist(), ends.tolist())]
+    cells = (rows, dataset.actions[starts], targets)
+    np.add.at(counts, cells, 1)
+    np.add.at(disc, cells, powers[ends - starts])
+    np.add.at(gain, cells, gains)
 
     observed = counts > 0
     p_tilde = np.zeros_like(disc)
@@ -254,14 +249,12 @@ def make_smdp(
     r_bar = (r_tilde * p_tilde).sum(axis=2)
     return SmdpModel(
         states=states,
-        gamma=gamma,
         counts=counts,
         p_tilde=p_tilde,
         gamma_tilde=gamma_tilde,
         r_tilde=r_tilde,
         r_bar=r_bar,
         row_mask=row_mask,
-        tail_mode=tail_mode,
     )
 
 

@@ -141,6 +141,14 @@ class BehaviorPolicy:
         return self.action_probabilities.shape[1]
 
 
+def _int_ids(values, name: str) -> np.ndarray:
+    """``values`` as int64 ids; an empty column may have any dtype, others must be integers."""
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":  # no silent truncation of 1.5 to 1
+        raise ValueError(f"{name} must hold integer ids, not {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass
 class Trajectory:
     """One episode: aligned state/action/reward arrays plus its RNG seed.
@@ -155,8 +163,8 @@ class Trajectory:
     seed: int
 
     def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=np.int64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.states = _int_ids(self.states, "states")
+        self.actions = _int_ids(self.actions, "actions")
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         if not (len(self.states) == len(self.actions) == len(self.rewards)):
             raise ValueError("states, actions and rewards must have equal length")
@@ -186,13 +194,11 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
-            ids = np.asarray(getattr(self, name))
-            if ids.size and ids.dtype.kind not in "iu":  # no silent truncation of 1.5 to 1
-                raise ValueError(f"{name} must hold integer ids, not {ids.dtype}")
+            ids = _int_ids(getattr(self, name), name)
             outside = (ids < 0) | (ids >= limit)
             if outside.any():
                 raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
-            setattr(self, name, ids.astype(np.int64, copy=False))
+            setattr(self, name, ids)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
         # Python ints, as the JSONL writes them; index() refuses floats.
@@ -401,34 +407,19 @@ def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -
     )
 
 
-def load_dataset(
-    path: str | Path,
-    num_states: int | None = None,
-    num_actions: int | None = None,
-) -> TrajectoryDataset:
+def load_dataset(path: str | Path, num_states: int, num_actions: int) -> TrajectoryDataset:
     """Read a line-delimited trajectory file written by :func:`save_dataset`.
 
-    State/action space sizes are inferred from the data when not supplied.
     Ids outside ``[0, num_states)`` or ``[0, num_actions)``, non-integer ids,
     seeds that are not integers in ``[0, 2**64)`` and non-finite rewards
     raise :class:`DatasetError` naming the line.
     """
-    id_limit = 2**63  # int64 range, when the sizes are inferred
     trajectories: list[Trajectory] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 trajectories.append(
-                    _read_trajectory(
-                        line,
-                        num_states if num_states is not None else id_limit,
-                        num_actions if num_actions is not None else id_limit,
-                        f"{path} line {lineno}",
-                    )
+                    _read_trajectory(line, num_states, num_actions, f"{path} line {lineno}")
                 )
-    if num_states is None:
-        num_states = max((int(t.states.max()) for t in trajectories if len(t)), default=-1) + 1
-    if num_actions is None:
-        num_actions = max((int(t.actions.max()) for t in trajectories if len(t)), default=-1) + 1
     return TrajectoryDataset.from_trajectories(trajectories, num_states, num_actions)

@@ -1,10 +1,12 @@
 """Integer-tier golden answers: what dprl decides on a fixed grid of configs.
 
 For every seed of every config this records the sha256 of the dataset's
-JSONL bytes, the first-visit count table's hash, the dprl verdicts and
-defer set, the policy-iteration count and C_{N∧} (pairs seen at least
-``n_wedge`` times).  None of these is a float, so they do not move with the
-BLAS kernel or thread count; ``tests/test_golden.py`` checks them.
+JSONL bytes, the first-visit count table's hash, the hash of the elevated
+model's segment counts (``make_smdp`` in absorb mode, as training builds
+it), the dprl verdicts and defer set, the policy-iteration count and
+C_{N∧} (pairs seen at least ``n_wedge`` times).  None of these is a
+float, so they do not move with the BLAS kernel or thread count;
+``tests/test_golden.py`` checks them.
 
 Regenerate the manifest (only when answers are meant to change) with
 
@@ -19,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 from dprl.bounds import count_c_n_wedge
-from dprl.discrete import train_decision_point_policy
+from dprl.discrete import make_smdp, train_decision_point_policy
 from dprl.envs import build_environment
 from dprl.estimation import FIRST_VISIT, count_visits
 from dprl.mdp import save_dataset, simulate
@@ -57,6 +59,10 @@ CONFIGS = {
 }
 
 
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
 def seed_answers(config: dict, workdir: Path) -> list[dict]:
     """One record per seed ``master_seed + i``, as ``dprl generate`` and ``sweep`` draw them."""
     env = dict(config["environment"])
@@ -70,12 +76,12 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
         save_dataset(dataset, path)
         counts = count_visits(dataset, mode=FIRST_VISIT)
         policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
+        model = make_smdp(dataset, policy.provenance, mdp.gamma)
         records.append({
             "master_seed": master,
             "jsonl_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-            "n_sa_sha256": hashlib.sha256(
-                json.dumps(counts.n_sa.tolist()).encode("utf-8")
-            ).hexdigest(),
+            "n_sa_sha256": sha256_json(counts.n_sa.tolist()),
+            "smdp_counts_sha256": sha256_json(model.counts.tolist()),
             "c_n_wedge": count_c_n_wedge(counts, params["n_wedge"]),
             "pi_iterations": policy.iterations,
             "verdicts": {str(s): a for s, a in sorted(policy.verdicts.items())},

@@ -15,6 +15,7 @@ import numpy as np
 from dprl.balltree import BallTree
 from dprl.baselines import MleModel
 from dprl.continuous import NEIGHBOR_FIRST, ContinuousVerdict, CoveringNumbers
+from dprl.discrete import SmdpModel
 from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
 from dprl.mdp import BehaviorPolicy, simulate, trajectory_seed
 
@@ -95,6 +96,62 @@ def straight_line_smdp(
         entry["gamma_bar"] = entry["disc"] / n
         entry["r_bar"] = entry["gain"] / n
     return table
+
+
+def loop_make_smdp(dataset, dp, gamma: float, tail_mode: str = "absorb"):
+    """``discrete.make_smdp`` one trajectory at a time, with a seen-set for first visits.
+
+    Interior segments and the tail are summed at separate sites, each reward
+    as ``np.dot`` against that trajectory's own table of powers.
+    """
+    states = tuple(sorted(dp.decision_states))
+    pos = {s: i for i, s in enumerate(states)}
+    num_dp = len(states)
+    num_actions = dataset.num_actions
+    counts = np.zeros((num_dp, num_actions, num_dp + 1), dtype=np.int64)
+    disc = np.zeros((num_dp, num_actions, num_dp + 1))
+    gain = np.zeros((num_dp, num_actions, num_dp + 1))
+    for traj in dataset:
+        states_t, actions_t = traj.states.tolist(), traj.actions.tolist()
+        visits: list[int] = []
+        seen: set[int] = set()
+        for t, s in enumerate(states_t):
+            if s in pos and s not in seen:
+                seen.add(s)
+                visits.append(t)
+        if not visits:
+            continue
+        length = len(traj)
+        powers = gamma ** np.arange(length + 1)
+        for t, t_next in zip(visits, visits[1:]):
+            i, a, j = pos[states_t[t]], actions_t[t], pos[states_t[t_next]]
+            counts[i, a, j] += 1
+            disc[i, a, j] += powers[t_next - t]
+            gain[i, a, j] += float(np.dot(traj.rewards[t:t_next], powers[: t_next - t]))
+        if tail_mode == "absorb":
+            t = visits[-1]
+            i, a = pos[states_t[t]], actions_t[t]
+            counts[i, a, num_dp] += 1
+            disc[i, a, num_dp] += powers[length - t]
+            gain[i, a, num_dp] += float(np.dot(traj.rewards[t:], powers[: length - t]))
+
+    observed = counts > 0
+    p_tilde = np.zeros_like(disc)
+    gamma_tilde = np.zeros_like(disc)
+    r_tilde = np.zeros_like(disc)
+    row_totals = counts.sum(axis=2)
+    np.divide(counts, row_totals[:, :, None], out=p_tilde, where=row_totals[:, :, None] > 0)
+    np.divide(disc, counts, out=gamma_tilde, where=observed)
+    np.divide(gain, counts, out=r_tilde, where=observed)
+    return SmdpModel(
+        states=states,
+        counts=counts,
+        p_tilde=p_tilde,
+        gamma_tilde=gamma_tilde,
+        r_tilde=r_tilde,
+        r_bar=(r_tilde * p_tilde).sum(axis=2),
+        row_mask=row_totals > 0,
+    )
 
 
 def smdp_policy_value(model, estimates, assignment: dict) -> np.ndarray:

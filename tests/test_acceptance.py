@@ -228,7 +228,6 @@ def test_criterion_6_oracle_equivalences():
             actions=rng.integers(0, 3, size=num_points),
             returns=rng.normal(size=num_points),
             trajectory_ids=np.arange(num_points),
-            time_indices=np.zeros(num_points, dtype=np.int64),
             metric_weights=weights,
             radius=radius,
         )

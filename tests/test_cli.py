@@ -317,7 +317,9 @@ class TestGenerate:
         assert meta["num_datasets"] == 3
         assert meta["master_seeds"] == [7, 8, 9]
         assert meta["config_hash"] == config_hash(validate_config(base_config()))
-        dataset = load_dataset(files[0])
+        env = dict(base_config()["environment"])
+        mdp, _ = build_environment(env.pop("id"), **env)
+        dataset = load_dataset(files[0], mdp.num_states, mdp.num_actions)
         assert len(dataset) == 30
 
     def test_seed_override_and_zero_writes_nothing(self, tmp_path, capsys):

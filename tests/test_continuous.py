@@ -1,7 +1,5 @@
 """Neighborhood variant: radius scan, ball tree, queries, covering numbers."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +33,6 @@ def flat_index(points, actions, returns, radius, weights=None):
         actions=np.asarray(actions, dtype=np.int64),
         returns=np.asarray(returns, dtype=np.float64),
         trajectory_ids=np.arange(k, dtype=np.int64),
-        time_indices=np.zeros(k, dtype=np.int64),
         metric_weights=np.asarray(weights, dtype=np.float64),
         radius=radius,
     )
@@ -62,7 +59,6 @@ def random_indexes(draw):
         actions=rng.choice([0, 2, 5], size=size, p=rng.dirichlet(np.ones(3))),
         returns=returns,
         trajectory_ids=rng.choice([-3, 0, 1, 4, 5, 7, 9, 11, 2**40], size=size),
-        time_indices=np.zeros(size, dtype=np.int64),
         metric_weights=rng.uniform(0.5, 2.0, size=dim),
         radius=draw(st.sampled_from([0.0, 0.5, 0.8, 1.2, 3.0])),
     )
@@ -153,7 +149,6 @@ class TestMatchesLoopOracles:
             actions=np.zeros(9, dtype=np.int64),
             returns=returns,
             trajectory_ids=np.arange(9)[::-1],
-            time_indices=np.zeros(9, dtype=np.int64),
             metric_weights=np.ones(1),
             radius=0.5,
         )
@@ -217,7 +212,6 @@ class TestIndex:
         index = build_index([traj], gamma=0.5, metric_weights=np.ones(1), radius=0.1)
         np.testing.assert_allclose(index.returns, [1.5, 1.0])
         np.testing.assert_array_equal(index.trajectory_ids, [0, 0])
-        np.testing.assert_array_equal(index.time_indices, [0, 1])
 
     def test_ragged_trajectories_match_per_trajectory_loop(self):
         rng = np.random.default_rng(9)
@@ -229,7 +223,6 @@ class TestIndex:
         expected = [oracles.loop_suffix_returns(t.rewards, 0.9) for t in trajs if len(t.actions)]
         assert index.returns.tobytes() == np.concatenate(expected).tobytes()
         assert index.trajectory_ids.tolist() == [1] * 5 + [2] + [4] * 12
-        assert index.time_indices.tolist() == [*range(5), 0, *range(12)]
         assert index.states.tobytes() == np.concatenate([t.states for t in trajs]).tobytes()
 
     def test_weighted_neighbors_match_linear_scan(self):
@@ -294,44 +287,6 @@ class TestIndex:
             assert va.state_count == vb.state_count
             assert va.q_estimates == vb.q_estimates
 
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        trajs = [
-            ContinuousTrajectory(
-                states=rng.random((4, 2)),
-                actions=rng.integers(0, 2, 4),
-                rewards=rng.random(4),
-            )
-            for _ in range(3)
-        ]
-        index = build_index(trajs, gamma=0.9, metric_weights=np.array([1.0, 2.0]), radius=0.25)
-        path = tmp_path / "index.json"
-        index.save(path)
-        back = NeighborIndex.load(path)
-        np.testing.assert_allclose(back.states, index.states)
-        np.testing.assert_array_equal(back.actions, index.actions)
-        np.testing.assert_allclose(back.returns, index.returns)
-        assert back.radius == index.radius
-        q = rng.random(2)
-        np.testing.assert_array_equal(back.neighbors(q), index.neighbors(q))
-
-    def test_load_ignores_the_leaf_size_of_older_files(self, tmp_path):
-        index = flat_index(np.arange(6.0).reshape(3, 2), [0, 1, 0], [0.5, 0.25, 1.0], 3.0)
-        path = tmp_path / "index.json"
-        index.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert "leaf_size" not in payload
-        path.write_text(json.dumps({**payload, "leaf_size": 4}), encoding="utf-8")
-        back = NeighborIndex.load(path)
-        assert back.states.tobytes() == index.states.tobytes()
-        assert_same_verdict(query(back, np.ones(2), 1), query(index, np.ones(2), 1))
-
-    def test_load_rejects_other_formats(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "dprl-policy"}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            NeighborIndex.load(path)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="gamma"):
             build_index([], gamma=1.5, metric_weights=np.ones(1), radius=0.1)
@@ -352,7 +307,7 @@ class TestIndex:
             ("actions", np.zeros((3, 1))),
             ("returns", np.zeros(4)),
             ("trajectory_ids", np.zeros(2)),
-            ("time_indices", np.zeros((1, 3))),
+            ("trajectory_ids", np.zeros((1, 3))),
             ("states", [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]]),
             ("states", [[0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]]),
             ("returns", [0.0, np.nan, 0.0]),
@@ -369,26 +324,18 @@ class TestIndex:
             actions=np.zeros(3, dtype=np.int64),
             returns=np.zeros(3),
             trajectory_ids=np.arange(3),
-            time_indices=np.zeros(3, dtype=np.int64),
             metric_weights=np.ones(2),
             radius=0.5,
         )
         with pytest.raises(ValueError, match=field):
             NeighborIndex(**{**fields, field: value})
 
-    def test_build_and_load_inherit_the_checks(self, tmp_path):
+    def test_build_inherits_the_checks(self):
         traj = ContinuousTrajectory(
             states=np.array([[0.0], [np.nan]]), actions=np.zeros(2), rewards=np.zeros(2)
         )
         with pytest.raises(ValueError, match="states"):
             build_index([traj], gamma=0.9, metric_weights=np.ones(1), radius=0.1)
-        path = tmp_path / "index.json"
-        flat_index(np.zeros((2, 1)), [0, 0], [0.5, 0.25], 0.1).save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["points"][1]["return"] = float("nan")
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ValueError, match="returns"):
-            NeighborIndex.load(path)
 
 
 class TestQuery:

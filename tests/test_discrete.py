@@ -1,5 +1,7 @@
 """Decision-point gating, elevated semi-Markov model, and policy iteration tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from dprl.discrete import (
     TAIL_MODES,
     DecisionPointPolicy,
     DecisionPointSets,
+    SmdpModel,
     identify_decision_points,
     make_smdp,
     smdp_policy_iteration,
@@ -67,6 +70,17 @@ def assert_matches_loop_oracle(ds, tail_mode, count_mode, n_wedge, gamma):
     assert policy.iterations == iterations
     as_bytes = [(v.tobytes(), p.tobytes()) for v, p in expected_history]
     assert [(v.tobytes(), p.tobytes()) for v, p in history] == as_bytes
+
+
+def decision_sets_of(ds, mask: int) -> DecisionPointSets:
+    """Decision points at the states whose bits are set in ``mask``."""
+    decision = frozenset(s for s in range(ds.num_states) if mask >> s & 1)
+    return DecisionPointSets(
+        advantageous={s: (0,) for s in decision},
+        decision_states=decision,
+        defer_states=frozenset(),
+        n_wedge=1,
+    )
 
 
 class TestGate:
@@ -200,46 +214,39 @@ class TestMakeSmdp:
             make_smdp(ds, dp, gamma=1.0)
 
     @pytest.mark.parametrize("tail_mode", [TAIL_ABSORB, TAIL_DROP])
-    def test_matches_straight_line_recomputation(self, tail_mode):
-        rng = np.random.default_rng(11)
-        num_states, num_actions = 5, 2
-        for _ in range(20):
-            trajs = []
-            for _ in range(rng.integers(1, 6)):
-                length = int(rng.integers(1, 7))
-                trajs.append(
-                    make_traj(
-                        rng.integers(0, num_states, length),
-                        rng.integers(0, num_actions, length),
-                        np.round(rng.random(length), 3),
-                    )
-                )
-            ds = make_dataset(trajs, num_states, num_actions)
-            decision = set(
-                int(s) for s in rng.choice(num_states, size=rng.integers(1, 4), replace=False)
-            )
-            dp = DecisionPointSets(
-                advantageous={s: (0,) for s in sorted(decision)},
-                decision_states=frozenset(decision),
-                defer_states=frozenset(range(num_states)) - decision,
-                n_wedge=1,
-            )
-            gamma = 0.9
-            model = make_smdp(ds, dp, gamma, tail_mode)
-            table = oracles.straight_line_smdp(trajs, decision, gamma, tail_mode)
-            pos = {s: i for i, s in enumerate(model.states)}
-            total_count = 0
-            for (s, a, dest), entry in table.items():
-                i = pos[s]
-                j = len(model.states) if dest == "absorb" else pos[dest]
-                assert model.counts[i, a, j] == entry["count"]
-                assert model.p_tilde[i, a, j] == pytest.approx(entry["p"], abs=1e-12)
-                assert model.gamma_tilde[i, a, j] == pytest.approx(
-                    entry["gamma_bar"], abs=1e-12
-                )
-                assert model.r_tilde[i, a, j] == pytest.approx(entry["r_bar"], abs=1e-12)
-                total_count += entry["count"]
-            assert model.counts.sum() == total_count
+    @given(random_datasets(), st.integers(0, 63), st.sampled_from([0.5, 0.9, 0.99]))
+    @example(multi_step_dataset(), 0b00, 0.9)  # no decision state
+    @example(multi_step_dataset(), 0b11, 0.9)  # every state a decision state
+    @example(  # every visit in one trajectory, with revisits, beside empty ones
+        make_dataset([make_traj([], [], []), make_traj([2, 0, 3, 2, 1, 0, 2], [1, 0, 1, 0, 1, 1, 0],
+                                                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+                      make_traj([3, 3], [0, 1], [1.0, 1.0]), make_traj([], [], [])], 4, 2),
+        0b0111, 0.9,
+    )
+    def test_matches_loop_oracle(self, tail_mode, ds, mask, gamma):
+        dp = decision_sets_of(ds, mask)
+        model = make_smdp(ds, dp, gamma, tail_mode)
+        expected = oracles.loop_make_smdp(ds, dp, gamma, tail_mode)
+        assert model.states == expected.states
+        for field in fields(SmdpModel)[1:]:
+            got, want = getattr(model, field.name), getattr(expected, field.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            assert got.tobytes() == want.tobytes(), field.name
+
+    @pytest.mark.parametrize("tail_mode", [TAIL_ABSORB, TAIL_DROP])
+    @given(random_datasets(), st.integers(0, 63))
+    def test_matches_straight_line_recomputation(self, tail_mode, ds, mask):
+        dp = decision_sets_of(ds, mask)
+        model = make_smdp(ds, dp, 0.9, tail_mode)
+        table = oracles.straight_line_smdp(ds, dp.decision_states, 0.9, tail_mode)
+        expected = np.zeros((*model.counts.shape, 3))
+        for (s, a, dest), entry in table.items():
+            j = len(model.states) if dest == "absorb" else model.states.index(dest)
+            cell = entry["count"], entry["gamma_bar"], entry["r_bar"]
+            expected[model.states.index(s), a, j] = cell
+        np.testing.assert_array_equal(model.counts, expected[..., 0])
+        np.testing.assert_allclose(model.gamma_tilde, expected[..., 1], rtol=1e-12)
+        np.testing.assert_allclose(model.r_tilde, expected[..., 2], rtol=1e-9)
 
     def test_model_invariants_on_simulated_data(self):
         rng = np.random.default_rng(23)

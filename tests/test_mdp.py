@@ -19,6 +19,7 @@ from dprl.mdp import (
     DatasetError,
     RewardSpec,
     TabularMdp,
+    Trajectory,
     TrajectoryDataset,
     load_dataset,
     save_dataset,
@@ -220,13 +221,15 @@ class TestSerialization:
             assert ta.seed == tb.seed
         assert back.total_steps() == ds.total_steps()
 
-    def test_load_infers_dimensions(self, tmp_path):
+    def test_load_takes_the_given_sizes(self, tmp_path):
         trajs = [make_traj([0, 3], [1, 0], [0.5, 0.25])]
         ds = make_dataset(trajs, num_states=4, num_actions=2)
         path = tmp_path / "tiny.jsonl"
         save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.num_states == 4 and back.num_actions == 2
+        back = load_dataset(path, num_states=9, num_actions=3)
+        assert back.num_states == 9 and back.num_actions == 3
+        with pytest.raises(TypeError):
+            load_dataset(path)  # sizes are not inferred from the data
 
     def test_bytes_match_documented_layout(self, tmp_path):
         ds = make_dataset([make_traj([0, 3], [1, 0], [0.5, 0.1], seed=7)], 4, 2)
@@ -240,7 +243,7 @@ class TestSerialization:
         ds = make_dataset([make_traj([], [], [], seed=3), make_traj([1], [0], [0.2])], 2, 1)
         path = tmp_path / "empty.jsonl"
         save_dataset(ds, path)
-        back = load_dataset(path)
+        back = load_dataset(path, num_states=2, num_actions=1)
         assert [len(t) for t in back] == [0, 1]
         assert back.states.dtype == np.int64 and next(iter(back)).states.dtype == np.int64
         assert back.rewards.dtype == np.float64 and next(iter(back)).rewards.dtype == np.float64
@@ -283,11 +286,11 @@ class TestLoadValidation:
         with pytest.raises(DatasetError, match="line 3: .*" + message):
             load_dataset(path, num_states=3, num_actions=2)
 
-    def test_negative_id_rejected_when_sizes_inferred(self, tmp_path):
-        # numpy would otherwise count state -1 as the last state
-        path = self.write(tmp_path, [[-1, 0, 0.5]])
-        with pytest.raises(DatasetError, match="line 3: state id -1 outside"):
-            load_dataset(path)
+    def test_huge_state_id_rejected(self, tmp_path):
+        # Not a 10,000,001-state dataset whose model cannot be allocated.
+        path = self.write(tmp_path, [[10_000_000, 0, 0.5]])
+        with pytest.raises(DatasetError, match=r"line 3: state id 10000000 outside \[0, 3\)"):
+            load_dataset(path, num_states=3, num_actions=2)
 
     @pytest.mark.parametrize(
         "line", ["not json", "[1, 2]", '{"steps": []}', '{"seed": 0, "steps": 5}']
@@ -296,7 +299,7 @@ class TestLoadValidation:
         path = tmp_path / "data.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="line 1: expected"):
-            load_dataset(path)
+            load_dataset(path, num_states=3, num_actions=2)
 
     @pytest.mark.parametrize(
         "seed", ["5.7", "true", '"5"', "1e3", "-1", str(2**64), "null", "[5]"]
@@ -306,13 +309,13 @@ class TestLoadValidation:
         good = json.dumps({"seed": 0, "steps": [[0, 0, 0.5]]})
         path.write_text(f'{good}\n{{"seed": {seed}, "steps": [[0, 0, 0.5]]}}\n', encoding="utf-8")
         with pytest.raises(DatasetError, match=r"line 2: seed .* is not an integer in \[0, 2\*\*64"):
-            load_dataset(path)
+            load_dataset(path, 1, 1)
 
     def test_seed_range_ends_are_accepted(self, tmp_path):
         path = tmp_path / "data.jsonl"
         lines = [json.dumps({"seed": seed, "steps": []}) for seed in (0, 2**64 - 1)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert [t.seed for t in load_dataset(path)] == [0, 2**64 - 1]
+        assert [t.seed for t in load_dataset(path, num_states=1, num_actions=1)] == [0, 2**64 - 1]
 
     def test_is_a_value_error(self):
         assert issubclass(DatasetError, ValueError)
@@ -356,6 +359,17 @@ class TestDatasetConstruction:
     def test_inconsistent_columns_rejected(self, changes, message):
         with pytest.raises((TypeError, ValueError), match=message):
             TrajectoryDataset(**self.columns(**changes))
+
+    def test_float_trajectory_ids_rejected(self):
+        # Not truncated to states [0] and actions [1].
+        with pytest.raises(ValueError, match="states must hold integer ids"):
+            Trajectory([0.5], [1], [0.3], 0)
+        with pytest.raises(ValueError, match="actions must hold integer ids"):
+            Trajectory([0], [1.2], [0.3], 0)
+        empty = Trajectory([], [], [], 0)  # numpy reads an empty list as float64
+        ds = TrajectoryDataset.from_trajectories([empty, Trajectory([1], [0], [0.3], 1)], 2, 1)
+        assert empty.states.dtype == empty.actions.dtype == np.int64
+        assert [t.states.tolist() for t in ds] == [[], [1]]
 
 
 @st.composite
