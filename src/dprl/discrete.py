@@ -34,20 +34,24 @@ TAIL_MODES = (TAIL_DROP, TAIL_ABSORB)
 
 @dataclass
 class DecisionPointSets:
-    """Partition of observed states into decision points and deferrals.
+    """The gate's output: decision points are the states where ``gate`` passes some action.
 
-    Attributes:
-        advantageous: per decision-point state, the ascending tuple of
-            actions passing both the count and the advantage gate.
-        decision_states: states with at least one advantageous action.
-        defer_states: observed states with none.
-        n_wedge: visit-count threshold the sets were built with.
+    ``gate`` is the ``(S, A)`` bool :func:`advantage_mask`, ``observed`` the
+    ``(S,)`` bool ``n_s >= 1`` and ``n_wedge`` the count threshold.  Every
+    other observed state defers.
     """
 
-    advantageous: dict[int, tuple[int, ...]]
-    decision_states: frozenset[int]
-    defer_states: frozenset[int]
+    gate: np.ndarray
+    observed: np.ndarray
     n_wedge: int
+
+    @property
+    def decision_states(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.gate.any(axis=1)).tolist())
+
+    @property
+    def defer_states(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.observed & ~self.gate.any(axis=1)).tolist())
 
 
 @dataclass
@@ -81,8 +85,8 @@ class SmdpModel:
 class DecisionPointPolicy:
     """Deterministic verdicts at decision points, deferral elsewhere.
 
-    ``act`` returns an action index for decision states and ``None`` (defer
-    to the logging policy) for every other state, observed or not.
+    A state with no verdict, listed in ``defer_states`` or not, runs the
+    logging policy.  No state is both a verdict and a deferral.
     """
 
     n_wedge: int
@@ -91,25 +95,23 @@ class DecisionPointPolicy:
     iterations: int
     provenance: DecisionPointSets | None = None
 
-    def act(self, state: int) -> int | None:
-        return self.verdicts.get(int(state))
-
-    def decision_state_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.verdicts))
+    def __post_init__(self) -> None:
+        both = self.verdicts.keys() & self.defer_states
+        if both:
+            raise ValueError(f"state {min(both)} is both a verdict and a deferral")
 
     def to_json(self) -> str:
-        verdicts: dict[str, object] = {str(s): int(a) for s, a in self.verdicts.items()}
-        for s in sorted(self.defer_states):
-            verdicts[str(s)] = "DEFER"
+        verdicts: dict[str, object] = {str(s): "DEFER" for s in self.defer_states}
+        verdicts.update((str(s), int(a)) for s, a in self.verdicts.items())
         payload = {
             "format": "dprl-policy",
             "kind": "decision-point",
             "n_wedge": self.n_wedge,
             "iterations": self.iterations,
             "decision_states": sorted(int(s) for s in self.verdicts),
-            "verdicts": {k: verdicts[k] for k in sorted(verdicts, key=int)},
+            "verdicts": verdicts,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True)  # sorts the verdict keys too
 
     @staticmethod
     def from_json(text: str) -> "DecisionPointPolicy":
@@ -166,22 +168,12 @@ def advantage_mask(counts: np.ndarray, q_hat: np.ndarray, v_hat, n_wedge: int) -
 def identify_decision_points(
     counts: CountTable, estimates: ValueEstimates, n_wedge: int
 ) -> DecisionPointSets:
-    """Decision points are the states where :func:`advantage_mask` passes some action.
-
-    Every other observed state defers.
-    """
+    """The :class:`DecisionPointSets` of :func:`advantage_mask` on these counts and estimates."""
     if n_wedge < 1:
         raise ValueError("n_wedge must be >= 1")
-    advantageous_mask = advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge)
-    advantageous: dict[int, tuple[int, ...]] = {}
-    for s in np.nonzero(advantageous_mask.any(axis=1))[0]:
-        advantageous[int(s)] = tuple(int(a) for a in np.nonzero(advantageous_mask[s])[0])
-    observed = set(int(s) for s in np.nonzero(counts.n_s >= 1)[0])
-    decision = frozenset(advantageous)
     return DecisionPointSets(
-        advantageous=advantageous,
-        decision_states=decision,
-        defer_states=frozenset(observed - set(decision)),
+        gate=advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge),
+        observed=counts.n_s >= 1,
         n_wedge=n_wedge,
     )
 
@@ -209,7 +201,7 @@ def make_smdp(
         raise ValueError(f"tail_mode must be one of {TAIL_MODES}, got {tail_mode!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    states = tuple(sorted(dp.decision_states))
+    states = tuple(np.flatnonzero(dp.gate.any(axis=1)).tolist())
     num_dp = len(states)
     counts = np.zeros((num_dp, dataset.num_actions, num_dp + 1), dtype=np.int64)
     disc = np.zeros(counts.shape)
@@ -267,12 +259,13 @@ def smdp_policy_iteration(
     """Exact policy iteration over the elevated model.
 
     The initial verdict at each decision point is its highest-``q_hat``
-    advantageous action.  Each round solves ``(I - W_pi) v = r_pi`` exactly,
-    where ``W`` holds the per-transition discounted weights into decision
-    points (the absorbing tail is worth zero) and a pair lacking elevated
-    data has a zero weight row and reward ``q_hat``.  It then scores every
-    advantageous pair by ``r + W v`` and takes each state's best, ties to the
-    lowest action index.  The one stopping rule: iteration stops when that
+    action passing ``dp.gate``; a model state with no such action raises
+    ``ValueError``.  Each round solves ``(I - W_pi) v = r_pi`` exactly, where
+    ``W`` holds the per-transition discounted weights into decision points
+    (the absorbing tail is worth zero) and a pair lacking elevated data has
+    a zero weight row and reward ``q_hat``.  It then scores every passing
+    pair by ``r + W v`` and takes each state's best, ties to the lowest
+    action index.  The one stopping rule: iteration stops when that
     greedy policy equals the current one.  ``history``, if given, receives
     ``(values, policy)`` of every round.
     """
@@ -286,10 +279,10 @@ def smdp_policy_iteration(
             iterations=0,
             provenance=dp,
         )
-    num_actions = model.p_tilde.shape[1]
-    advantageous = np.zeros((num_dp, num_actions), dtype=bool)
-    for i, s in enumerate(model.states):
-        advantageous[i, list(dp.advantageous[s])] = True
+    known = np.isin(states, np.flatnonzero(dp.gate.any(axis=1)))
+    if not known.all():
+        raise ValueError(f"model state {states[~known][0]} has no action passing the gate in dp")
+    passing = dp.gate[states]
     q_hat = estimates.q_hat[states]
     has_data = model.row_mask
     weights = np.where(
@@ -297,8 +290,8 @@ def smdp_policy_iteration(
     )
     reward = np.where(has_data, model.r_bar, q_hat)
     rows = np.arange(num_dp)
-    policy = np.where(advantageous, q_hat, -np.inf).argmax(axis=1)
-    for iterations in range(1, max(64, 4 * num_dp * num_actions) + 1):
+    policy = np.where(passing, q_hat, -np.inf).argmax(axis=1)
+    for iterations in range(1, max(64, 4 * passing.size) + 1):
         system = np.eye(num_dp) - weights[rows, policy]
         try:
             values = np.linalg.solve(system, reward[rows, policy])
@@ -313,7 +306,7 @@ def smdp_policy_iteration(
         # BLAS dot as np.dot(weights[i, a], values).  A gemv (weights @ values)
         # rounds differently and can flip a last-bit tie between two actions.
         scores = reward + (weights[:, :, None, :] @ values[:, None])[:, :, 0, 0]
-        improved = np.where(advantageous, scores, -np.inf).argmax(axis=1)
+        improved = np.where(passing, scores, -np.inf).argmax(axis=1)
         if np.array_equal(improved, policy):
             break
         policy = improved
@@ -322,7 +315,7 @@ def smdp_policy_iteration(
 
     return DecisionPointPolicy(
         n_wedge=dp.n_wedge,
-        verdicts={int(s): int(a) for s, a in zip(states, policy)},
+        verdicts=dict(zip(states.tolist(), policy.tolist())),
         defer_states=dp.defer_states,
         iterations=iterations,
         provenance=dp,

@@ -1,8 +1,8 @@
 """Visit counting and Monte-Carlo value estimation from logged trajectories.
 
 Estimates are never imputed: a state or pair with no qualifying visits gets
-``nan`` and a ``False`` support flag.  Returns from truncated trajectories
-are used as-is, which biases values low by at most ``gamma**len * v_max``.
+``nan``.  Returns from truncated trajectories are used as-is, which biases
+values low by at most ``gamma**len * v_max``.
 """
 
 from __future__ import annotations
@@ -20,35 +20,31 @@ VISIT_MODES = (FIRST_VISIT, EVERY_VISIT)
 
 @dataclass
 class CountTable:
-    """Dataset visit counts per pair and per state.
+    """Dataset visit counts per (state, action) pair.
 
-    ``n_s`` is always the row sum of ``n_sa`` under the same mode, so in
-    first-visit mode it counts (trajectory, action-at-state) combinations
-    rather than trajectories touching the state.
+    ``n_s`` is the row sum of ``n_sa``, so in first-visit mode it counts
+    (trajectory, action-at-state) combinations rather than trajectories
+    touching the state.
     """
 
     n_sa: np.ndarray
-    n_s: np.ndarray
-    mode: str
+
+    @property
+    def n_s(self) -> np.ndarray:
+        return self.n_sa.sum(axis=1)
 
 
 @dataclass
 class ValueEstimates:
-    """Monte-Carlo state and pair values with explicit support masks.
+    """Monte-Carlo state and pair values; ``nan`` marks a value without support.
 
     Attributes:
         v_hat: ``(S,)`` values, ``nan`` where no trajectory visited the state.
         q_hat: ``(S, A)`` values, ``nan`` where the pair was never observed.
-        state_support: ``(S,)`` bool, True where ``v_hat`` is defined.
-        support_mask: ``(S, A)`` bool, True where ``q_hat`` is defined.
-        mode: visit convention the estimates were computed under.
     """
 
     v_hat: np.ndarray
     q_hat: np.ndarray
-    state_support: np.ndarray
-    support_mask: np.ndarray
-    mode: str
 
 
 def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: float) -> np.ndarray:
@@ -120,7 +116,7 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     if mode == FIRST_VISIT:
         pairs = pairs[_first_visits(pairs, segment_ids(dataset.offsets))]
     n_sa = np.bincount(pairs, minlength=num_states * num_actions).reshape(num_states, num_actions)
-    return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
+    return CountTable(n_sa=n_sa)
 
 
 def monte_carlo_estimates(
@@ -142,11 +138,4 @@ def monte_carlo_estimates(
     v_hat = _visit_means(dataset.states, returns, trajs, mode, num_states)[0]
     pairs = dataset.states * num_actions + dataset.actions
     q_hat = _visit_means(pairs, returns, trajs, mode, num_states * num_actions)[0]
-    q_hat = q_hat.reshape(num_states, num_actions)
-    return ValueEstimates(
-        v_hat=v_hat,
-        q_hat=q_hat,
-        state_support=~np.isnan(v_hat),
-        support_mask=~np.isnan(q_hat),
-        mode=mode,
-    )
+    return ValueEstimates(v_hat=v_hat, q_hat=q_hat.reshape(num_states, num_actions))

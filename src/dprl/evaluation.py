@@ -118,10 +118,12 @@ class ExperimentResult:
         return vals[np.isfinite(vals)]
 
     def cvar(self, label: str, alpha: float = 0.05) -> float:
-        return cvar(self.finite_values(label), alpha)
+        finite = self.finite_values(label)
+        return cvar(finite, alpha) if finite.size else float("nan")
 
     def mean_value(self, label: str) -> float:
-        return float(self.finite_values(label).mean())
+        finite = self.finite_values(label)
+        return float(finite.mean()) if finite.size else float("nan")
 
     def mean_defer_fraction(self, label: str) -> float:
         vals = np.asarray(self.defer_fractions[label], dtype=np.float64)
@@ -131,10 +133,9 @@ class ExperimentResult:
     def summary(self, alpha: float = 0.05) -> dict:
         out: dict = {"config_hash": self.config_hash, "num_seeds": len(self.seeds), "algorithms": {}}
         for label in self.labels:
-            finite = self.finite_values(label)
             entry = out["algorithms"][label] = {
-                "cvar_5": cvar(finite, alpha) if finite.size else float("nan"),
-                "mean_value": float(finite.mean()) if finite.size else float("nan"),
+                "cvar_5": self.cvar(label, alpha),
+                "mean_value": self.mean_value(label),
                 "mean_defer_fraction": self.mean_defer_fraction(label),
                 "num_failures": len(self.failures.get(label, [])),
             }
@@ -247,12 +248,15 @@ def run_reliability_experiment(
     Seed ``i`` uses master seed ``master_seed + i``; every algorithm in the
     list trains on the same per-seed dataset.  Results are assembled in seed
     order, so output is byte-identical no matter how many worker processes
-    run the seeds.  A training failure (``ValueError`` or ``RuntimeError``)
-    marks that (algorithm, seed) cell as missing and records its reason
-    instead of aborting the experiment; other exceptions propagate.
+    (``jobs``, at least 1) run the seeds.  A training failure (``ValueError``
+    or ``RuntimeError``) marks that (algorithm, seed) cell as missing and
+    records its reason instead of aborting the experiment; other exceptions
+    propagate.
     """
     if num_seeds < 0:
         raise ValueError("num_seeds must be >= 0")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     labels = [spec.label for spec in algorithms]
     if len(set(labels)) != len(labels):
         raise ValueError("algorithm labels must be unique")

@@ -26,6 +26,11 @@ _ROW_SUM_TOL = 1e-9
 _LOCKSTEP_SLOTS = 1 << 16  # trajectory steps simulated per lockstep block
 
 
+def _probability_rows(table: np.ndarray) -> np.ndarray:
+    """Per last-axis row: entries >= 0 summing to 1 within tolerance; a NaN fails both tests."""
+    return (np.abs(table.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL) & (table >= 0.0).all(axis=-1)
+
+
 @dataclass
 class RewardSpec:
     """Per-(state, action) uniform reward distributions.
@@ -43,6 +48,8 @@ class RewardSpec:
         self.hi = np.asarray(self.hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
             raise ValueError("reward bounds must be matching (S, A) arrays")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("reward bounds must be finite")
         if np.any(self.hi < self.lo):
             raise ValueError("reward interval has hi < lo")
 
@@ -86,12 +93,9 @@ class TabularMdp:
             raise ValueError("gamma must lie in (0, 1)")
         if not np.isfinite(self.r_max) or self.r_max <= 0:
             raise ValueError("r_max must be positive and finite")
-        sums = self.transitions.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > _ROW_SUM_TOL:
-            bad = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-            raise ValueError(f"transition row {bad} does not sum to 1")
-        if np.any(self.transitions < 0.0):
-            raise ValueError("transition probabilities must be nonnegative")
+        bad = np.argwhere(~_probability_rows(self.transitions)).tolist()
+        if bad:
+            raise ValueError(f"transition row {bad[0]} must be nonnegative and sum to 1")
         if self.rewards.lo.shape != self.transitions.shape[:2]:
             raise ValueError("reward table shape must match (S, A)")
         if np.any(self.rewards.lo < 0.0) or np.any(self.rewards.hi > self.r_max + 1e-12):
@@ -127,9 +131,7 @@ class BehaviorPolicy:
         self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
         if self.action_probabilities.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
-        sums = self.action_probabilities.sum(axis=1)
-        # Compared so that a NaN entry fails too.
-        if not (np.abs(sums - 1.0) <= _ROW_SUM_TOL).all() or (self.action_probabilities < 0).any():
+        if not _probability_rows(self.action_probabilities).all():
             raise ValueError("every state's action distribution must be a probability row")
 
     @property
@@ -180,8 +182,9 @@ class TrajectoryDataset:
     ``states``, ``actions`` and ``rewards`` hold every step in dataset order;
     trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` and was drawn from
     ``seeds[i]``.  Construction checks that the columns have equal length,
-    that ``offsets`` runs from 0 to that length without decreasing, and that
-    every id lies in ``[0, num_states)`` or ``[0, num_actions)``.
+    that ``offsets`` runs from 0 to that length without decreasing, that
+    every id lies in ``[0, num_states)`` or ``[0, num_actions)`` and that
+    every reward is finite.
     """
 
     states: np.ndarray
@@ -200,6 +203,8 @@ class TrajectoryDataset:
                 raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
             setattr(self, name, ids)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        if not np.isfinite(self.rewards).all():
+            raise ValueError(f"reward {self.rewards[~np.isfinite(self.rewards)][0]} is not finite")
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
         # Python ints, as the JSONL writes them; index() refuses floats.
         self.seeds = [operator.index(s) for s in self.seeds]

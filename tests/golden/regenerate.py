@@ -3,8 +3,10 @@
 For every seed of every config this records the sha256 of the dataset's
 JSONL bytes, the first-visit count table's hash, the hash of the elevated
 model's segment counts (``make_smdp`` in absorb mode, as training builds
-it), the dprl verdicts and defer set, the policy-iteration count and
-C_{N∧} (pairs seen at least ``n_wedge`` times).  None of these is a
+it), the hash of the sorted ``[state, action]`` pairs passing the gate,
+the dprl verdicts and defer set, the hash of the policy file
+(``DecisionPointPolicy.to_json``), the policy-iteration count and C_{N∧}
+(pairs seen at least ``n_wedge`` times).  None of these is a
 float, so they do not move with the BLAS kernel or thread count;
 ``tests/test_golden.py`` checks them.
 
@@ -19,6 +21,8 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from dprl.bounds import count_c_n_wedge
 from dprl.discrete import make_smdp, train_decision_point_policy
@@ -76,12 +80,15 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
         save_dataset(dataset, path)
         counts = count_visits(dataset, mode=FIRST_VISIT)
         policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
-        model = make_smdp(dataset, policy.provenance, mdp.gamma)
+        dp = policy.provenance
+        model = make_smdp(dataset, dp, mdp.gamma)
         records.append({
             "master_seed": master,
             "jsonl_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             "n_sa_sha256": sha256_json(counts.n_sa.tolist()),
             "smdp_counts_sha256": sha256_json(model.counts.tolist()),
+            "gate_sha256": sha256_json(np.argwhere(dp.gate).tolist()),
+            "policy_json_sha256": hashlib.sha256(policy.to_json().encode("utf-8")).hexdigest(),
             "c_n_wedge": count_c_n_wedge(counts, params["n_wedge"]),
             "pi_iterations": policy.iterations,
             "verdicts": {str(s): a for s, a in sorted(policy.verdicts.items())},

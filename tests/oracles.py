@@ -187,7 +187,7 @@ def enumerate_smdp_policies(model, decision_sets, estimates):
     simultaneously, so policy iteration must reproduce it exactly.
     """
     states = [int(s) for s in model.states]
-    choices = [decision_sets.advantageous[s] for s in states]
+    choices = [np.flatnonzero(decision_sets.gate[s]).tolist() for s in states]
     envelope = None
     idx = [0] * len(states)
     while True:
@@ -218,7 +218,7 @@ def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
     if num_dp == 0:
         return {}, 0
     q_hat = estimates.q_hat
-    actions = [decision_sets.advantageous[s] for s in states]
+    actions = [np.flatnonzero(decision_sets.gate[s]).tolist() for s in states]
     weights = model.p_tilde[:, :, :num_dp] * model.gamma_tilde[:, :, :num_dp]
 
     def evaluate(policy):
@@ -517,7 +517,7 @@ def loop_count_visits(dataset, mode: str):
                     n_sa[key] += 1
         else:
             np.add.at(n_sa, (traj.states, traj.actions), 1)
-    return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=mode)
+    return CountTable(n_sa=n_sa)
 
 
 def loop_monte_carlo_estimates(dataset, gamma: float, mode: str):
@@ -545,13 +545,7 @@ def loop_monte_carlo_estimates(dataset, gamma: float, mode: str):
         for a in range(num_actions):
             if q_returns[s][a]:
                 q_hat[s, a] = np.mean(np.asarray(q_returns[s][a]))
-    return ValueEstimates(
-        v_hat=v_hat,
-        q_hat=q_hat,
-        state_support=~np.isnan(v_hat),
-        support_mask=~np.isnan(q_hat),
-        mode=mode,
-    )
+    return ValueEstimates(v_hat=v_hat, q_hat=q_hat)
 
 
 def loop_fit_mle_model(dataset, num_states: int, num_actions: int):

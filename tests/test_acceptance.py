@@ -311,14 +311,14 @@ def test_criterion_6_oracle_equivalences():
         for s in range(5):
             verdict = query(index, eye[s], n_wedge=n_wedge, neighbor_mode=NEIGHBOR_ALL)
             if verdict.v_estimate is None:
-                ok = ok and s not in dp.advantageous
+                ok = ok and not dp.gate[s].any()
                 continue
             advantaged = {
                 a
                 for a, q in verdict.q_estimates.items()
                 if verdict.action_counts[a] >= n_wedge and q >= verdict.v_estimate
             }
-            ok = ok and advantaged == set(dp.advantageous.get(s, ()))
+            ok = ok and advantaged == set(np.flatnonzero(dp.gate[s]).tolist())
     checks["cont=disc"] = ok
 
     # (f) tail average vs the sort-and-slice oracle; summation order may

@@ -17,7 +17,7 @@ from dprl.bounds import (
     pqi_bound,
     spibb_bound,
 )
-from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable
+from dprl.estimation import CountTable
 
 # frozen from closed-form arithmetic done outside the package
 DISCRETE_EXAMPLE = -2.145966026289347  # V=1 g=0.9 Nw=100 C=10 d=0.1
@@ -33,7 +33,7 @@ PESSIMISM_MIXED = -81.53632900160854  # counts [[3,0],[10,2]] V=1 g=0.9 d=0.1
 
 def table(n_sa) -> CountTable:
     n_sa = np.asarray(n_sa, dtype=np.int64)
-    return CountTable(n_sa=n_sa, n_s=n_sa.sum(axis=1), mode=FIRST_VISIT)
+    return CountTable(n_sa=n_sa)
 
 
 class TestCountSummary:
@@ -335,9 +335,7 @@ class TestComparisonRows:
 
     def test_pessimism_rows_use_their_own_counts(self):
         gating = table([[5, 5], [5, 5]])
-        stepwise = CountTable(
-            n_sa=np.array([[50, 1], [1, 50]]), n_s=np.array([51, 51]), mode=EVERY_VISIT
-        )
+        stepwise = CountTable(n_sa=np.array([[50, 1], [1, 50]]))
         shared = dict(
             v_max=1.0,
             gamma=0.9,

@@ -503,9 +503,9 @@ class TestDiscreteAgreement:
                 for a, q in verdict.q_estimates.items()
                 if verdict.action_counts[a] >= n_wedge and q >= verdict.v_estimate
             }
-            assert advantaged == set(dp.advantageous.get(s, ()))
+            assert advantaged == set(np.flatnonzero(dp.gate[s]).tolist())
             # identical multisets in identical order: bitwise-equal means
-            if est.state_support[s]:
+            if not np.isnan(est.v_hat[s]):
                 assert verdict.v_estimate == est.v_hat[s]
             for a, q in verdict.q_estimates.items():
                 assert q == est.q_hat[s, a]

@@ -72,24 +72,35 @@ def assert_matches_loop_oracle(ds, tail_mode, count_mode, n_wedge, gamma):
     assert [(v.tobytes(), p.tobytes()) for v, p in history] == as_bytes
 
 
+def sets_from_gate(gate, observed=None) -> DecisionPointSets:
+    """Decision-point sets with this (S, A) gate; ``observed`` defaults to every state."""
+    gate = np.asarray(gate, dtype=bool)
+    observed = np.ones(len(gate), dtype=bool) if observed is None else np.asarray(observed)
+    return DecisionPointSets(gate=gate, observed=observed, n_wedge=1)
+
+
 def decision_sets_of(ds, mask: int) -> DecisionPointSets:
-    """Decision points at the states whose bits are set in ``mask``."""
-    decision = frozenset(s for s in range(ds.num_states) if mask >> s & 1)
-    return DecisionPointSets(
-        advantageous={s: (0,) for s in decision},
-        decision_states=decision,
-        defer_states=frozenset(),
-        n_wedge=1,
-    )
+    """Decision points, passing action 0, at the states whose bits are set in ``mask``."""
+    gate = np.zeros((ds.num_states, ds.num_actions), dtype=bool)
+    gate[[s for s in range(ds.num_states) if mask >> s & 1], 0] = True
+    return sets_from_gate(gate, observed=gate.any(axis=1))
 
 
 class TestGate:
+    def test_sets_keep_each_fact_once(self):
+        assert [f.name for f in fields(DecisionPointSets)] == ["gate", "observed", "n_wedge"]
+        dp = sets_from_gate([[True, False], [False, False], [False, False]], [True, True, False])
+        assert dp.decision_states == frozenset({0})
+        assert dp.defer_states == frozenset({1})  # state 2 was never observed
+        with pytest.raises(AttributeError):
+            dp.decision_states = frozenset({1})
+
     def test_threshold_and_advantage_gate(self):
         ds = multi_step_dataset()
         counts = count_visits(ds, FIRST_VISIT)
         est = monte_carlo_estimates(ds, 0.9, FIRST_VISIT)
         dp = identify_decision_points(counts, est, n_wedge=2)
-        assert dp.advantageous == {0: (0, 1), 1: (0,)}
+        assert np.argwhere(dp.gate).tolist() == [[0, 0], [0, 1], [1, 0]]
         assert dp.decision_states == frozenset({0, 1})
         assert dp.defer_states == frozenset()
 
@@ -99,7 +110,7 @@ class TestGate:
         counts = count_visits(ds, FIRST_VISIT)
         est = monte_carlo_estimates(ds, 0.9, FIRST_VISIT)
         dp = identify_decision_points(counts, est, n_wedge=1)
-        assert dp.advantageous == {0: (0,)}
+        assert np.argwhere(dp.gate).tolist() == [[0, 0]]
 
     def test_zero_threshold_rejected(self):
         ds = make_dataset([make_traj([0], [0], [0.3])], 1, 1)
@@ -122,7 +133,7 @@ class TestGate:
         est = monte_carlo_estimates(ds, 0.9, FIRST_VISIT)
         dp = identify_decision_points(counts, est, n_wedge=3)
         # only (1, a0) has three or more first visits
-        assert dp.advantageous == {1: (0,)}
+        assert np.argwhere(dp.gate).tolist() == [[1, 0]]
         assert dp.defer_states == frozenset({0})
 
     def test_threshold_monotonicity_on_simulated_data(self):
@@ -139,10 +150,9 @@ class TestGate:
             observed = frozenset(int(s) for s in np.nonzero(counts.n_s >= 1)[0])
             assert dp.decision_states | dp.defer_states == observed
             if previous is not None:
-                for s, acts in dp.advantageous.items():
-                    assert set(acts) <= set(previous.get(s, ()))
+                assert not (dp.gate & ~previous).any()
                 assert previous_defer <= dp.defer_states
-            previous = dp.advantageous
+            previous = dp.gate
             previous_defer = dp.defer_states
 
 
@@ -151,12 +161,7 @@ class TestMakeSmdp:
         # one trajectory through a non-decision state: discount 0.81,
         # discounted segment reward 0.5 + 0.9 * 0.25 = 0.725
         ds = make_dataset([make_traj([0, 1, 2], [0, 0, 0], [0.5, 0.25, 0.0])], 3, 1)
-        dp = DecisionPointSets(
-            advantageous={0: (0,), 2: (0,)},
-            decision_states=frozenset({0, 2}),
-            defer_states=frozenset({1}),
-            n_wedge=1,
-        )
+        dp = sets_from_gate([[True], [False], [True]])
         model = make_smdp(ds, dp, gamma=0.9)
         assert model.states == (0, 2)
         i, j = 0, 1  # state 0 -> state 2
@@ -174,24 +179,14 @@ class TestMakeSmdp:
             3,
             1,
         )
-        dp = DecisionPointSets(
-            advantageous={0: (0,), 1: (0,), 2: (0,)},
-            decision_states=frozenset({0, 1, 2}),
-            defer_states=frozenset(),
-            n_wedge=1,
-        )
+        dp = sets_from_gate([[True], [True], [True]])
         model = make_smdp(ds, dp, gamma=0.9)
         assert model.p_tilde[0, 0, 1] == pytest.approx(0.5)
         assert model.p_tilde[0, 0, 2] == pytest.approx(0.5)
 
     def test_tail_modes(self):
         ds = make_dataset([make_traj([0, 1, 1], [0, 0, 0], [0.1, 0.2, 0.3])], 2, 1)
-        dp = DecisionPointSets(
-            advantageous={0: (0,)},
-            decision_states=frozenset({0}),
-            defer_states=frozenset({1}),
-            n_wedge=1,
-        )
+        dp = sets_from_gate([[True], [False]])
         absorbed = make_smdp(ds, dp, gamma=0.5, tail_mode=TAIL_ABSORB)
         dropped = make_smdp(ds, dp, gamma=0.5, tail_mode=TAIL_DROP)
         # absorb keeps the whole discounted tail 0.1 + 0.5*0.2 + 0.25*0.3
@@ -202,12 +197,7 @@ class TestMakeSmdp:
 
     def test_invalid_arguments(self):
         ds = make_dataset([make_traj([0], [0], [0.0])], 1, 1)
-        dp = DecisionPointSets(
-            advantageous={0: (0,)},
-            decision_states=frozenset({0}),
-            defer_states=frozenset(),
-            n_wedge=1,
-        )
+        dp = sets_from_gate([[True]])
         with pytest.raises(ValueError, match="tail_mode"):
             make_smdp(ds, dp, gamma=0.9, tail_mode="loop")
         with pytest.raises(ValueError, match="gamma"):
@@ -302,7 +292,6 @@ class TestPolicyIteration:
         assert policy.verdicts == {}
         assert policy.iterations == 0
         assert policy.defer_states == frozenset({0, 1})
-        assert policy.act(0) is None
 
     def test_value_iterates_nondecreasing_on_random_instances(self):
         rng = np.random.default_rng(4)
@@ -325,11 +314,18 @@ class TestPolicyIteration:
                 assert np.all(later[0] >= earlier[0] - 1e-9)
             num_dp = len(model.states)
             assert policy.iterations <= num_dp * ds.num_actions + 1
-            # every verdict is drawn from that state's advantageous set
+            # every verdict is an action passing the gate at its state
             for s, a in policy.verdicts.items():
-                assert a in dp.advantageous[s]
+                assert dp.gate[s, a]
             checked += 1
         assert checked >= 80
+
+    def test_model_state_without_a_passing_action_is_named(self):
+        ds = multi_step_dataset()
+        _, est, dp, model = pipeline(ds, n_wedge=2, gamma=0.9)
+        narrower = sets_from_gate(dp.gate & [[True], [False]])  # nothing passes at state 1
+        with pytest.raises(ValueError, match="model state 1 has no action passing the gate"):
+            smdp_policy_iteration(model, narrower, est)
 
     def test_nonconvergence_guard_raises(self, monkeypatch):
         ds = multi_step_dataset()
@@ -388,10 +384,11 @@ class TestPolicyObject:
             defer_states=frozenset({4, 7}),
             iterations=2,
         )
-        assert policy.act(3) == 1
-        assert policy.act(4) is None
-        assert policy.act(999) is None
-        assert policy.decision_state_ids() == (3, 10)
+        behavior = uniform_behavior(11, 2).action_probabilities
+        rows = policy.rows(behavior)
+        assert rows[3].tolist() == [0.0, 1.0] and rows[10].tolist() == [1.0, 0.0]
+        others = np.delete(np.arange(11), [3, 10])
+        assert np.array_equal(rows[others], behavior[others])  # no verdict: logging policy acts
         path = tmp_path / "policy.json"
         save_policy(policy, path)
         back = load_policy(path, uniform_behavior(11, 2))
@@ -406,6 +403,12 @@ class TestPolicyObject:
         text = policy.to_json()
         assert '"5": "DEFER"' in text
         assert '"0": 1' in text
+
+    def test_state_both_verdict_and_deferral_rejected(self):
+        # to_json would write "DEFER" for state 0, which from_json rejects.
+        with pytest.raises(ValueError, match="state 0 is both a verdict and a deferral"):
+            DecisionPointPolicy(n_wedge=1, verdicts={0: 0}, defer_states=frozenset({0}),
+                                iterations=1)
 
     def test_from_json_rejects_other_kinds(self):
         with pytest.raises(ValueError):

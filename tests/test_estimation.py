@@ -1,5 +1,7 @@
 """Visit counting and Monte-Carlo value estimation tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from conftest import make_dataset, make_traj, random_datasets
 from dprl.estimation import (
     EVERY_VISIT,
     FIRST_VISIT,
+    CountTable,
+    ValueEstimates,
     count_visits,
     monte_carlo_estimates,
     segment_suffix_returns,
@@ -84,6 +88,7 @@ class TestCounts:
             NUM_ACTIONS,
         )
         table = count_visits(ds, FIRST_VISIT)
+        assert [f.name for f in fields(CountTable)] == ["n_sa"]  # n_s is derived
         np.testing.assert_array_equal(table.n_s, table.n_sa.sum(axis=1))
         assert table.n_s[0] == 2  # two distinct pairs at state 0
 
@@ -126,10 +131,9 @@ class TestMonteCarlo:
     def test_unvisited_entries_are_nan_with_false_masks(self):
         ds = make_dataset([make_traj([0], [0], [0.5])], NUM_STATES, NUM_ACTIONS)
         est = monte_carlo_estimates(ds, gamma=0.9)
-        assert est.state_support[0] and est.support_mask[0, 0]
-        assert not est.state_support[3]
+        assert [f.name for f in fields(ValueEstimates)] == ["v_hat", "q_hat"]  # nan marks support
+        assert not np.isnan(est.v_hat[0]) and not np.isnan(est.q_hat[0, 0])
         assert np.isnan(est.v_hat[3])
-        assert not est.support_mask[0, 1]
         assert np.isnan(est.q_hat[0, 1])
 
     def test_first_visit_uses_first_occurrence_only(self):
@@ -195,7 +199,6 @@ class TestColumnarMatchesLoops:
         expected = oracles.loop_count_visits(ds, mode)
         assert_same_array(got.n_sa, expected.n_sa)
         assert_same_array(got.n_s, expected.n_s)
-        assert got.mode == mode
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -206,7 +209,7 @@ class TestColumnarMatchesLoops:
     def test_monte_carlo_estimates(self, ds, mode, gamma):
         got = monte_carlo_estimates(ds, gamma, mode)
         expected = oracles.loop_monte_carlo_estimates(ds, gamma, mode)
-        for name in ("v_hat", "q_hat", "state_support", "support_mask"):
+        for name in ("v_hat", "q_hat"):
             assert_same_array(getattr(got, name), getattr(expected, name))
 
     @settings(max_examples=100, deadline=None)
@@ -237,4 +240,4 @@ class TestColumnarMatchesLoops:
         ds = make_dataset([], NUM_STATES, NUM_ACTIONS)
         assert count_visits(ds).n_sa.tolist() == [[0, 0]] * NUM_STATES
         est = monte_carlo_estimates(ds, 0.9)
-        assert np.isnan(est.v_hat).all() and not est.support_mask.any()
+        assert np.isnan(est.v_hat).all() and np.isnan(est.q_hat).all()

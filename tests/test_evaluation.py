@@ -1,6 +1,7 @@
 """Policy composition, exact and rollout evaluation, tail risk, harness."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -325,6 +326,11 @@ class TestReliabilityExperiment:
             for seed in (0, 1)
         ]
         assert "failures" not in algorithms["behavior"]
+        # A label with no finite value gets nan from the summary and from each statistic.
+        stats = ("cvar_5", "mean_value", "mean_defer_fraction")
+        assert all(math.isnan(algorithms["broken"][key]) for key in stats)
+        methods = (result.cvar, result.mean_value, result.mean_defer_fraction)
+        assert all(math.isnan(method("broken")) for method in methods)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken_clone(*args):
@@ -337,6 +343,11 @@ class TestReliabilityExperiment:
             run_reliability_experiment(
                 mdp, behavior, specs, num_seeds=1, num_trajectories=5, horizon=5, master_seed=0
             )
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -2):  # not quietly run in-process
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                self.run(jobs=jobs, num_seeds=1)
 
     def test_duplicate_labels_rejected(self):
         mdp, behavior = build_forest_mdp(num_chains=1, depth=1)

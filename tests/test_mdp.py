@@ -49,16 +49,23 @@ class TestContainers:
     def test_reward_spec_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             RewardSpec(lo=np.array([[0.5]]), hi=np.array([[0.2]]))
+        # NaN passes "hi < lo" either way round; simulate would then log NaN rewards.
+        for lo, hi in ((np.nan, 0.2), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                RewardSpec(lo=np.array([[lo]]), hi=np.array([[hi]]))
 
     def test_mdp_rejects_bad_row_sum(self):
-        transitions = np.ones((1, 1, 1)) * 0.5
-        with pytest.raises(ValueError, match="sum to 1"):
-            TabularMdp(
-                transitions=transitions,
-                rewards=RewardSpec.constant(np.zeros((1, 1))),
-                gamma=0.9,
-                start_state=0,
-            )
+        # A NaN row passes both "|sum - 1| > tol" and "p < 0", so it needs the
+        # comparisons written to fail on NaN.
+        for row in ([0.5], [np.nan], [np.nan, 1.0], [1.5, -0.5]):
+            transitions = np.array(row).reshape(1, 1, -1) * np.ones((len(row), 1, 1))
+            with pytest.raises(ValueError, match=r"transition row \[0, 0\] .*sum to 1"):
+                TabularMdp(
+                    transitions=transitions,
+                    rewards=RewardSpec.constant(np.zeros((len(row), 1))),
+                    gamma=0.9,
+                    start_state=0,
+                )
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, 1.5])
     def test_mdp_rejects_gamma_outside_open_interval(self, gamma):
@@ -354,6 +361,8 @@ class TestDatasetConstruction:
             # Step (0, 3) with 3 actions would be counted as pair (1, 0).
             (dict(states=[0], actions=[3], rewards=[0.5], offsets=[0, 1], seeds=[0],
                   num_actions=3), r"action id 3 outside \[0, 3\)"),
+            (dict(rewards=[0.5, np.inf, 1.0]), "reward inf is not finite"),
+            (dict(rewards=[0.5, 0.25, np.nan]), "reward nan is not finite"),
         ],
     )
     def test_inconsistent_columns_rejected(self, changes, message):
