@@ -33,7 +33,6 @@ class MleModel:
     p_hat: np.ndarray
     r_hat: np.ndarray
     n_sa: np.ndarray
-    total_steps: int
 
 
 @dataclass
@@ -86,7 +85,7 @@ def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     num_states, num_actions = dataset.num_states, dataset.num_actions
     num_pairs = num_states * num_actions
     states, rewards, offsets = dataset.states, dataset.rewards, dataset.offsets
-    pairs = states * num_actions + dataset.actions
+    pairs = dataset.visits.keys["pair"]
     n_sa = count_visits(dataset, EVERY_VISIT).n_sa
     reward_sums = np.bincount(pairs, weights=rewards, minlength=num_pairs)  # int when empty
     reward_sums = reward_sums.astype(np.float64, copy=False).reshape(num_states, num_actions)
@@ -99,7 +98,7 @@ def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     p_hat.flat[seen] = counts / successor_totals[seen // num_states]
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa, total_steps=len(states))
+    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
 
 
 def _evaluate_rows_on_model(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
@@ -189,9 +188,10 @@ def train_pqi(
     if model is None:
         model = fit_mle_model(dataset)
     num_states, num_actions = model.n_sa.shape
-    if model.total_steps == 0:
+    total_steps = model.n_sa.sum()  # n_sa counts every step once
+    if total_steps == 0:
         raise ValueError("dataset holds no steps")
-    density = model.n_sa / model.total_steps
+    density = model.n_sa / total_steps
     surviving = density >= density_threshold
 
     # Filtered pairs earn nothing and lead nowhere: their reward, their row

@@ -190,12 +190,17 @@ def query(
     mode = FIRST_VISIT if neighbor_mode == NEIGHBOR_FIRST else EVERY_VISIT
     hits = index.neighbors(state)
     universe = index.action_universe()
-    # Keys and groups as ranks 0, 1, ...; trajectory ids may be any integers.
-    keys = np.searchsorted(universe, index.actions[hits])
-    groups = np.unique(index.trajectory_ids[hits], return_inverse=True)[1]
-    returns = index.returns[hits]
-    (v_hat,), (state_count,) = _visit_means(np.zeros_like(keys), returns, groups, mode, 1)
-    q_hat, counts = _visit_means(keys, returns, groups, mode, len(universe))
+    # Key 0 is the state and key 1 + i action universe[i]: one grouping gives
+    # v_hat and every q_hat.  Trajectory ids may be any integers.
+    actions = 1 + np.searchsorted(universe, index.actions[hits])
+    means, sizes = _visit_means(
+        np.concatenate([np.zeros_like(actions), actions]),
+        np.tile(index.returns[hits], 2),
+        np.tile(index.trajectory_ids[hits], 2),
+        mode,
+        1 + len(universe),
+    )
+    v_hat, q_hat, state_count, counts = means[0], means[1:], sizes[0], sizes[1:]
     passing = advantage_mask(counts, q_hat, v_hat, n_wedge)
     decision = None
     if state_count > n_wedge and passing.any():

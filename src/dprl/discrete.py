@@ -20,10 +20,8 @@ from .estimation import (
     FIRST_VISIT,
     CountTable,
     ValueEstimates,
-    _first_visits,
     count_visits,
     monte_carlo_estimates,
-    segment_ids,
 )
 from .mdp import TrajectoryDataset
 
@@ -69,7 +67,6 @@ class SmdpModel:
         gamma_tilde: mean discount ``gamma**k`` across observed segments.
         r_tilde: mean discounted segment reward per transition.
         r_bar: ``(D, A)`` expected segment reward under ``p_tilde``.
-        row_mask: ``(D, A)`` True where any segment was observed.
     """
 
     states: tuple[int, ...]
@@ -78,7 +75,6 @@ class SmdpModel:
     gamma_tilde: np.ndarray
     r_tilde: np.ndarray
     r_bar: np.ndarray
-    row_mask: np.ndarray
 
 
 @dataclass
@@ -187,11 +183,11 @@ def make_smdp(
     """Accumulate the elevated transition model over decision points.
 
     Within each trajectory the first visit of every decision-point state is
-    recorded (the estimator's first-visit rule, keyed by state); consecutive
-    recorded times ``(t, t')`` contribute one segment keyed by the
-    state-action at ``t`` and the state at ``t'``, carrying the discount
-    ``gamma**(t' - t)`` and the discounted reward over steps ``t`` through
-    ``t' - 1``.  With ``tail_mode="absorb"`` the remainder of each
+    recorded (the state first visits of ``dataset.visits``, the estimator's
+    own, kept at decision states); consecutive recorded times ``(t, t')``
+    contribute one segment keyed by the state-action at ``t`` and the state
+    at ``t'``, carrying the discount ``gamma**(t' - t)`` and the discounted
+    reward over steps ``t`` through ``t' - 1``.  With ``tail_mode="absorb"`` the remainder of each
     trajectory after its last recorded visit becomes a segment into the
     virtual absorbing state, carrying the full discounted tail reward; with
     ``"drop"`` it is discarded.  Segments are summed in dataset order, each
@@ -209,11 +205,13 @@ def make_smdp(
 
     # Segments run from each first visit to the next one in its trajectory;
     # the last one runs to the trajectory's end, into the absorbing column.
-    trajs = segment_ids(dataset.offsets)
-    steps = np.flatnonzero(np.isin(dataset.states, states))
-    starts = steps[_first_visits(dataset.states[steps], trajs[steps])]
+    visits = dataset.visits
+    first = visits.order("state", FIRST_VISIT)
+    is_decision = np.zeros(dataset.num_states, dtype=bool)
+    is_decision[list(states)] = True
+    starts = np.sort(first[is_decision[dataset.states[first]]])
     rows = np.searchsorted(states, dataset.states[starts])
-    owner = trajs[starts]
+    owner = visits.trajectory[starts]
     last = np.diff(owner, append=-1) != 0
     ends = np.where(last, dataset.offsets[owner + 1], np.roll(starts, -1))
     targets = np.where(last, num_dp, np.roll(rows, -1))
@@ -234,7 +232,6 @@ def make_smdp(
     gamma_tilde = np.zeros_like(disc)
     r_tilde = np.zeros_like(disc)
     row_totals = counts.sum(axis=2)
-    row_mask = row_totals > 0
     np.divide(counts, row_totals[:, :, None], out=p_tilde, where=row_totals[:, :, None] > 0)
     np.divide(disc, counts, out=gamma_tilde, where=observed)
     np.divide(gain, counts, out=r_tilde, where=observed)
@@ -246,7 +243,6 @@ def make_smdp(
         gamma_tilde=gamma_tilde,
         r_tilde=r_tilde,
         r_bar=r_bar,
-        row_mask=row_mask,
     )
 
 
@@ -284,7 +280,7 @@ def smdp_policy_iteration(
         raise ValueError(f"model state {states[~known][0]} has no action passing the gate in dp")
     passing = dp.gate[states]
     q_hat = estimates.q_hat[states]
-    has_data = model.row_mask
+    has_data = model.counts.sum(axis=2) > 0
     weights = np.where(
         has_data[:, :, None], model.p_tilde[:, :, :num_dp] * model.gamma_tilde[:, :, :num_dp], 0.0
     )

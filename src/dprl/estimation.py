@@ -79,29 +79,148 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {VISIT_MODES}, got {mode!r}")
 
 
-def _first_visits(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Ascending steps of the first visit to each (key, group); group ids are nonnegative."""
-    return np.sort(np.unique(keys * (groups.max(initial=-1) + 1) + groups, return_index=True)[1])
+def _first_in_order(order: np.ndarray, keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """``order`` (the steps stably sorted by key) cut to the first visit to each (key, group)."""
+    k, g = keys[order], groups[order]
+    same_key = k[1:] == k[:-1]
+    if (~same_key | (g[1:] >= g[:-1])).all():
+        # Within each key the groups arrive in runs (as trajectories do), so a
+        # group's first visit is where the run changes.
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = ~same_key | (g[1:] != g[:-1])
+        return order[first]
+    ranks = np.unique(groups, return_inverse=True)[1]
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys * (ranks.max() + 1) + ranks, return_index=True)[1]] = True
+    return order[first[order]]
+
+
+def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of every slice ``values[start:start + length]``, bit for bit.
+
+    As ``np.add.reduce`` does for one contiguous float64 slice: above 128
+    elements, the sum of two parts split at ``n/2 - (n/2) % 8``; otherwise
+    eight lanes over the whole blocks of 8, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` (0.0 without a
+    block), then the remaining elements added in order.  Padding adds 0.0,
+    which can only turn a -0.0 into +0.0, and a zero sum's sign is dropped
+    by :func:`segment_means`.
+    """
+    big = lengths > 128
+    if big.any():
+        n = lengths[big]
+        half = n // 2 - n // 2 % 8
+        parts = _pairwise_sums(values, np.concatenate([starts[big], starts[big] + half]),
+                               np.concatenate([half, n - half]))
+        sums = np.empty(len(starts))
+        sums[big] = parts[: len(n)] + parts[len(n):]
+        sums[~big] = _pairwise_sums(values, starts[~big], lengths[~big])
+        return sums
+    last = len(values) - 1
+
+    def padded(firsts, counts, width):
+        """Rows ``values[first:first + width]``, 0.0 from ``count`` on."""
+        index = np.minimum(firsts[:, None] + np.arange(width), last)
+        return np.where(np.arange(width) < counts[:, None], values[index], 0.0)
+
+    blocks = lengths // 8
+    most = int(blocks.max(initial=0))
+    total = np.zeros(len(starts))
+    if most:
+        cells = padded(starts, 8 * blocks, 8 * most).reshape(-1, most, 8)
+        r = cells[:, 0]
+        for b in range(1, most):
+            r = r + cells[:, b]
+        r = r[:, 0::2] + r[:, 1::2]  # (r0 + r1), (r2 + r3), ...
+        r = r[:, 0::2] + r[:, 1::2]
+        total = r[:, 0] + r[:, 1]
+    rest = lengths - 8 * blocks
+    tails = padded(starts + 8 * blocks, rest, 7)
+    for k in range(int(rest.max(initial=0))):
+        total = total + tails[:, k]
+    return total
+
+
+def segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each consecutive run of ``sizes[i]`` values, bit for bit; nan where 0.
+
+    ``np.mean`` adds its pairwise sum to +0.0 (so nine ``-0.0`` give +0.0)
+    and divides by the count.
+    """
+    means = np.full(len(sizes), np.nan)
+    held = np.flatnonzero(sizes)
+    starts = np.cumsum(sizes) - sizes
+    means[held] = (0.0 + _pairwise_sums(values, starts[held], sizes[held])) / sizes[held]
+    return means
 
 
 def _visit_means(keys, values, groups, mode: str, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-key mean of ``values`` over the steps ``mode`` counts, and how many there were.
 
+    Keys lie in ``[0, num_keys)``; groups are visit-group ids, any integers.
     A key nobody visited gets mean nan and count 0.  Each key's values are
-    reduced as one contiguous slice in step order, exactly as ``np.mean`` of
-    that key's list would be (numpy sums pairwise).
+    reduced in step order, exactly as ``np.mean`` of that key's list would be.
     """
-    steps = _first_visits(keys, groups) if mode == FIRST_VISIT else np.arange(len(keys))
-    steps = steps[np.argsort(keys[steps], kind="stable")]
-    keys, values = keys[steps], values[steps]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    bounds = np.append(starts, len(keys))
-    means = np.full(num_keys, np.nan)
-    sizes = np.zeros(num_keys, dtype=np.int64)
-    cuts = bounds.tolist()
-    means[keys[starts]] = [np.mean(values[a:b]) for a, b in zip(cuts, cuts[1:])]
-    sizes[keys[starts]] = np.diff(bounds)
-    return means, sizes
+    order = np.argsort(keys, kind="stable")
+    if mode == FIRST_VISIT:
+        order = _first_in_order(order, keys, groups)
+    sizes = np.bincount(keys[order], minlength=num_keys)
+    return segment_means(values[order], sizes), sizes
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class VisitIndex:
+    """Where each trajectory of one dataset visits each state and pair.
+
+    Reach it as ``dataset.visits``.  Keys are ``"state"`` (the state id) or
+    ``"pair"`` (``state * num_actions + action``).  One stable sort per key
+    kind groups the steps by key; each trajectory's first visits are read
+    off that order.  So counting, Monte-Carlo estimation (for any gamma),
+    elevation, the MLE model and the clone all share it.  Parts are built
+    on first use, kept, and returned read-only; the dataset's columns cannot
+    change under them.
+    """
+
+    def __init__(self, dataset: TrajectoryDataset) -> None:
+        num_states, num_actions = dataset.num_states, dataset.num_actions
+        self._rewards, self._offsets = dataset.rewards, dataset.offsets
+        self.trajectory = _read_only(segment_ids(dataset.offsets))
+        self.keys = {"state": dataset.states,
+                     "pair": _read_only(dataset.states * num_actions + dataset.actions)}
+        self._num_keys = {"state": num_states, "pair": num_states * num_actions}
+        self._cache: dict = {}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = _read_only(build())
+        return self._cache[key]
+
+    def returns(self, gamma: float) -> np.ndarray:
+        """Each step's discounted suffix return within its trajectory."""
+        return self._cached(("returns", gamma),
+                            lambda: segment_suffix_returns(self._rewards, self._offsets, gamma))
+
+    def order(self, kind: str, mode: str) -> np.ndarray:
+        """The steps ``mode`` counts, grouped by ascending key, ascending within a key."""
+        if mode == EVERY_VISIT:
+            return self._cached((kind, mode), lambda: np.argsort(self.keys[kind], kind="stable"))
+        return self._cached((kind, mode), lambda: _first_in_order(
+            self.order(kind, EVERY_VISIT), self.keys[kind], self.trajectory))
+
+    def counts(self, kind: str, mode: str) -> np.ndarray:
+        """``(num_keys,)`` steps ``mode`` counts per key."""
+        keys = self.keys[kind]
+        return self._cached(("counts", kind, mode), lambda: np.bincount(
+            keys if mode == EVERY_VISIT else keys[self.order(kind, mode)],
+            minlength=self._num_keys[kind]))
+
+    def means(self, kind: str, mode: str, gamma: float) -> np.ndarray:
+        """``(num_keys,)`` mean suffix return over the steps ``mode`` counts; nan if none."""
+        return segment_means(self.returns(gamma)[self.order(kind, mode)], self.counts(kind, mode))
 
 
 def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTable:
@@ -111,12 +230,8 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     first time that action is taken in that state.
     """
     _check_mode(mode)
-    num_states, num_actions = dataset.num_states, dataset.num_actions
-    pairs = dataset.states * num_actions + dataset.actions
-    if mode == FIRST_VISIT:
-        pairs = pairs[_first_visits(pairs, segment_ids(dataset.offsets))]
-    n_sa = np.bincount(pairs, minlength=num_states * num_actions).reshape(num_states, num_actions)
-    return CountTable(n_sa=n_sa)
+    n_sa = dataset.visits.counts("pair", mode).reshape(dataset.num_states, dataset.num_actions)
+    return CountTable(n_sa=n_sa.copy())
 
 
 def monte_carlo_estimates(
@@ -132,10 +247,6 @@ def monte_carlo_estimates(
     _check_mode(mode)
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    num_states, num_actions = dataset.num_states, dataset.num_actions
-    returns = segment_suffix_returns(dataset.rewards, dataset.offsets, gamma)
-    trajs = segment_ids(dataset.offsets)
-    v_hat = _visit_means(dataset.states, returns, trajs, mode, num_states)[0]
-    pairs = dataset.states * num_actions + dataset.actions
-    q_hat = _visit_means(pairs, returns, trajs, mode, num_states * num_actions)[0]
-    return ValueEstimates(v_hat=v_hat, q_hat=q_hat.reshape(num_states, num_actions))
+    visits = dataset.visits
+    q_hat = visits.means("pair", mode, gamma).reshape(dataset.num_states, dataset.num_actions)
+    return ValueEstimates(v_hat=visits.means("state", mode, gamma), q_hat=q_hat)

@@ -17,10 +17,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .estimation import VisitIndex
 
 _ROW_SUM_TOL = 1e-9
 _LOCKSTEP_SLOTS = 1 << 16  # trajectory steps simulated per lockstep block
@@ -175,46 +179,53 @@ class Trajectory:
         return len(self.states)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryDataset:
-    """A batch of trajectories stored as flat step columns.
+    """A batch of trajectories stored as flat, read-only step columns.
 
     ``states``, ``actions`` and ``rewards`` hold every step in dataset order;
     trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` and was drawn from
     ``seeds[i]``.  Construction checks that the columns have equal length,
     that ``offsets`` runs from 0 to that length without decreasing, that
     every id lies in ``[0, num_states)`` or ``[0, num_actions)`` and that
-    every reward is finite.
+    every reward is finite.  It then keeps read-only copies of the columns
+    and refuses attribute writes, so :attr:`visits`, built from the columns
+    on first use, can never go stale.
     """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     offsets: np.ndarray
-    seeds: list[int]
+    seeds: tuple[int, ...]
     num_states: int
     num_actions: int
 
     def __post_init__(self) -> None:
+        columns = {}
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
-            ids = _int_ids(getattr(self, name), name)
+            ids = columns[name] = _int_ids(getattr(self, name), name)
             outside = (ids < 0) | (ids >= limit)
             if outside.any():
                 raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
-            setattr(self, name, ids)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
-        if not np.isfinite(self.rewards).all():
-            raise ValueError(f"reward {self.rewards[~np.isfinite(self.rewards)][0]} is not finite")
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        rewards = columns["rewards"] = np.asarray(self.rewards, dtype=np.float64)
+        if not np.isfinite(rewards).all():
+            raise ValueError(f"reward {rewards[~np.isfinite(rewards)][0]} is not finite")
+        offsets = columns["offsets"] = np.asarray(self.offsets, dtype=np.int64)
         # Python ints, as the JSONL writes them; index() refuses floats.
-        self.seeds = [operator.index(s) for s in self.seeds]
-        steps = self.states.size
-        if not self.states.shape == self.actions.shape == self.rewards.shape == (steps,):
+        seeds = tuple(operator.index(s) for s in self.seeds)
+        steps = columns["states"].size
+        if not columns["states"].shape == columns["actions"].shape == rewards.shape == (steps,):
             raise ValueError("states, actions and rewards must be 1-d columns of equal length")
-        if (self.offsets.shape != (len(self.seeds) + 1,) or self.offsets[0] != 0
-                or self.offsets[-1] != steps or (np.diff(self.offsets) < 0).any()):
+        if (offsets.shape != (len(seeds) + 1,) or offsets[0] != 0
+                or offsets[-1] != steps or (np.diff(offsets) < 0).any()):
             raise ValueError(f"offsets must run from 0 to {steps} without decreasing, "
-                             f"one more entry than the {len(self.seeds)} seeds")
+                             f"one more entry than the {len(seeds)} seeds")
+        for name, column in columns.items():
+            column = column.copy()  # the caller's array stays the caller's
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "seeds", seeds)
 
     @classmethod
     def from_trajectories(
@@ -229,7 +240,7 @@ class TrajectoryDataset:
             actions=np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajs)]),
             rewards=np.concatenate([np.empty(0), *(t.rewards for t in trajs)]),
             offsets=offsets,
-            seeds=[t.seed for t in trajs],
+            seeds=tuple(t.seed for t in trajs),
             num_states=num_states,
             num_actions=num_actions,
         )
@@ -246,6 +257,13 @@ class TrajectoryDataset:
 
     def total_steps(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def visits(self) -> VisitIndex:
+        """Where each trajectory visits each state and pair, built on first use."""
+        from .estimation import VisitIndex  # estimation imports this module
+
+        return VisitIndex(self)
 
 
 def trajectory_seed(master_seed: int, index: int) -> int:

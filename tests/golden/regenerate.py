@@ -6,9 +6,11 @@ model's segment counts (``make_smdp`` in absorb mode, as training builds
 it), the hash of the sorted ``[state, action]`` pairs passing the gate,
 the dprl verdicts and defer set, the hash of the policy file
 (``DecisionPointPolicy.to_json``), the policy-iteration count and C_{N∧}
-(pairs seen at least ``n_wedge`` times).  None of these is a
-float, so they do not move with the BLAS kernel or thread count;
-``tests/test_golden.py`` checks them.
+(pairs seen at least ``n_wedge`` times).  For a continuous point set
+in the style of the ``continuous-cover`` benchmark it records the covering
+numbers ``(m_dense, m_total)`` and the hash of the query decisions in each
+neighbour mode.  None of these is a float, so they do not move with the
+BLAS kernel or thread count; ``tests/test_golden.py`` checks them.
 
 Regenerate the manifest (only when answers are meant to change) with
 
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dprl import continuous
 from dprl.bounds import count_c_n_wedge
 from dprl.discrete import make_smdp, train_decision_point_policy
 from dprl.envs import build_environment
@@ -63,6 +66,20 @@ CONFIGS = {
 }
 
 
+# name -> a point set: gridworld steps embedded as (x, y) / side plus Gaussian
+# jitter, the index radius (unit metric weights) and the queries' n_wedge.
+COVERS = {
+    "continuous-cover": {
+        "environment": {"id": "gridworld", "side": 10, "noise": 0.9},
+        "dataset": {"num_trajectories": 20, "horizon": 100, "master_seed": 0},
+        "jitter": 0.03,
+        "radius": 0.05,
+        "n_wedge": 5,
+        "queries": 200,
+    },
+}
+
+
 def sha256_json(value) -> str:
     return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
 
@@ -97,12 +114,40 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
     return records
 
 
+def cover_answers(config: dict) -> list[dict]:
+    """The covering numbers of one seeded point set and its query decisions per neighbour mode."""
+    env = dict(config["environment"])
+    mdp, behavior = build_environment(env.pop("id"), **env)
+    spec, side = config["dataset"], env["side"]
+    dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"],
+                       spec["master_seed"])
+    rng = np.random.default_rng(spec["master_seed"])
+    trajectories = []
+    for traj in dataset:
+        xy = np.stack([traj.states % side, traj.states // side], axis=1) / side
+        xy = xy + rng.normal(0.0, config["jitter"], size=xy.shape)
+        trajectories.append(continuous.ContinuousTrajectory(xy, traj.actions, traj.rewards))
+    index = continuous.build_index(trajectories, mdp.gamma, np.ones(2), config["radius"])
+    cover = continuous.estimate_covering_number(index, config["n_wedge"])
+    queries = rng.random((config["queries"], 2))
+    decisions = {
+        mode: sha256_json([continuous.query(index, q, config["n_wedge"], mode).decision
+                           for q in queries])
+        for mode in (continuous.NEIGHBOR_ALL, continuous.NEIGHBOR_FIRST)
+    }
+    return [{"m_dense": cover.m_dense, "m_total": cover.m_total, "decisions_sha256": decisions}]
+
+
 def manifest_lines(workdir: Path) -> list[str]:
-    """Per config, one line holding the config, then one line per seed."""
+    """Per config, one line holding the config, then one line per seed; point sets last."""
     lines = []
     for name, config in CONFIGS.items():
         lines.append(json.dumps({"name": name, "config": config}, sort_keys=True))
         for record in seed_answers(config, workdir):
+            lines.append(json.dumps({"name": name, **record}, sort_keys=True))
+    for name, config in COVERS.items():
+        lines.append(json.dumps({"name": name, "config": config}, sort_keys=True))
+        for record in cover_answers(config):
             lines.append(json.dumps({"name": name, **record}, sort_keys=True))
     return lines
 

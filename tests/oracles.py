@@ -150,7 +150,6 @@ def loop_make_smdp(dataset, dp, gamma: float, tail_mode: str = "absorb"):
         gamma_tilde=gamma_tilde,
         r_tilde=r_tilde,
         r_bar=(r_tilde * p_tilde).sum(axis=2),
-        row_mask=row_totals > 0,
     )
 
 
@@ -167,7 +166,7 @@ def smdp_policy_value(model, estimates, assignment: dict) -> np.ndarray:
     b_vec = np.zeros(d)
     for i, s in enumerate(states):
         act = assignment[s]
-        if model.row_mask[i, act]:
+        if model.counts[i, act].any():
             a_mat[i, i] = 1.0
             b_vec[i] = model.r_bar[i, act]
             for j in range(d):
@@ -226,7 +225,7 @@ def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
         rhs = np.empty(num_dp)
         for i, s in enumerate(states):
             a = policy[i]
-            if model.row_mask[i, a]:
+            if model.counts[i, a].any():
                 system[i, :] -= weights[i, a]
                 rhs[i] = model.r_bar[i, a]
             else:
@@ -238,7 +237,7 @@ def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
         for i, s in enumerate(states):
             best_action, best_score = actions[i][0], -np.inf
             for a in actions[i]:
-                if model.row_mask[i, a]:
+                if model.counts[i, a].any():
                     score = model.r_bar[i, a] + float(np.dot(weights[i, a], values))
                 else:
                     score = q_hat[s, a]
@@ -548,6 +547,24 @@ def loop_monte_carlo_estimates(dataset, gamma: float, mode: str):
     return ValueEstimates(v_hat=v_hat, q_hat=q_hat)
 
 
+def unique_visit_means(keys, values, groups, mode: str, num_keys: int):
+    """``estimation._visit_means`` with first visits from ``np.unique`` and one ``np.mean`` per key.
+
+    Groups may be any integers; they are ranked first.
+    """
+    keys, values, groups = (np.asarray(x) for x in (keys, values, groups))
+    steps = np.arange(len(keys))
+    if mode == FIRST_VISIT:
+        ranks = np.unique(groups, return_inverse=True)[1]
+        steps = np.sort(np.unique(keys * (ranks.max(initial=-1) + 1) + ranks, return_index=True)[1])
+    steps = steps[np.argsort(keys[steps], kind="stable")]
+    means = np.full(num_keys, np.nan)
+    sizes = np.bincount(keys[steps], minlength=num_keys)
+    for key in np.flatnonzero(sizes).tolist():
+        means[key] = np.mean(values[steps[keys[steps] == key]])
+    return means, sizes
+
+
 def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
     """Maximum-likelihood model with three ``np.add.at`` calls per trajectory."""
     transition_counts = np.zeros((num_states, num_actions, num_states), dtype=np.int64)
@@ -569,7 +586,7 @@ def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
     )
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa, total_steps=dataset.total_steps())
+    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
 
 
 def dense_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
@@ -626,7 +643,7 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
 def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
     """Density-filtered policy iteration with per-state choice lists."""
     num_states, num_actions = model.n_sa.shape
-    surviving = model.n_sa / model.total_steps >= density_threshold
+    surviving = model.n_sa / model.n_sa.sum() >= density_threshold
     r_mod = np.where(surviving, model.r_hat, 0.0)
     p_mod = np.where(surviving[:, :, None], model.p_hat, 0.0)
     seen = model.n_sa.sum(axis=1) > 0

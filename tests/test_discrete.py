@@ -246,7 +246,7 @@ class TestMakeSmdp:
         observed = model.counts > 0
         # probability rows over observed (state, action) cells sum to one
         row_sums = model.p_tilde.sum(axis=2)
-        np.testing.assert_allclose(row_sums[model.row_mask], 1.0, atol=1e-9)
+        np.testing.assert_allclose(row_sums[model.counts.sum(axis=2) > 0], 1.0, atol=1e-9)
         # per-segment mean discounts live in (0, gamma]
         assert np.all(model.gamma_tilde[observed] > 0.0)
         assert np.all(model.gamma_tilde[observed] <= mdp.gamma + 1e-12)
@@ -358,7 +358,7 @@ class TestPolicyIteration:
         # Dropped tails leave (0, a0) and (1, a0) without segments.
         ds = multi_step_dataset()
         _, est, dp, model = pipeline(ds, n_wedge=2, gamma=0.9, tail_mode=TAIL_DROP)
-        assert not model.row_mask[0, 0] and not model.row_mask[1, 0]
+        assert not model.counts[0, 0].any() and not model.counts[1, 0].any()
         history = []
         smdp_policy_iteration(model, dp, est, history=history)
         np.testing.assert_array_equal(history[0][0], [est.q_hat[0, 0], est.q_hat[1, 0]])

@@ -1,5 +1,6 @@
 """Visit counting and Monte-Carlo value estimation tests."""
 
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_dataset, make_traj, random_datasets
+from dprl.baselines import fit_mle_model, train_behavior_clone
+from dprl.discrete import identify_decision_points, make_smdp, train_decision_point_policy
 from dprl.estimation import (
     EVERY_VISIT,
     FIRST_VISIT,
     CountTable,
     ValueEstimates,
+    _visit_means,
     count_visits,
     monte_carlo_estimates,
+    segment_means,
     segment_suffix_returns,
 )
 
@@ -241,3 +246,115 @@ class TestColumnarMatchesLoops:
         assert count_visits(ds).n_sa.tolist() == [[0, 0]] * NUM_STATES
         est = monte_carlo_estimates(ds, 0.9)
         assert np.isnan(est.v_hat).all() and np.isnan(est.q_hat).all()
+
+
+# Slice lengths on both sides of numpy's pairwise-sum edges: 8 lanes from 8
+# elements, one plain block up to 128, halves above.
+EDGE_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 120, 127, 128, 129, 135, 136, 137, 255, 256, 257, 400]
+
+
+@st.composite
+def mixed_magnitudes(draw, size):
+    """Values spanning 40 decades, both signs, with signed zeros among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-20, 21, size)
+    values[rng.random(size) < 0.05] = rng.choice([0.0, -0.0])
+    return values
+
+
+class TestSegmentMeans:
+    """``segment_means`` equals ``np.mean`` of each run, byte for byte."""
+
+    @staticmethod
+    def assert_means(values, sizes):
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        expected = [np.mean(values[a:b]) if b > a else np.nan for a, b in zip(bounds, bounds[1:])]
+        got = segment_means(values, np.asarray(sizes, dtype=np.int64))
+        assert_same_array(got, np.array(expected, dtype=np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 400), st.sampled_from(EDGE_LENGTHS)), max_size=12)
+           .flatmap(lambda sizes: st.tuples(st.just(sizes), mixed_magnitudes(sum(sizes)))))
+    def test_equals_numpy_mean(self, case):
+        sizes, values = case
+        self.assert_means(values, sizes)
+
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_every_edge_length(self, length):
+        rng = np.random.default_rng(length)
+        values = rng.random(3 * length) * 10.0 ** rng.integers(-8, 9, 3 * length)
+        self.assert_means(values, [length, 0, length, length])
+
+    def test_nine_negative_zeros_give_positive_zero(self):
+        # Eight lanes of -0.0 sum to -0.0; np.mean adds its sum to +0.0.
+        for length in (1, 7, 8, 9, 200):
+            zeros = np.full(length, -0.0)
+            got = segment_means(zeros, np.array([length]))
+            assert got.tobytes() == np.array([0.0]).tobytes() == np.mean(zeros).tobytes()
+
+
+class TestVisitMeans:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([-7, 0, 3, 2**40]),
+                           st.floats(-1e6, 1e6)), max_size=60),
+        st.booleans(),
+        st.sampled_from([FIRST_VISIT, EVERY_VISIT]),
+    )))
+    def test_equals_unique_and_mean_oracle(self, case):
+        # Groups may interleave and be any integers, as trajectory ids in a
+        # hand-built neighbour index can; sorted groups take the fast path.
+        num_keys, steps, sort_groups, mode = case
+        keys, groups, values = (np.array(c) for c in zip(*steps)) if steps else (
+            np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        if sort_groups:
+            groups = np.sort(groups)
+        values = values.astype(np.float64)
+        got = _visit_means(keys, values, groups, mode, num_keys)
+        expected = oracles.unique_visit_means(keys, values, groups, mode, num_keys)
+        for have, want in zip(got, expected):
+            assert_same_array(have, want)
+
+
+GAMMA = 0.9
+# Every consumer of the visit index, as (dataset, decision sets) -> result.
+CONSUMERS = {
+    "count-first": lambda ds, dp: count_visits(ds, FIRST_VISIT),
+    "count-every": lambda ds, dp: count_visits(ds, EVERY_VISIT),
+    "estimate-first": lambda ds, dp: monte_carlo_estimates(ds, GAMMA, FIRST_VISIT),
+    "estimate-every": lambda ds, dp: monte_carlo_estimates(ds, 0.5, EVERY_VISIT),
+    "smdp": lambda ds, dp: make_smdp(ds, dp, GAMMA),
+    "fit": lambda ds, dp: fit_mle_model(ds),
+    "clone": lambda ds, dp: train_behavior_clone(ds),
+    "train": lambda ds, dp: train_decision_point_policy(ds, 1, GAMMA).to_json(),
+}
+
+
+def as_bytes(result):
+    """A result as comparable bytes: dataclass fields, arrays with dtype and shape, or repr."""
+    if dataclasses.is_dataclass(result):
+        return [as_bytes(getattr(result, f.name)) for f in fields(result)]
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    return repr(result)
+
+
+class TestSharedVisitIndex:
+    """Every consumer reads ``dataset.visits``; sharing it changes no byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_datasets(), st.permutations(list(CONSUMERS) * 2))
+    def test_any_order_twice_equals_a_fresh_copy(self, ds, order):
+        fresh = dataclasses.replace(ds)
+        dp = identify_decision_points(count_visits(fresh), monte_carlo_estimates(fresh, GAMMA), 1)
+        for name in order:
+            got = as_bytes(CONSUMERS[name](ds, dp))
+            assert got == as_bytes(CONSUMERS[name](dataclasses.replace(ds), dp)), name
+
+    def test_results_do_not_share_the_index(self):
+        ds = make_dataset([make_traj([0, 1, 0], [1, 0, 1], [0.5, 0.25, 1.0])],
+                          NUM_STATES, NUM_ACTIONS)
+        counts = count_visits(ds)
+        counts.n_sa[0, 1] = 99  # a caller's table is its own
+        assert count_visits(ds).n_sa[0, 1] == 1

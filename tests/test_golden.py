@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from golden.regenerate import CONFIGS, MANIFEST, seed_answers
+from golden.regenerate import CONFIGS, COVERS, MANIFEST, cover_answers, seed_answers
 
 EXPECTED: dict[str, dict] = {}
 for line in MANIFEST.read_text(encoding="utf-8").splitlines():
@@ -21,10 +21,12 @@ for line in MANIFEST.read_text(encoding="utf-8").splitlines():
 
 
 def test_manifest_covers_every_config():
-    assert sorted(EXPECTED) == sorted(CONFIGS)
+    assert sorted(EXPECTED) == sorted([*CONFIGS, *COVERS])
     for name, config in CONFIGS.items():
         assert EXPECTED[name]["config"] == config
         assert len(EXPECTED[name]["seeds"]) == config["seeds"]
+    for name, config in COVERS.items():
+        assert EXPECTED[name]["config"] == config
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -32,3 +34,8 @@ def test_answers_match_manifest(name, tmp_path):
     got = seed_answers(CONFIGS[name], tmp_path)
     for want, have in zip(EXPECTED[name]["seeds"], got, strict=True):
         assert have == want, f"{name} master seed {want['master_seed']}"
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_cover_matches_manifest(name):
+    assert cover_answers(COVERS[name]) == EXPECTED[name]["seeds"]

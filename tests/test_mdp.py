@@ -1,5 +1,6 @@
 """Core MDP container, simulator, and dataset serialization tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -379,6 +380,27 @@ class TestDatasetConstruction:
         ds = TrajectoryDataset.from_trajectories([empty, Trajectory([1], [0], [0.3], 1)], 2, 1)
         assert empty.states.dtype == empty.actions.dtype == np.int64
         assert [t.states.tolist() for t in ds] == [[], [1]]
+
+    @pytest.mark.parametrize("name", ["states", "actions", "rewards", "offsets"])
+    def test_columns_cannot_be_written(self, name):
+        ds = TrajectoryDataset(**self.columns())
+        ds.visits.order("pair", "first-visit")  # built from the columns it must not outlive
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            next(iter(ds)).rewards[0] = 1.0  # trajectories are views of the columns
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, np.zeros(3))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.visits.keys["pair"][0] = 1
+
+    def test_callers_arrays_stay_theirs(self):
+        columns = self.columns(states=np.array([0, 1, 2]), rewards=np.array([0.5, 0.25, 1.0]))
+        ds = TrajectoryDataset(**columns)
+        columns["states"][0] = 2
+        columns["rewards"][0] = 9.0
+        assert ds.states.tolist() == [0, 1, 2] and ds.rewards.tolist() == [0.5, 0.25, 1.0]
+        assert isinstance(ds.seeds, tuple)
 
 
 @st.composite
