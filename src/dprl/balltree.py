@@ -1,7 +1,7 @@
 """Ball tree for exact fixed-radius neighbor search.
 
 Build strategy: recursively median-split the points along the dimension of
-widest spread, stopping at leaves of at most ``leaf_size`` points.  Each
+widest spread, stopping at leaves of at most 16 points.  Each
 node stores the centroid of its points and the max distance to it, giving
 the triangle-inequality pruning bound at query time.  Query results are
 always identical to a linear scan (the final per-point distance test is the
@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 _PRUNE_SLACK = 1e-12
+_LEAF_SIZE = 16
 
 
 class _Node:
@@ -30,13 +31,10 @@ class _Node:
 class BallTree:
     """Static Euclidean ball tree over an ``(n, d)`` point matrix."""
 
-    def __init__(self, points: np.ndarray, leaf_size: int = 16) -> None:
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+    def __init__(self, points: np.ndarray) -> None:
         self.points = np.asarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d array")
-        self.leaf_size = leaf_size
         n = self.points.shape[0]
         self.root = self._build(np.arange(n, dtype=np.int64)) if n else None
 
@@ -45,7 +43,7 @@ class BallTree:
         center = pts.mean(axis=0)
         radius = float(np.sqrt(((pts - center) ** 2).sum(axis=1)).max())
         node = _Node(center=center, radius=radius)
-        if len(indices) <= self.leaf_size:
+        if len(indices) <= _LEAF_SIZE:
             node.indices = indices
             return node
         spread = pts.max(axis=0) - pts.min(axis=0)

@@ -166,6 +166,7 @@ def count_pessimism_bound(counts: CountTable, inputs: BoundInputs) -> float:
 def bound_comparison_rows(
     counts: CountTable,
     *,
+    pessimism_counts: CountTable,
     v_max: float,
     gamma: float,
     delta: float,
@@ -175,17 +176,15 @@ def bound_comparison_rows(
     pqi_b: float,
     dataset_size: int,
     variant: str = VARIANT_STATEMENT,
-    pessimism_counts: CountTable | None = None,
 ) -> list[dict]:
     """One row per (threshold, method) for CSV emission.
 
     The filtered planner's row does not depend on the threshold; it is
-    repeated per grid point so the table stays rectangular.  Count-based
-    pessimism averages over the dataset's step distribution, so it takes
-    its own (typically every-visit) table via ``pessimism_counts``.
+    repeated per grid point so the table stays rectangular.  ``counts``
+    gates the decision-point rows; count-based pessimism averages over the
+    dataset's step distribution, so it takes its own (every-visit) table,
+    ``pessimism_counts``.
     """
-    if pessimism_counts is None:
-        pessimism_counts = counts
     rows: list[dict] = []
     for n_wedge in n_wedge_grid:
         base = dict(

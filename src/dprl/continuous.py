@@ -79,7 +79,8 @@ class NeighborIndex:
     Attributes:
         states: ``(K, d)`` raw state vectors in insertion order, which is
             trajectory-major and time-minor.
-        actions / returns / trajectory_ids: ``(K,)`` aligned.
+        actions / returns / trajectory_ids: ``(K,)`` aligned; trajectory
+            ids may be any integers but must not decrease.
         metric_weights: ``(d,)`` positive, finite per-dimension weights.
         radius: neighborhood radius in the weighted metric.
     """
@@ -106,6 +107,8 @@ class NeighborIndex:
         for name in ("actions", "returns", "trajectory_ids"):
             if getattr(self, name).shape != (len(self.states),):
                 raise ValueError(f"{name} must be 1-d with one entry per state")
+        if (self.trajectory_ids[1:] < self.trajectory_ids[:-1]).any():
+            raise ValueError("trajectory_ids must not decrease: the index is trajectory-major")
         for name in ("states", "returns"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -191,7 +194,7 @@ def query(
     hits = index.neighbors(state)
     universe = index.action_universe()
     # Key 0 is the state and key 1 + i action universe[i]: one grouping gives
-    # v_hat and every q_hat.  Trajectory ids may be any integers.
+    # v_hat and every q_hat.  Hits ascend, so their trajectory ids do not decrease.
     actions = 1 + np.searchsorted(universe, index.actions[hits])
     means, sizes = _visit_means(
         np.concatenate([np.zeros_like(actions), actions]),

@@ -80,19 +80,16 @@ def _check_mode(mode: str) -> None:
 
 
 def _first_in_order(order: np.ndarray, keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """``order`` (the steps stably sorted by key) cut to the first visit to each (key, group)."""
+    """``order`` (the steps stably sorted by key) cut to the first visit to each (key, group).
+
+    Within a key, groups must not decrease in step order (as trajectory ids
+    in trajectory-major data do), so each group arrives as one run and its
+    first visit is where the run changes.
+    """
     k, g = keys[order], groups[order]
-    same_key = k[1:] == k[:-1]
-    if (~same_key | (g[1:] >= g[:-1])).all():
-        # Within each key the groups arrive in runs (as trajectories do), so a
-        # group's first visit is where the run changes.
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = ~same_key | (g[1:] != g[:-1])
-        return order[first]
-    ranks = np.unique(groups, return_inverse=True)[1]
-    first = np.zeros(len(keys), dtype=bool)
-    first[np.unique(keys * (ranks.max() + 1) + ranks, return_index=True)[1]] = True
-    return order[first[order]]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (k[1:] != k[:-1]) | (g[1:] != g[:-1])
+    return order[first]
 
 
 def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -157,7 +154,8 @@ def segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _visit_means(keys, values, groups, mode: str, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-key mean of ``values`` over the steps ``mode`` counts, and how many there were.
 
-    Keys lie in ``[0, num_keys)``; groups are visit-group ids, any integers.
+    Keys lie in ``[0, num_keys)``; groups are visit-group ids that do not
+    decrease in step order within a key.
     A key nobody visited gets mean nan and count 0.  Each key's values are
     reduced in step order, exactly as ``np.mean`` of that key's list would be.
     """

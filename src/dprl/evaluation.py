@@ -117,9 +117,10 @@ class ExperimentResult:
         vals = np.asarray(self.values[label], dtype=np.float64)
         return vals[np.isfinite(vals)]
 
-    def cvar(self, label: str, alpha: float = 0.05) -> float:
+    def cvar(self, label: str) -> float:
+        """CVaR at 5% of the finite values, as ``summary`` reports it (``cvar_5``)."""
         finite = self.finite_values(label)
-        return cvar(finite, alpha) if finite.size else float("nan")
+        return cvar(finite, 0.05) if finite.size else float("nan")
 
     def mean_value(self, label: str) -> float:
         finite = self.finite_values(label)
@@ -130,11 +131,11 @@ class ExperimentResult:
         finite = vals[np.isfinite(vals)]
         return float(finite.mean()) if finite.size else float("nan")
 
-    def summary(self, alpha: float = 0.05) -> dict:
+    def summary(self) -> dict:
         out: dict = {"config_hash": self.config_hash, "num_seeds": len(self.seeds), "algorithms": {}}
         for label in self.labels:
             entry = out["algorithms"][label] = {
-                "cvar_5": self.cvar(label, alpha),
+                "cvar_5": self.cvar(label),
                 "mean_value": self.mean_value(label),
                 "mean_defer_fraction": self.mean_defer_fraction(label),
                 "num_failures": len(self.failures.get(label, [])),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -187,6 +188,7 @@ class TrajectoryDataset:
     trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` and was drawn from
     ``seeds[i]``.  Construction checks that the columns have equal length,
     that ``offsets`` runs from 0 to that length without decreasing, that
+    ``num_states`` and ``num_actions`` are integers >= 0 (not bools), that
     every id lies in ``[0, num_states)`` or ``[0, num_actions)`` and that
     every reward is finite.  It then keeps read-only copies of the columns
     and refuses attribute writes, so :attr:`visits`, built from the columns
@@ -202,6 +204,11 @@ class TrajectoryDataset:
     num_actions: int
 
     def __post_init__(self) -> None:
+        for name in ("num_states", "num_actions"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {size!r}")
+            object.__setattr__(self, name, int(size))
         columns = {}
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
             ids = columns[name] = _int_ids(getattr(self, name), name)

@@ -318,6 +318,7 @@ class TestComparisonRows:
             num_actions=2,
             pqi_b=0.02,
             dataset_size=500,
+            pessimism_counts=counts,
         )
         assert len(rows) == 12
         methods = [r["method"] for r in rows[:4]]
@@ -346,15 +347,14 @@ class TestComparisonRows:
             pqi_b=0.02,
             dataset_size=100,
         )
-        default_rows = bound_comparison_rows(gating, **shared)
-        split_rows = bound_comparison_rows(gating, pessimism_counts=stepwise, **shared)
-        default_p = [r for r in default_rows if r["method"] == "count_pessimism"][0]
-        split_p = [r for r in split_rows if r["method"] == "count_pessimism"][0]
-        assert default_p["bound"] != split_p["bound"]
+        with pytest.raises(TypeError, match="pessimism_counts"):  # no silent fallback to gating
+            bound_comparison_rows(gating, **shared)
+        rows = bound_comparison_rows(gating, pessimism_counts=stepwise, **shared)
+        pessimism = [r for r in rows if r["method"] == "count_pessimism"][0]
         expected = count_pessimism_bound(
             stepwise,
             BoundInputs(
                 v_max=1.0, gamma=0.9, n_wedge=1, delta=0.1, num_states=2, num_actions=2
             ),
         )
-        assert split_p["bound"] == pytest.approx(expected, rel=1e-12)
+        assert pessimism["bound"] == pytest.approx(expected, rel=1e-12)

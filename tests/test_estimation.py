@@ -299,17 +299,15 @@ class TestVisitMeans:
         st.just(k),
         st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([-7, 0, 3, 2**40]),
                            st.floats(-1e6, 1e6)), max_size=60),
-        st.booleans(),
         st.sampled_from([FIRST_VISIT, EVERY_VISIT]),
     )))
     def test_equals_unique_and_mean_oracle(self, case):
-        # Groups may interleave and be any integers, as trajectory ids in a
-        # hand-built neighbour index can; sorted groups take the fast path.
-        num_keys, steps, sort_groups, mode = case
+        # Groups are any integers in runs, as trajectory ids in a neighbour
+        # index are; keys interleave freely.
+        num_keys, steps, mode = case
         keys, groups, values = (np.array(c) for c in zip(*steps)) if steps else (
             np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-        if sort_groups:
-            groups = np.sort(groups)
+        groups = np.sort(groups)
         values = values.astype(np.float64)
         got = _visit_means(keys, values, groups, mode, num_keys)
         expected = oracles.unique_visit_means(keys, values, groups, mode, num_keys)

@@ -338,9 +338,10 @@ class TestDatasetConstruction:
         return {**fields, **changes}
 
     def test_consistent_columns_accepted(self):
-        ds = TrajectoryDataset(**self.columns(seeds=[np.uint64(4), 5]))
+        ds = TrajectoryDataset(**self.columns(seeds=[np.uint64(4), 5], num_states=np.int64(3)))
         assert len(ds) == 2 and ds.total_steps() == 3
         assert [type(s) for s in ds.seeds] == [int, int]
+        assert ds.num_states == 3 and type(ds.num_states) is int
         assert [t.states.tolist() for t in ds] == [[0, 1], [2]]
 
     @pytest.mark.parametrize(
@@ -369,6 +370,19 @@ class TestDatasetConstruction:
     def test_inconsistent_columns_rejected(self, changes, message):
         with pytest.raises((TypeError, ValueError), match=message):
             TrajectoryDataset(**self.columns(**changes))
+
+    @pytest.mark.parametrize("name", ["num_states", "num_actions"])
+    @pytest.mark.parametrize("size", [2.5, True, -1])
+    def test_sizes_must_be_nonnegative_integers(self, name, size):
+        # Not a TypeError inside numpy once the dataset is counted.
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0, got {size!r}"):
+            TrajectoryDataset(**self.columns(states=[0, 0, 0], actions=[0, 0, 0], **{name: size}))
+
+    def test_load_dataset_checks_sizes(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps({"seed": 0, "steps": [[0, 0, 0.5]]}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="num_states must be an integer >= 0, got 2.5"):
+            load_dataset(path, num_states=2.5, num_actions=1)
 
     def test_float_trajectory_ids_rejected(self):
         # Not truncated to states [0] and actions [1].
