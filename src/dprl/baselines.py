@@ -10,16 +10,17 @@ like a transition to a zero-value sink.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimation import EVERY_VISIT, count_visits
 from .mdp import TrajectoryDataset
-from .solvers import bellman_system, discounted_lookahead
+from .solvers import bellman_system, discounted_lookahead, policy_iteration
 
 
-@dataclass
+@dataclass(frozen=True)
 class MleModel:
     """Empirical MDP estimate from a dataset.
 
@@ -27,12 +28,17 @@ class MleModel:
     counts by the steps of each pair that have a recorded successor, so a
     trajectory's final step (whose arrival state is not logged) contributes
     a reward but no transition, and a pair seen only there keeps an all-zero
-    row.  The model holds one ``(S, A, S)`` table, ``p_hat``.
+    row.  The model holds one ``(S, A, S)`` table, ``p_hat``.  Its tables
+    are read-only, so every learner of a dataset can share one fit.
     """
 
     p_hat: np.ndarray
     r_hat: np.ndarray
     n_sa: np.ndarray
+
+    def __post_init__(self) -> None:
+        for table in (self.p_hat, self.r_hat, self.n_sa):
+            table.flags.writeable = False
 
 
 @dataclass
@@ -77,11 +83,16 @@ class BaselinePolicy:
 
 
 def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
-    """Maximum-likelihood transition and mean-reward tables.
+    """Maximum-likelihood transition and mean-reward tables, fitted once per dataset.
 
-    Rewards are summed in dataset order.  The ``(S, A, S)`` table is only
-    written where a transition was seen, so untouched pages stay unmapped.
+    The model is kept on ``dataset.visits``, so the dataset's learners share
+    it.  Rewards are summed in dataset order.  The ``(S, A, S)`` table is
+    only written where a transition was seen, so untouched pages stay unmapped.
     """
+    return dataset.visits.cached("mle", lambda: _fit_mle_model(dataset))
+
+
+def _fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     num_states, num_actions = dataset.num_states, dataset.num_actions
     num_pairs = num_states * num_actions
     states, rewards, offsets = dataset.states, dataset.rewards, dataset.offsets
@@ -101,10 +112,12 @@ def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
 
 
-def _evaluate_rows_on_model(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
-    r_pi = (model.r_hat * rows).sum(axis=1)
+def _model_scores(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
+    """``r_hat + gamma * P_hat v`` for the values ``v`` of ``rows`` on the model."""
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    return np.linalg.solve(bellman_system(p_pi, gamma), r_pi)
+    values = np.linalg.solve(bellman_system(p_pi, gamma), (model.r_hat * rows).sum(axis=1))
+    del p_pi  # free the system before the lookahead's block buffer exists
+    return model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
 
 
 def train_spibb(
@@ -119,51 +132,40 @@ def train_spibb(
     Probability mass on pairs with fewer than ``n_wedge`` observations is
     copied from ``behavior.action_probabilities`` (true rows, or an estimate
     such as a cloned policy); the remaining mass concentrates on the best
-    sufficiently observed action under the learned model.  ``n_wedge=inf``
-    therefore returns the behavior exactly, and ``n_wedge=1`` on full
-    coverage is plain greedy policy iteration on the learned model.
+    sufficiently observed action under the learned model, chosen greedily
+    on the behavior rows' values and then by :func:`solvers.policy_iteration`.
+    ``n_wedge`` must be a number >= 1: ``n_wedge=inf`` returns the behavior
+    exactly, and ``n_wedge=1`` on full coverage is plain greedy policy
+    iteration on the learned model.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
+    if isinstance(n_wedge, bool) or not isinstance(n_wedge, numbers.Real) or not n_wedge >= 1:
+        raise ValueError(f"n_wedge must be a number >= 1, got {n_wedge!r}")
     if model is None:
         model = fit_mle_model(dataset)
     behavior_rows = behavior.action_probabilities
     if behavior_rows.shape != model.n_sa.shape:
         raise ValueError(f"behavior rows have shape {behavior_rows.shape}, "
                          f"the model has (states, actions) {model.n_sa.shape}")
-    num_states, num_actions = behavior_rows.shape
     free = model.n_sa >= n_wedge
     # Sum each state's free behavior mass as its compacted row, as numpy would.
     num_free = free.sum(axis=1)
-    free_mass = np.zeros(num_states)
+    free_mass = np.zeros(len(free))
     for k in np.unique(num_free[num_free > 0]).tolist():
         group = np.flatnonzero(num_free == k)
         cols = np.nonzero(free[group])[1].reshape(len(group), k)
         free_mass[group] = behavior_rows[group[:, None], cols].sum(axis=1)
-    states = np.arange(num_states)
+    active = np.flatnonzero(num_free > 0)
 
-    # chosen[s] = -1 marks states whose whole row stays behavior mass.
-    chosen = np.full(num_states, -1, dtype=np.int64)
-    rows = behavior_rows.copy()
-    for _ in range(200):
-        values = _evaluate_rows_on_model(model, rows, gamma)
-        q = model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
-        best = np.where(free, q, -np.inf).argmax(axis=1)
-        # Hold the incumbent on near-ties; flipping between equal-value
-        # allocations would never reach exact stability.
-        switch = (chosen < 0) | (q[states, best] > q[states, chosen] + 1e-12)
-        new_chosen = np.where((num_free > 0) & switch, best, chosen)
-        if np.array_equal(new_chosen, chosen):
-            break
-        chosen = new_chosen
-        active = chosen >= 0
-        rows = behavior_rows.copy()
-        rows[active] = np.where(free[active], 0.0, rows[active])
-        rows[states[active], chosen[active]] += free_mass[active]
-    else:
-        raise RuntimeError("constrained policy iteration did not stabilize")
+    def rows_for(policy: np.ndarray) -> np.ndarray:
+        rows = np.where(free, 0.0, behavior_rows)
+        rows[active, policy[active]] += free_mass[active]
+        return rows
 
-    return BaselinePolicy(rows, kind="spibb", params={"n_wedge": float(n_wedge)})
+    policy, _ = policy_iteration(lambda p: _model_scores(model, rows_for(p), gamma),
+                                 free, _model_scores(model, behavior_rows, gamma))
+    return BaselinePolicy(rows_for(policy), kind="spibb", params={"n_wedge": float(n_wedge)})
 
 
 def train_pqi(
@@ -177,9 +179,10 @@ def train_pqi(
     Pairs whose empirical visit density falls below ``density_threshold``
     are filtered: they earn nothing and lead nowhere, i.e. their value is
     pessimistically zero.  Exact policy iteration on the filtered model
-    yields a deterministic policy over surviving pairs; a state with no
-    surviving pair falls back to its empirically most frequent action, and
-    unseen states fall back to uniform.
+    (:func:`solvers.policy_iteration`, from each state's lowest allowed
+    action) yields a deterministic policy over surviving pairs; a state
+    with no surviving pair falls back to its empirically most frequent
+    action, and unseen states fall back to uniform.
     """
     if not 0.0 < density_threshold < 1.0:
         raise ValueError("density_threshold must lie in (0, 1)")
@@ -191,12 +194,7 @@ def train_pqi(
     total_steps = model.n_sa.sum()  # n_sa counts every step once
     if total_steps == 0:
         raise ValueError("dataset holds no steps")
-    density = model.n_sa / total_steps
-    surviving = density >= density_threshold
-
-    # Filtered pairs earn nothing and lead nowhere: their reward, their row
-    # of the policy's transition matrix and their lookahead are zeroed.
-    r_mod = np.where(surviving, model.r_hat, 0.0)
+    surviving = model.n_sa / total_steps >= density_threshold
 
     # Choice set: surviving actions, else the majority fallback, else (unseen) all.
     seen = model.n_sa.sum(axis=1) > 0
@@ -205,32 +203,19 @@ def train_pqi(
     allowed[fallback, np.argmax(model.n_sa[fallback], axis=1)] = True
     allowed[~seen] = True
     states = np.arange(num_states)
-    policy = np.argmax(allowed, axis=1)
-    for _ in range(num_states * num_actions + 1):
-        p_pi = model.p_hat[states, policy]
-        p_pi[~surviving[states, policy]] = 0.0
-        values = np.linalg.solve(bellman_system(p_pi, gamma), r_mod[states, policy])
-        del p_pi  # free the system before the lookahead's block buffer exists
-        lookahead = discounted_lookahead(model.p_hat, values, gamma)
-        lookahead[~surviving] = 0.0
-        q = r_mod + lookahead
-        best = np.where(allowed, q, -np.inf).argmax(axis=1)
-        # Switch only on strict improvement; ties keep the incumbent.
-        switch = q[states, best] > q[states, policy] + 1e-12
-        if not switch.any():
-            break
-        policy = np.where(switch, best, policy)
-    else:
-        raise RuntimeError("filtered policy iteration did not stabilize")
 
+    def score(policy: np.ndarray) -> np.ndarray:
+        # A filtered pair gets zero weight in the policy's rows and a zero score.
+        rows = np.zeros((num_states, num_actions))
+        rows[states, policy] = surviving[states, policy]
+        return np.where(surviving, _model_scores(model, rows, gamma), 0.0)
+
+    # Zero start scores: the first policy takes each state's lowest allowed action.
+    policy, _ = policy_iteration(score, allowed, np.zeros(allowed.shape))
     rows = np.full((num_states, num_actions), 1.0 / num_actions)
     rows[seen] = 0.0
     rows[states[seen], policy[seen]] = 1.0
-    return BaselinePolicy(
-        action_probabilities=rows,
-        kind="pqi",
-        params={"density_threshold": density_threshold},
-    )
+    return BaselinePolicy(rows, kind="pqi", params={"density_threshold": density_threshold})
 
 
 def train_behavior_clone(

@@ -24,6 +24,7 @@ from .estimation import (
     monte_carlo_estimates,
 )
 from .mdp import TrajectoryDataset
+from .solvers import policy_iteration
 
 TAIL_DROP = "drop"
 TAIL_ABSORB = "absorb"
@@ -261,24 +262,15 @@ def smdp_policy_iteration(
     (the absorbing tail is worth zero) and a pair lacking elevated data has
     a zero weight row and reward ``q_hat``.  It then scores every passing
     pair by ``r + W v`` and takes each state's best, ties to the lowest
-    action index.  The one stopping rule: iteration stops when that
-    greedy policy equals the current one.  ``history``, if given, receives
-    ``(values, policy)`` of every round.
+    action index, until that greedy policy equals the current one: the
+    stopping rule of :func:`solvers.policy_iteration`, which the baselines
+    share.  ``history``, if given, receives ``(values, policy)`` of every round.
     """
     states = np.array(model.states, dtype=np.int64)
     num_dp = len(states)
-    if num_dp == 0:
-        return DecisionPointPolicy(
-            n_wedge=dp.n_wedge,
-            verdicts={},
-            defer_states=dp.defer_states,
-            iterations=0,
-            provenance=dp,
-        )
     known = np.isin(states, np.flatnonzero(dp.gate.any(axis=1)))
     if not known.all():
         raise ValueError(f"model state {states[~known][0]} has no action passing the gate in dp")
-    passing = dp.gate[states]
     q_hat = estimates.q_hat[states]
     has_data = model.counts.sum(axis=2) > 0
     weights = np.where(
@@ -286,8 +278,8 @@ def smdp_policy_iteration(
     )
     reward = np.where(has_data, model.r_bar, q_hat)
     rows = np.arange(num_dp)
-    policy = np.where(passing, q_hat, -np.inf).argmax(axis=1)
-    for iterations in range(1, max(64, 4 * passing.size) + 1):
+
+    def score(policy: np.ndarray) -> np.ndarray:
         system = np.eye(num_dp) - weights[rows, policy]
         try:
             values = np.linalg.solve(system, reward[rows, policy])
@@ -301,14 +293,9 @@ def smdp_policy_iteration(
         # One (1 x D) @ (D x 1) product per pair, which numpy computes with the same
         # BLAS dot as np.dot(weights[i, a], values).  A gemv (weights @ values)
         # rounds differently and can flip a last-bit tie between two actions.
-        scores = reward + (weights[:, :, None, :] @ values[:, None])[:, :, 0, 0]
-        improved = np.where(passing, scores, -np.inf).argmax(axis=1)
-        if np.array_equal(improved, policy):
-            break
-        policy = improved
-    else:
-        raise RuntimeError("semi-Markov policy iteration did not converge")
+        return reward + (weights[:, :, None, :] @ values[:, None])[:, :, 0, 0]
 
+    policy, iterations = policy_iteration(score, dp.gate[states], q_hat)
     return DecisionPointPolicy(
         n_wedge=dp.n_wedge,
         verdicts=dict(zip(states.tolist(), policy.tolist())),

@@ -192,27 +192,30 @@ class VisitIndex:
         self._num_keys = {"state": num_states, "pair": num_states * num_actions}
         self._cache: dict = {}
 
-    def _cached(self, key, build):
+    def cached(self, key, build):
+        """``build()``, made on the first call with ``key`` and kept; an array is kept read-only."""
         if key not in self._cache:
-            self._cache[key] = _read_only(build())
+            value = self._cache[key] = build()
+            if isinstance(value, np.ndarray):
+                _read_only(value)
         return self._cache[key]
 
     def returns(self, gamma: float) -> np.ndarray:
         """Each step's discounted suffix return within its trajectory."""
-        return self._cached(("returns", gamma),
+        return self.cached(("returns", gamma),
                             lambda: segment_suffix_returns(self._rewards, self._offsets, gamma))
 
     def order(self, kind: str, mode: str) -> np.ndarray:
         """The steps ``mode`` counts, grouped by ascending key, ascending within a key."""
         if mode == EVERY_VISIT:
-            return self._cached((kind, mode), lambda: np.argsort(self.keys[kind], kind="stable"))
-        return self._cached((kind, mode), lambda: _first_in_order(
+            return self.cached((kind, mode), lambda: np.argsort(self.keys[kind], kind="stable"))
+        return self.cached((kind, mode), lambda: _first_in_order(
             self.order(kind, EVERY_VISIT), self.keys[kind], self.trajectory))
 
     def counts(self, kind: str, mode: str) -> np.ndarray:
         """``(num_keys,)`` steps ``mode`` counts per key."""
         keys = self.keys[kind]
-        return self._cached(("counts", kind, mode), lambda: np.bincount(
+        return self.cached(("counts", kind, mode), lambda: np.bincount(
             keys if mode == EVERY_VISIT else keys[self.order(kind, mode)],
             minlength=self._num_keys[kind]))
 

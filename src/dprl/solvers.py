@@ -44,6 +44,26 @@ def bellman_system(p_pi: np.ndarray, gamma: float) -> np.ndarray:
     return p_pi
 
 
+def policy_iteration(score, allowed: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """Greedy policy iteration under the one stopping rule every learner shares.
+
+    A greedy policy takes each row's best-scoring ``allowed`` action, ties to
+    the lowest index.  The first is greedy on ``start``; each round scores
+    every pair with ``score(policy)`` and stops when the greedy policy equals
+    the current one.  Returns it and the round count (0 when there is no
+    pair to choose); raises ``RuntimeError`` past ``max(64, 4 * S * A)`` rounds.
+    """
+    if allowed.size == 0:  # no state or no action: nothing to choose
+        return np.zeros(len(allowed), dtype=np.int64), 0
+    policy = np.where(allowed, start, -np.inf).argmax(axis=1)
+    for rounds in range(1, max(64, 4 * allowed.size) + 1):
+        improved = np.where(allowed, score(policy), -np.inf).argmax(axis=1)
+        if np.array_equal(improved, policy):
+            return policy, rounds
+        policy = improved
+    raise RuntimeError("policy iteration did not converge")
+
+
 def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     """Solve the Bellman evaluation system for a stochastic tabular policy.
 

@@ -6,7 +6,11 @@ model's segment counts (``make_smdp`` in absorb mode, as training builds
 it), the hash of the sorted ``[state, action]`` pairs passing the gate,
 the dprl verdicts and defer set, the hash of the policy file
 (``DecisionPointPolicy.to_json``), the policy-iteration count and C_{N∧}
-(pairs seen at least ``n_wedge`` times).  For a continuous point set
+(pairs seen at least ``n_wedge`` times).  For the baselines it records
+the hash of the ``[state, action]`` pairs PQI chooses at ``b = 0.02``
+(unseen states, which stay uniform, left out) and of the free pairs
+that hold SPIBB's free mass under the true behaviour at the config's
+``n_wedge``.  For a continuous point set
 in the style of the ``continuous-cover`` benchmark it records the covering
 numbers ``(m_dense, m_total)`` and the hash of the query decisions in each
 neighbour mode.  None of these is a float, so they do not move with the
@@ -27,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from dprl import continuous
+from dprl.baselines import fit_mle_model, train_pqi, train_spibb
 from dprl.bounds import count_c_n_wedge
 from dprl.discrete import make_smdp, train_decision_point_policy
 from dprl.envs import build_environment
@@ -34,6 +39,7 @@ from dprl.estimation import FIRST_VISIT, count_visits
 from dprl.mdp import save_dataset, simulate
 
 MANIFEST = Path(__file__).with_name("manifest.jsonl")
+PQI_B = 0.02
 
 # name -> the environment, dataset, seeds and dprl entry of a CLI config.
 CONFIGS = {
@@ -99,6 +105,9 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
         policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
         dp = policy.provenance
         model = make_smdp(dataset, dp, mdp.gamma)
+        free = fit_mle_model(dataset).n_sa >= params["n_wedge"]
+        spibb = train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma).action_probabilities
+        pqi = train_pqi(dataset, PQI_B, mdp.gamma).action_probabilities
         records.append({
             "master_seed": master,
             "jsonl_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
@@ -110,6 +119,8 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
             "pi_iterations": policy.iterations,
             "verdicts": {str(s): a for s, a in sorted(policy.verdicts.items())},
             "defer_states": sorted(policy.defer_states),
+            "pqi_actions_sha256": sha256_json(np.argwhere(pqi == 1.0).tolist()),
+            "spibb_free_actions_sha256": sha256_json(np.argwhere(free & (spibb > 0)).tolist()),
         })
     return records
 

@@ -7,6 +7,7 @@ quantities from first principles so that agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 
@@ -605,8 +606,18 @@ def _solve_rows(model, rows: np.ndarray, gamma: float) -> np.ndarray:
     return np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
 
 
+def _rounds(model) -> range:
+    """Every round policy iteration may take on ``model``: ``max(64, 4 * S * A)``."""
+    return range(max(64, 4 * model.n_sa.size))
+
+
 def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> np.ndarray:
-    """SPIBB's constrained policy iteration with a loop over states per step."""
+    """SPIBB's constrained policy iteration with a loop over states per step.
+
+    The first choice is greedy on the behaviour rows' values.  Each round
+    then gives every state's free mass to its best free action, ties to the
+    lowest, until the choice repeats.
+    """
     num_states = behavior_rows.shape[0]
     free_lists = [np.nonzero(model.n_sa[s] >= n_wedge)[0] for s in range(num_states)]
 
@@ -620,28 +631,27 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
                 out[s, chosen[s]] += mass
         return out
 
-    chosen = np.full(num_states, -1, dtype=np.int64)
-    rows = behavior_rows.copy()
-    for _ in range(200):
+    def choose(rows):
         values = _solve_rows(model, rows, gamma)
         q = model.r_hat + dense_lookahead(model.p_hat, values, gamma)
-        new_chosen = chosen.copy()
-        for s in range(num_states):
-            free = free_lists[s]
-            if len(free) == 0:
-                continue
-            best = int(free[np.argmax(q[s, free])])
-            if chosen[s] < 0 or q[s, best] > q[s, chosen[s]] + 1e-12:
-                new_chosen[s] = best
+        return np.array([int(free[np.argmax(q[s, free])]) if len(free) else -1
+                         for s, free in enumerate(free_lists)], dtype=np.int64)
+
+    chosen = choose(behavior_rows)
+    for _ in _rounds(model):
+        new_chosen = choose(rows_for(chosen))
         if np.array_equal(new_chosen, chosen):
-            return rows
+            return rows_for(chosen)
         chosen = new_chosen
-        rows = rows_for(chosen)
-    raise RuntimeError("constrained policy iteration did not stabilize")
+    raise RuntimeError("policy iteration did not converge")
 
 
-def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
-    """Density-filtered policy iteration with per-state choice lists."""
+def filtered_pqi_model(model, density_threshold: float):
+    """PQI's filtered model and choice lists: ``(r_mod, p_mod, choice_sets, seen)``.
+
+    Filtered pairs earn nothing and lead nowhere.  A state chooses among its
+    surviving actions, else its most frequent action, else (unseen) all.
+    """
     num_states, num_actions = model.n_sa.shape
     surviving = model.n_sa / model.n_sa.sum() >= density_threshold
     r_mod = np.where(surviving, model.r_hat, 0.0)
@@ -655,31 +665,65 @@ def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
             choice_sets.append(np.array([int(np.argmax(model.n_sa[s]))]))
         else:
             choice_sets.append(np.arange(num_actions))
+    return r_mod, p_mod, choice_sets, seen
+
+
+def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
+    """Density-filtered policy iteration with per-state choice lists.
+
+    Starts from each state's lowest allowed action; each round takes every
+    state's best allowed action, ties to the lowest, until the policy repeats.
+    """
+    num_states, num_actions = model.n_sa.shape
+    r_mod, p_mod, choice_sets, seen = filtered_pqi_model(model, density_threshold)
     policy = np.array([c[0] for c in choice_sets], dtype=np.int64)
-    for _ in range(num_states * num_actions + 1):
+    for _ in _rounds(model):
         r_pi = r_mod[np.arange(num_states), policy]
         p_pi = p_mod[np.arange(num_states), policy]
         values = np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
         q = r_mod + dense_lookahead(p_mod, values, gamma)
-        new_policy = policy.copy()
-        changed = False
-        for s, c in enumerate(choice_sets):
-            best = int(c[int(np.argmax(q[s, c]))])
-            if q[s, best] > q[s, policy[s]] + 1e-12:
-                new_policy[s] = best
-                changed = True
-        if not changed:
+        new_policy = np.array([int(c[int(np.argmax(q[s, c]))]) for s, c in enumerate(choice_sets)],
+                              dtype=np.int64)
+        if np.array_equal(new_policy, policy):
             break
         policy = new_policy
     else:
-        raise RuntimeError("filtered policy iteration did not stabilize")
+        raise RuntimeError("policy iteration did not converge")
     rows = np.zeros((num_states, num_actions))
     for s in range(num_states):
-        if surviving[s].any() or seen[s]:
+        if seen[s]:
             rows[s, policy[s]] = 1.0
         else:
             rows[s, :] = 1.0 / num_actions
     return rows
+
+
+def filtered_policy_value(model, density_threshold: float, gamma: float, policy) -> np.ndarray:
+    """Values of the deterministic ``policy`` (one action per state) on PQI's filtered model."""
+    r_mod, p_mod, _, _ = filtered_pqi_model(model, density_threshold)
+    n = len(policy)
+    a_mat = np.eye(n)
+    b_vec = np.zeros(n)
+    for s, a in enumerate(policy):
+        b_vec[s] = r_mod[s, a]
+        for s2 in range(n):
+            a_mat[s, s2] -= gamma * p_mod[s, a, s2]
+    return np.linalg.solve(a_mat, b_vec)
+
+
+def enumerate_pqi_policies(model, density_threshold: float, gamma: float) -> np.ndarray:
+    """Exhaust every deterministic policy over PQI's choice lists on the filtered model.
+
+    Returns the state-wise upper envelope of the evaluated value vectors,
+    which an optimal policy attains at every state at once.  Meant for tiny
+    models (at most 4 states x 3 actions, 81 policies).
+    """
+    _, _, choice_sets, _ = filtered_pqi_model(model, density_threshold)
+    envelope = None
+    for policy in itertools.product(*(c.tolist() for c in choice_sets)):
+        values = filtered_policy_value(model, density_threshold, gamma, policy)
+        envelope = values if envelope is None else np.maximum(envelope, values)
+    return envelope
 
 
 def _first_per_trajectory(index, candidate_ids: np.ndarray) -> np.ndarray:

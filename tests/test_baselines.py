@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_dataset, make_traj, random_datasets, random_mdp, uniform_behavior
+from dprl import baselines
 from dprl.baselines import (
     BaselinePolicy,
     fit_mle_model,
@@ -63,6 +64,32 @@ class TestMleModel:
         np.testing.assert_allclose(model.p_hat, p_hat, atol=1e-12)
         np.testing.assert_allclose(model.r_hat, r_hat, atol=1e-12)
         np.testing.assert_array_equal(model.n_sa, r_n)
+
+    def test_one_read_only_fit_per_dataset(self, monkeypatch):
+        # The forest-baselines registry entries share the dataset's one fit.
+        fits = []
+        fit = baselines._fit_mle_model
+
+        def counted_fit(ds):
+            fits.append(ds)
+            return fit(ds)
+
+        monkeypatch.setattr(baselines, "_fit_mle_model", counted_fit)
+        mdp, behavior = build_forest_mdp(num_chains=5, depth=3, epsilon=0.2)
+        ds = simulate(mdp, behavior, num_trajectories=20, horizon=30, master_seed=0)
+        specs = [AlgorithmSpec("dprl", "dprl", {"n_wedge": 2}),
+                 AlgorithmSpec("spibb", "spibb_true", {"n_wedge": 2, "behavior": "true"}),
+                 AlgorithmSpec("spibb", "spibb_estimated", {"n_wedge": 2, "behavior": "estimated"}),
+                 AlgorithmSpec("pqi", "pqi", {"density_threshold": 0.02}),
+                 AlgorithmSpec("behavior_clone", "behavior_clone"),
+                 AlgorithmSpec("behavior", "behavior")]
+        for spec in specs:
+            train_algorithm(spec, ds, mdp, behavior)
+        model = fit_mle_model(ds)
+        assert len(fits) == 1 and fits[0] is ds and fit_mle_model(ds) is model
+        for table in (model.p_hat, model.r_hat, model.n_sa):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
 
 class TestBaselinePolicy:
@@ -209,6 +236,12 @@ class TestSpibb:
         with pytest.raises(ValueError):
             train_spibb(ds, uniform_behavior(1, 1), n_wedge=1, gamma=1.0)
 
+    @pytest.mark.parametrize("n_wedge", [float("nan"), 0, -3, 0.5])
+    def test_n_wedge_below_one_or_nan_rejected(self, n_wedge):
+        ds = make_dataset([make_traj([0], [0], [0.1])], 1, 1)
+        with pytest.raises(ValueError, match="n_wedge must be a number >= 1"):
+            train_spibb(ds, uniform_behavior(1, 1), n_wedge=n_wedge, gamma=0.9)
+
     def test_behavior_of_another_shape_rejected(self):
         grid, grid_behavior = build_gridworld(side=4)
         ds = simulate(grid, grid_behavior, num_trajectories=5, horizon=5, master_seed=0)
@@ -278,6 +311,25 @@ class TestPqi:
                 assert surviving <= previous
             previous = surviving
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.01, 0.05, 0.15]), st.sampled_from([0.5, 0.9]))
+    def test_optimal_on_the_filtered_model(self, num_states, num_actions, seed, threshold, gamma):
+        rng = np.random.default_rng(seed)
+        trajs = []
+        for i in range(rng.integers(1, 6)):
+            length = int(rng.integers(1, 8))
+            rewards = rng.random(length) * (rng.random(length) < 0.7)
+            trajs.append(make_traj(rng.integers(0, num_states, length),
+                                   rng.integers(0, num_actions, length), rewards, i))
+        ds = make_dataset(trajs, num_states, num_actions)
+        policy = train_pqi(ds, threshold, gamma)
+        model = oracles.loop_fit_mle_model(ds, num_states, num_actions)
+        chosen = np.argmax(policy.action_probabilities, axis=1)
+        got = oracles.filtered_policy_value(model, threshold, gamma, chosen)
+        best = oracles.enumerate_pqi_policies(model, threshold, gamma)
+        np.testing.assert_allclose(got, best, rtol=1e-12, atol=1e-12)
+
     def test_forest_failure_mode_across_seeds(self):
         # with thin good-chain coverage the filter zeroes the good arm's
         # continuation, so the plan settles for the middle arm or worse
@@ -318,6 +370,22 @@ def assert_same_array(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
+def assert_same_outcome(train, oracle):
+    """``train()``'s rows equal ``oracle()``'s bytes, or both raise non-convergence.
+
+    Under the one stopping rule, scores that tie for one policy and not
+    for another can make greedy policy iteration alternate; the trainer and
+    its oracle must then fail alike.
+    """
+    try:
+        expected = oracle()
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            train()
+        return
+    assert_same_array(train().action_probabilities, expected)
+
+
 @st.composite
 def datasets_with_behavior(draw):
     """A dataset plus a behavior row table with uneven, hard-to-sum entries."""
@@ -351,10 +419,11 @@ class TestColumnarMatchesLoops:
     def test_spibb(self, case, n_wedge, cloned, gamma):
         ds, behavior = case
         reference = train_behavior_clone(ds) if cloned else behavior
-        got = train_spibb(ds, reference, n_wedge, gamma)
         model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
-        expected = oracles.loop_spibb_rows(model, reference.action_probabilities, n_wedge, gamma)
-        assert_same_array(got.action_probabilities, expected)
+        assert_same_outcome(
+            lambda: train_spibb(ds, reference, n_wedge, gamma),
+            lambda: oracles.loop_spibb_rows(model, reference.action_probabilities, n_wedge, gamma),
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(random_datasets(), st.sampled_from([0.001, 0.02, 0.2, 0.6]), st.sampled_from([0.5, 0.9]))
@@ -363,9 +432,9 @@ class TestColumnarMatchesLoops:
             with pytest.raises(ValueError, match="no steps"):
                 train_pqi(ds, threshold, gamma)
             return
-        got = train_pqi(ds, threshold, gamma)
         model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
-        assert_same_array(got.action_probabilities, oracles.loop_pqi_rows(model, threshold, gamma))
+        assert_same_outcome(lambda: train_pqi(ds, threshold, gamma),
+                            lambda: oracles.loop_pqi_rows(model, threshold, gamma))
 
     def test_spibb_free_mass_sums_compacted_entries(self):
         # Ten actions with one rare pair: the free mass is the pairwise sum
@@ -383,9 +452,13 @@ class TestColumnarMatchesLoops:
         assert_same_array(got.action_probabilities, expected)
         assert (got.action_probabilities > 0).sum() == 2
 
-    def test_near_ties_hold_the_incumbent(self):
-        # Decimal rewards whose model values differ only by rounding: both
-        # learners switch action only on gains above 1e-12.
+    def test_near_ties_go_to_the_lowest_allowed_action(self):
+        # Decimal rewards whose model values differ only by rounding.  State 1
+        # loops on itself under both actions, with mean rewards 0.15 and
+        # 0.15000000000000002.  At gamma 0.6 action 1 scores higher; at 0.8
+        # both score 0.7500000000000001 and the tie goes to action 0.  At 0.9
+        # they tie only while action 1 is chosen, so the greedy policy
+        # alternates and both learners raise.
         episodes = [
             ([2, 0], [1, 1], [0.3, 0.25]),
             ([2, 2, 1, 1], [0, 0, 0, 1], [0.1, 0.05, 0.05, 0.1]),
@@ -396,11 +469,17 @@ class TestColumnarMatchesLoops:
         ds = make_dataset([make_traj(*e) for e in episodes], 3, 2)
         model = oracles.loop_fit_mle_model(ds, 3, 2)
         behavior = uniform_behavior(3, 2)
-        assert_same_array(
-            train_spibb(ds, behavior, 1, 0.9).action_probabilities,
-            oracles.loop_spibb_rows(model, behavior.action_probabilities, 1, 0.9),
-        )
-        assert_same_array(
-            train_pqi(ds, 0.001, 0.9).action_probabilities,
-            oracles.loop_pqi_rows(model, 0.001, 0.9),
-        )
+        for gamma, state_1 in ((0.6, [0.0, 1.0]), (0.8, [1.0, 0.0])):
+            for got, expected in (
+                (train_spibb(ds, behavior, 1, gamma),
+                 oracles.loop_spibb_rows(model, behavior.action_probabilities, 1, gamma)),
+                (train_pqi(ds, 0.001, gamma), oracles.loop_pqi_rows(model, 0.001, gamma)),
+            ):
+                assert_same_array(got.action_probabilities, expected)
+                assert got.action_probabilities[1].tolist() == state_1
+        for train in (lambda: train_spibb(ds, behavior, 1, 0.9),
+                      lambda: oracles.loop_spibb_rows(model, behavior.action_probabilities, 1, 0.9),
+                      lambda: train_pqi(ds, 0.001, 0.9),
+                      lambda: oracles.loop_pqi_rows(model, 0.001, 0.9)):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                train()

@@ -1,5 +1,6 @@
 """Blocked lookahead and in-place Bellman systems against the dense formulas."""
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -129,12 +130,17 @@ class TestMemory:
         num_states, num_actions = mdp.num_states, mdp.num_actions
         table = num_states * num_actions * num_states * 8
         square = num_states * num_states * 8
+
+        def fresh():
+            """A copy of the dataset, so each call fits the model a dataset keeps."""
+            return dataclasses.replace(dataset)
+
         calls = {
-            "fit_mle_model": (lambda: fit_mle_model(dataset),
+            "fit_mle_model": (lambda: fit_mle_model(fresh()),
                               table + 2 * square),
-            "train_spibb": (lambda: train_spibb(dataset, behavior, 10, mdp.gamma),
+            "train_spibb": (lambda: train_spibb(fresh(), behavior, 10, mdp.gamma),
                             table + 2 * square),
-            "train_pqi": (lambda: train_pqi(dataset, 0.02, mdp.gamma), table + 2 * square),
+            "train_pqi": (lambda: train_pqi(fresh(), 0.02, mdp.gamma), table + 2 * square),
             "policy_state_values": (
                 lambda: policy_state_values(mdp, behavior.action_probabilities), 2 * square),
         }
