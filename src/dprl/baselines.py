@@ -120,6 +120,11 @@ def _model_scores(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray
     return model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
 
 
+def is_n_wedge(value) -> bool:
+    """Whether ``value`` is a valid SPIBB ``n_wedge``: a non-bool number >= 1 (``inf`` too)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= 1
+
+
 def train_spibb(
     dataset: TrajectoryDataset,
     behavior,
@@ -140,7 +145,7 @@ def train_spibb(
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if isinstance(n_wedge, bool) or not isinstance(n_wedge, numbers.Real) or not n_wedge >= 1:
+    if not is_n_wedge(n_wedge):
         raise ValueError(f"n_wedge must be a number >= 1, got {n_wedge!r}")
     if model is None:
         model = fit_mle_model(dataset)

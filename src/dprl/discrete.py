@@ -262,9 +262,9 @@ def smdp_policy_iteration(
     (the absorbing tail is worth zero) and a pair lacking elevated data has
     a zero weight row and reward ``q_hat``.  It then scores every passing
     pair by ``r + W v`` and takes each state's best, ties to the lowest
-    action index, until that greedy policy equals the current one: the
-    stopping rule of :func:`solvers.policy_iteration`, which the baselines
-    share.  ``history``, if given, receives ``(values, policy)`` of every round.
+    action index, until that greedy policy repeats one already taken
+    (:func:`solvers.policy_iteration`, the stopping rule the baselines
+    share).  ``history``, if given, receives ``(values, policy)`` of every round.
     """
     states = np.array(model.states, dtype=np.int64)
     num_dp = len(states)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .baselines import (
     BaselinePolicy,
+    is_n_wedge,
     train_behavior_clone,
     train_pqi,
     train_spibb,
@@ -190,7 +191,7 @@ def _train_spibb(params, dataset, mdp, behavior):
 ALGORITHMS = {
     "dprl": ({"n_wedge": COUNT}, {"tail_mode": _one_of(*TAIL_MODES),
                                   "count_mode": _one_of(*VISIT_MODES)}, _train_dprl),
-    "spibb": ({"n_wedge": rule("a number >= 1", numbers.Real, lambda v: v >= 1)},
+    "spibb": ({"n_wedge": ("a number >= 1", is_n_wedge)},
               {"behavior": _one_of("true", "estimated")}, _train_spibb),
     "pqi": ({"density_threshold": FRACTION}, {},
             lambda p, ds, mdp, b: (train_pqi(ds, p["density_threshold"], mdp.gamma), 0.0)),

@@ -48,19 +48,20 @@ def policy_iteration(score, allowed: np.ndarray, start: np.ndarray) -> tuple[np.
     """Greedy policy iteration under the one stopping rule every learner shares.
 
     A greedy policy takes each row's best-scoring ``allowed`` action, ties to
-    the lowest index.  The first is greedy on ``start``; each round scores
-    every pair with ``score(policy)`` and stops when the greedy policy equals
-    the current one.  Returns it and the round count (0 when there is no
-    pair to choose); raises ``RuntimeError`` past ``max(64, 4 * S * A)`` rounds.
+    the lowest index.  The first is greedy on ``start``; each round takes the
+    greedy policy on ``score(policy)`` and stops when it repeats one already
+    taken: the current one, or an earlier one when rounding makes two tied
+    actions take turns.  Returns the repeat and the round count (0 when there
+    is no pair to choose); raises ``RuntimeError`` past ``max(64, 4 * S * A)`` rounds.
     """
     if allowed.size == 0:  # no state or no action: nothing to choose
         return np.zeros(len(allowed), dtype=np.int64), 0
-    policy = np.where(allowed, start, -np.inf).argmax(axis=1)
+    taken = [np.where(allowed, start, -np.inf).argmax(axis=1)]
     for rounds in range(1, max(64, 4 * allowed.size) + 1):
-        improved = np.where(allowed, score(policy), -np.inf).argmax(axis=1)
-        if np.array_equal(improved, policy):
+        policy = np.where(allowed, score(taken[-1]), -np.inf).argmax(axis=1)
+        if any(np.array_equal(policy, earlier) for earlier in reversed(taken)):
             return policy, rounds
-        policy = improved
+        taken.append(policy)
     raise RuntimeError("policy iteration did not converge")
 
 

@@ -208,8 +208,10 @@ def enumerate_smdp_policies(model, decision_sets, estimates):
 
 
 def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
-    """Policy iteration with per-state evaluate/improve loops; stops on a stable policy.
+    """Policy iteration with per-state evaluate/improve loops; stops on a repeated policy.
 
+    Each round takes every state's best action, ties to the lowest, and stops
+    when that policy was taken before (the current one or an earlier one).
     Appends ``(values, policy)`` per round to ``history`` and returns
     ``(verdicts, iterations)``, or raises after ``max(64, 4 * D * A)`` rounds.
     """
@@ -251,14 +253,15 @@ def loop_smdp_policy_iteration(model, decision_sets, estimates, history: list):
         [acts[int(np.argmax([q_hat[s, a] for a in acts]))] for s, acts in zip(states, actions)],
         dtype=np.int64,
     )
+    taken = [policy.tolist()]
     for iterations in range(1, max(64, 4 * num_dp * model.p_tilde.shape[1]) + 1):
         values = evaluate(policy)
         history.append((values.copy(), policy.copy()))
-        improved = improve(values)
-        if np.array_equal(improved, policy):
+        policy = improve(values)
+        if policy.tolist() in taken:
             return {int(s): int(a) for s, a in zip(states, policy)}, iterations
-        policy = improved
-    raise RuntimeError("semi-Markov policy iteration did not converge")
+        taken.append(policy.tolist())
+    raise RuntimeError("policy iteration did not converge")
 
 
 def sort_slice_cvar(values, alpha: float) -> float:
@@ -616,7 +619,7 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
 
     The first choice is greedy on the behaviour rows' values.  Each round
     then gives every state's free mass to its best free action, ties to the
-    lowest, until the choice repeats.
+    lowest, until the choice repeats one already taken.
     """
     num_states = behavior_rows.shape[0]
     free_lists = [np.nonzero(model.n_sa[s] >= n_wedge)[0] for s in range(num_states)]
@@ -637,12 +640,12 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
         return np.array([int(free[np.argmax(q[s, free])]) if len(free) else -1
                          for s, free in enumerate(free_lists)], dtype=np.int64)
 
-    chosen = choose(behavior_rows)
+    taken = [choose(behavior_rows).tolist()]
     for _ in _rounds(model):
-        new_chosen = choose(rows_for(chosen))
-        if np.array_equal(new_chosen, chosen):
+        chosen = choose(rows_for(taken[-1])).tolist()
+        if chosen in taken:
             return rows_for(chosen)
-        chosen = new_chosen
+        taken.append(chosen)
     raise RuntimeError("policy iteration did not converge")
 
 
@@ -672,21 +675,22 @@ def loop_pqi_rows(model, density_threshold: float, gamma: float) -> np.ndarray:
     """Density-filtered policy iteration with per-state choice lists.
 
     Starts from each state's lowest allowed action; each round takes every
-    state's best allowed action, ties to the lowest, until the policy repeats.
+    state's best allowed action, ties to the lowest, until the policy repeats
+    one already taken.
     """
     num_states, num_actions = model.n_sa.shape
     r_mod, p_mod, choice_sets, seen = filtered_pqi_model(model, density_threshold)
-    policy = np.array([c[0] for c in choice_sets], dtype=np.int64)
+    policy = [int(c[0]) for c in choice_sets]
+    taken = [policy]
     for _ in _rounds(model):
         r_pi = r_mod[np.arange(num_states), policy]
         p_pi = p_mod[np.arange(num_states), policy]
         values = np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
         q = r_mod + dense_lookahead(p_mod, values, gamma)
-        new_policy = np.array([int(c[int(np.argmax(q[s, c]))]) for s, c in enumerate(choice_sets)],
-                              dtype=np.int64)
-        if np.array_equal(new_policy, policy):
+        policy = [int(c[int(np.argmax(q[s, c]))]) for s, c in enumerate(choice_sets)]
+        if policy in taken:
             break
-        policy = new_policy
+        taken.append(policy)
     else:
         raise RuntimeError("policy iteration did not converge")
     rows = np.zeros((num_states, num_actions))

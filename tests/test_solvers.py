@@ -13,7 +13,12 @@ import oracles
 from dprl.baselines import fit_mle_model, train_pqi, train_spibb
 from dprl.envs import build_forest_mdp
 from dprl.mdp import simulate
-from dprl.solvers import bellman_system, discounted_lookahead, policy_state_values
+from dprl.solvers import (
+    bellman_system,
+    discounted_lookahead,
+    policy_iteration,
+    policy_state_values,
+)
 
 GAMMAS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0 / 3.0, 0.123456789])
 
@@ -77,6 +82,35 @@ class TestBellmanSystem:
         got = bellman_system(p_pi.copy(), 0.5)
         assert_same_bytes(got, expected)
         assert not np.signbit(got[0, 1]) and not np.signbit(got[1, 0])
+
+
+class TestPolicyIteration:
+    def test_stops_on_the_current_policy(self):
+        # Row 0 improves once from action 0 to action 2; row 1 has one allowed action.
+        allowed = np.array([[True, True, True], [False, True, False]])
+        scores = {(0, 1): [[0.0, 0.5, 1.0], [9.0, 0.0, 9.0]],
+                  (2, 1): [[0.0, 0.5, 2.0], [9.0, 0.0, 9.0]]}
+        policy, rounds = policy_iteration(lambda p: np.array(scores[tuple(p.tolist())]),
+                                          allowed, np.zeros((2, 3)))
+        assert policy.tolist() == [2, 1] and rounds == 2
+
+    def test_a_repeated_earlier_policy_ends_a_tie_cycle(self):
+        # Under action 1 the two actions tie and the tie goes to action 0; under
+        # action 0, action 1 is better by a last-bit margin.  Without the repeat
+        # rule the greedy policy would alternate until the cap.
+        scores = {0: [[0.3, 0.30000000000000004]], 1: [[0.30000000000000004] * 2]}
+        seen = []
+
+        def score(policy):
+            seen.append(int(policy[0]))
+            return np.array(scores[int(policy[0])])
+
+        policy, rounds = policy_iteration(score, np.ones((1, 2), bool), np.zeros((1, 2)))
+        assert policy.tolist() == [0] and rounds == 2 and seen == [0, 1]
+
+    def test_nothing_to_choose_takes_no_round(self):
+        policy, rounds = policy_iteration(None, np.ones((0, 3), bool), np.zeros((0, 3)))
+        assert policy.shape == (0,) and rounds == 0
 
 
 class TestPqiMasking:
