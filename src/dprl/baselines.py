@@ -9,14 +9,13 @@ like a transition to a zero-value sink.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import EVERY_VISIT, count_visits
-from .mdp import TrajectoryDataset
+from .mdp import BehaviorPolicy, TrajectoryDataset
 from .solvers import bellman_system, discounted_lookahead, policy_iteration
 
 
@@ -39,47 +38,6 @@ class MleModel:
     def __post_init__(self) -> None:
         for table in (self.p_hat, self.r_hat, self.n_sa):
             table.flags.writeable = False
-
-
-@dataclass
-class BaselinePolicy:
-    """Stochastic tabular policy produced by a baseline learner."""
-
-    action_probabilities: np.ndarray
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
-
-    def to_json(self) -> str:
-        payload = {
-            "format": "dprl-policy",
-            "kind": self.kind,
-            "params": self.params,
-            "rows": [[float(p) for p in row] for row in self.action_probabilities],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BaselinePolicy":
-        payload = json.loads(text)
-        if "rows" not in payload:
-            raise ValueError("not a stochastic-row policy file")
-        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
-            raise ValueError("rows must hold numbers")
-        return BaselinePolicy(
-            action_probabilities=np.array(payload["rows"], dtype=np.float64),
-            kind=payload.get("kind", "unknown"),
-            params=payload.get("params", {}),
-        )
-
-    def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
-        """A copy of the learned rows, which must have the behavior's (S, A) shape."""
-        if self.action_probabilities.shape != behavior_rows.shape:
-            raise ValueError(f"rows have shape {self.action_probabilities.shape}, "
-                             f"the environment needs {behavior_rows.shape}")
-        return self.action_probabilities.copy()
 
 
 def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
@@ -131,7 +89,7 @@ def train_spibb(
     n_wedge,
     gamma: float,
     model: MleModel | None = None,
-) -> BaselinePolicy:
+) -> BehaviorPolicy:
     """Constrained policy iteration keeping behavior mass on rare pairs.
 
     Probability mass on pairs with fewer than ``n_wedge`` observations is
@@ -170,7 +128,7 @@ def train_spibb(
 
     policy, _ = policy_iteration(lambda p: _model_scores(model, rows_for(p), gamma),
                                  free, _model_scores(model, behavior_rows, gamma))
-    return BaselinePolicy(rows_for(policy), kind="spibb", params={"n_wedge": float(n_wedge)})
+    return BehaviorPolicy(rows_for(policy), kind="spibb", params={"n_wedge": float(n_wedge)})
 
 
 def train_pqi(
@@ -178,7 +136,7 @@ def train_pqi(
     density_threshold: float,
     gamma: float,
     model: MleModel | None = None,
-) -> BaselinePolicy:
+) -> BehaviorPolicy:
     """Plan on the learned model after discarding low-density pairs.
 
     Pairs whose empirical visit density falls below ``density_threshold``
@@ -220,14 +178,14 @@ def train_pqi(
     rows = np.full((num_states, num_actions), 1.0 / num_actions)
     rows[seen] = 0.0
     rows[states[seen], policy[seen]] = 1.0
-    return BaselinePolicy(rows, kind="pqi", params={"density_threshold": density_threshold})
+    return BehaviorPolicy(rows, kind="pqi", params={"density_threshold": density_threshold})
 
 
 def train_behavior_clone(
     dataset: TrajectoryDataset,
     num_states: int | None = None,
     num_actions: int | None = None,
-) -> BaselinePolicy:
+) -> BehaviorPolicy:
     """Per-state empirical action frequencies; uniform at unseen states.
 
     Sizes, when given, must equal the dataset's.
@@ -239,4 +197,4 @@ def train_behavior_clone(
     rows = np.full(shape, 1.0 / dataset.num_actions)
     visited = n_sa.sum(axis=1) > 0
     rows[visited] = n_sa[visited] / n_sa[visited].sum(axis=1, keepdims=True)
-    return BaselinePolicy(action_probabilities=rows, kind="behavior-clone", params={})
+    return BehaviorPolicy(action_probabilities=rows, kind="behavior-clone", params={})

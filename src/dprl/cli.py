@@ -18,7 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-from .baselines import BaselinePolicy
 from .bounds import VARIANT_PROOF, VARIANT_STATEMENT, bound_comparison_rows
 from .envs import ENVIRONMENTS, build_environment
 from .estimation import EVERY_VISIT, FIRST_VISIT, count_visits
@@ -37,7 +36,7 @@ from .evaluation import (
     save_policy,
     train_algorithm,
 )
-from .mdp import DatasetError, load_dataset, save_dataset, simulate
+from .mdp import BehaviorPolicy, DatasetError, load_dataset, save_dataset, simulate
 
 JOBS_ENV_VAR = "DPRL_JOBS"
 
@@ -243,7 +242,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset, num_states=mdp.num_states, num_actions=mdp.num_actions)
     learned, defer_fraction = train_algorithm(specs[args.algorithm], dataset, mdp, behavior)
     if learned is None:  # the logging policy itself
-        learned = BaselinePolicy(behavior.action_probabilities, kind="behavior")
+        learned = BehaviorPolicy(behavior.action_probabilities, kind="behavior")
     path = out / f"policy_{args.algorithm}.json"
     save_policy(learned, path)
     print(f"trained {args.algorithm}: defer_fraction={defer_fraction:.6f} -> {path}")

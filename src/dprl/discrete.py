@@ -12,6 +12,7 @@ deterministic verdicts.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,12 +167,12 @@ def identify_decision_points(
     counts: CountTable, estimates: ValueEstimates, n_wedge: int
 ) -> DecisionPointSets:
     """The :class:`DecisionPointSets` of :func:`advantage_mask` on these counts and estimates."""
-    if n_wedge < 1:
-        raise ValueError("n_wedge must be >= 1")
+    if isinstance(n_wedge, bool) or not isinstance(n_wedge, numbers.Integral) or n_wedge < 1:
+        raise ValueError(f"n_wedge must be an integer >= 1, got {n_wedge!r}")
     return DecisionPointSets(
         gate=advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge),
         observed=counts.n_s >= 1,
-        n_wedge=n_wedge,
+        n_wedge=int(n_wedge),
     )
 
 

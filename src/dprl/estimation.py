@@ -92,62 +92,18 @@ def _first_in_order(order: np.ndarray, keys: np.ndarray, groups: np.ndarray) -> 
     return order[first]
 
 
-def _pairwise_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of every slice ``values[start:start + length]``, bit for bit.
-
-    As ``np.add.reduce`` does for one contiguous float64 slice: above 128
-    elements, the sum of two parts split at ``n/2 - (n/2) % 8``; otherwise
-    eight lanes over the whole blocks of 8, combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` (0.0 without a
-    block), then the remaining elements added in order.  Padding adds 0.0,
-    which can only turn a -0.0 into +0.0, and a zero sum's sign is dropped
-    by :func:`segment_means`.
-    """
-    big = lengths > 128
-    if big.any():
-        n = lengths[big]
-        half = n // 2 - n // 2 % 8
-        parts = _pairwise_sums(values, np.concatenate([starts[big], starts[big] + half]),
-                               np.concatenate([half, n - half]))
-        sums = np.empty(len(starts))
-        sums[big] = parts[: len(n)] + parts[len(n):]
-        sums[~big] = _pairwise_sums(values, starts[~big], lengths[~big])
-        return sums
-    last = len(values) - 1
-
-    def padded(firsts, counts, width):
-        """Rows ``values[first:first + width]``, 0.0 from ``count`` on."""
-        index = np.minimum(firsts[:, None] + np.arange(width), last)
-        return np.where(np.arange(width) < counts[:, None], values[index], 0.0)
-
-    blocks = lengths // 8
-    most = int(blocks.max(initial=0))
-    total = np.zeros(len(starts))
-    if most:
-        cells = padded(starts, 8 * blocks, 8 * most).reshape(-1, most, 8)
-        r = cells[:, 0]
-        for b in range(1, most):
-            r = r + cells[:, b]
-        r = r[:, 0::2] + r[:, 1::2]  # (r0 + r1), (r2 + r3), ...
-        r = r[:, 0::2] + r[:, 1::2]
-        total = r[:, 0] + r[:, 1]
-    rest = lengths - 8 * blocks
-    tails = padded(starts + 8 * blocks, rest, 7)
-    for k in range(int(rest.max(initial=0))):
-        total = total + tails[:, k]
-    return total
-
-
 def segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``np.mean`` of each consecutive run of ``sizes[i]`` values, bit for bit; nan where 0.
 
-    ``np.mean`` adds its pairwise sum to +0.0 (so nine ``-0.0`` give +0.0)
-    and divides by the count.
+    The runs of one length are gathered as the rows of one array and reduced
+    with ``.mean(axis=1)``, which takes each row's mean as ``np.mean`` takes
+    that run's alone.
     """
     means = np.full(len(sizes), np.nan)
-    held = np.flatnonzero(sizes)
     starts = np.cumsum(sizes) - sizes
-    means[held] = (0.0 + _pairwise_sums(values, starts[held], sizes[held])) / sizes[held]
+    for n in np.unique(sizes[sizes > 0]).tolist():
+        runs = np.flatnonzero(sizes == n)
+        means[runs] = values[starts[runs, None] + np.arange(n)].mean(axis=1)
     return means
 
 

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .baselines import (
-    BaselinePolicy,
     is_n_wedge,
     train_behavior_clone,
     train_pqi,
@@ -34,7 +33,7 @@ from .solvers import policy_state_values
 class MixedPolicy:
     """A learned policy composed by its ``rows(behavior_rows)``; ``None`` defers everywhere."""
 
-    learned: DecisionPointPolicy | BaselinePolicy | None
+    learned: DecisionPointPolicy | BehaviorPolicy | None
     behavior: BehaviorPolicy
 
     def rows(self) -> np.ndarray:
@@ -46,14 +45,14 @@ class PolicyError(ValueError):
     """A policy file that is not valid JSON, not a policy, or does not fit the environment."""
 
 
-def save_policy(policy: DecisionPointPolicy | BaselinePolicy, path: str | Path) -> None:
+def save_policy(policy: DecisionPointPolicy | BehaviorPolicy, path: str | Path) -> None:
     """Write ``policy.to_json()`` and a newline, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(policy.to_json() + "\n", encoding="utf-8")
 
 
-def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPolicy | BaselinePolicy:
+def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPolicy | BehaviorPolicy:
     """Read a :func:`save_policy` file; raise :class:`PolicyError` unless it composes with
     ``behavior`` into probability rows (ids and rows must fit the behavior's (S, A) shape).
     """
@@ -62,7 +61,7 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
         payload = json.loads(text)
         if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
             raise ValueError("format is not 'dprl-policy'")
-        kind = DecisionPointPolicy if payload.get("kind") == "decision-point" else BaselinePolicy
+        kind = DecisionPointPolicy if payload.get("kind") == "decision-point" else BehaviorPolicy
         policy = kind.from_json(text)
         BehaviorPolicy(policy.rows(behavior.action_probabilities))  # checks the rows
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
@@ -205,7 +204,7 @@ def train_algorithm(
     dataset,
     mdp: TabularMdp,
     behavior: BehaviorPolicy,
-) -> tuple[DecisionPointPolicy | BaselinePolicy | None, float]:
+) -> tuple[DecisionPointPolicy | BehaviorPolicy | None, float]:
     """Train one registry algorithm on a dataset; returns (policy, defer fraction).
 
     The dataset must have the MDP's numbers of states and actions.

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     from .estimation import VisitIndex
 
 _ROW_SUM_TOL = 1e-9
+_SEED_LIMIT = 2**64  # trajectory seeds are integers in [0, 2**64), numpy's uint64 range
 _LOCKSTEP_SLOTS = 1 << 16  # trajectory steps simulated per lockstep block
 
 
@@ -127,10 +128,15 @@ class TabularMdp:
 
 @dataclass
 class BehaviorPolicy:
-    """Stationary stochastic data-collection policy over a tabular MDP."""
+    """Stationary stochastic tabular policy: a logging policy or a baseline learner's output.
+
+    Every row of the ``(S, A)`` table must be a probability row.  ``kind``
+    names where the rows came from and ``params`` how they were learned.
+    """
 
     action_probabilities: np.ndarray
     kind: str = "tabular-stochastic"
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
@@ -138,6 +144,35 @@ class BehaviorPolicy:
             raise ValueError("action_probabilities must be (S, A)")
         if not _probability_rows(self.action_probabilities).all():
             raise ValueError("every state's action distribution must be a probability row")
+
+    def to_json(self) -> str:
+        payload = {
+            "format": "dprl-policy",
+            "kind": self.kind,
+            "params": self.params,
+            "rows": [[float(p) for p in row] for row in self.action_probabilities],
+        }
+        return json.dumps(payload, sort_keys=True)
+
+    @staticmethod
+    def from_json(text: str) -> "BehaviorPolicy":
+        payload = json.loads(text)
+        if "rows" not in payload:
+            raise ValueError("not a stochastic-row policy file")
+        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
+            raise ValueError("rows must hold numbers")
+        return BehaviorPolicy(
+            action_probabilities=np.array(payload["rows"], dtype=np.float64),
+            kind=payload.get("kind", "unknown"),
+            params=payload.get("params", {}),
+        )
+
+    def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
+        """A copy of the rows, which must have the behavior's (S, A) shape."""
+        if self.action_probabilities.shape != behavior_rows.shape:
+            raise ValueError(f"rows have shape {self.action_probabilities.shape}, "
+                             f"the environment needs {behavior_rows.shape}")
+        return self.action_probabilities.copy()
 
     @property
     def num_states(self) -> int:
@@ -189,10 +224,10 @@ class TrajectoryDataset:
     ``seeds[i]``.  Construction checks that the columns have equal length,
     that ``offsets`` runs from 0 to that length without decreasing, that
     ``num_states`` and ``num_actions`` are integers >= 0 (not bools), that
-    every id lies in ``[0, num_states)`` or ``[0, num_actions)`` and that
-    every reward is finite.  It then keeps read-only copies of the columns
-    and refuses attribute writes, so :attr:`visits`, built from the columns
-    on first use, can never go stale.
+    every id lies in ``[0, num_states)`` or ``[0, num_actions)``, that every
+    seed lies in ``[0, 2**64)`` and that every reward is finite.  It then
+    keeps read-only copies of the columns and refuses attribute writes, so
+    :attr:`visits`, built from the columns on first use, can never go stale.
     """
 
     states: np.ndarray
@@ -221,6 +256,9 @@ class TrajectoryDataset:
         offsets = columns["offsets"] = np.asarray(self.offsets, dtype=np.int64)
         # Python ints, as the JSONL writes them; index() refuses floats.
         seeds = tuple(operator.index(s) for s in self.seeds)
+        bad = [s for s in seeds if not 0 <= s < _SEED_LIMIT]
+        if bad:
+            raise ValueError(f"seed {bad[0]} outside [0, 2**64)")
         steps = columns["states"].size
         if not columns["states"].shape == columns["actions"].shape == rewards.shape == (steps,):
             raise ValueError("states, actions and rewards must be 1-d columns of equal length")
@@ -422,7 +460,7 @@ def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -
         raise DatasetError(
             f'{where}: expected {{"seed": int, "steps": [[s, a, r], ...]}} ({exc})'
         ) from exc
-    if type(seed) is not int or not 0 <= seed < 2**64:
+    if type(seed) is not int or not 0 <= seed < _SEED_LIMIT:
         raise DatasetError(f"{where}: seed {seed!r} is not an integer in [0, 2**64)")
     if not well_formed:
         raise DatasetError(f"{where}: every step must be a [state, action, reward] triple")

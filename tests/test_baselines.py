@@ -9,7 +9,6 @@ import oracles
 from conftest import make_dataset, make_traj, random_datasets, random_mdp, uniform_behavior
 from dprl import baselines
 from dprl.baselines import (
-    BaselinePolicy,
     fit_mle_model,
     train_behavior_clone,
     train_pqi,
@@ -94,7 +93,7 @@ class TestMleModel:
 
 class TestBaselinePolicy:
     def test_round_trip(self, tmp_path):
-        policy = BaselinePolicy(
+        policy = BehaviorPolicy(
             action_probabilities=np.array([[0.25, 0.75]]),
             kind="spibb",
             params={"n_wedge": 3.0, "behavior": "true"},
@@ -108,7 +107,7 @@ class TestBaselinePolicy:
 
     def test_from_json_requires_rows(self):
         with pytest.raises(ValueError):
-            BaselinePolicy.from_json('{"kind": "spibb"}')
+            BehaviorPolicy.from_json('{"kind": "spibb"}')
 
 
 class TestSpibb:

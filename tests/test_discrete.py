@@ -119,6 +119,18 @@ class TestGate:
         with pytest.raises(ValueError, match="n_wedge"):
             identify_decision_points(counts, est, n_wedge=0)
 
+    @pytest.mark.parametrize("n_wedge", [np.int64(3), 2.5, True])
+    def test_threshold_is_an_int_the_policy_file_holds(self, n_wedge, tmp_path):
+        ds = multi_step_dataset()
+        if isinstance(n_wedge, np.integer):
+            path = tmp_path / "policy.json"
+            save_policy(train_decision_point_policy(ds, n_wedge, 0.9), path)
+            back = load_policy(path, uniform_behavior(2, 3))
+            assert type(back.n_wedge) is int and back.n_wedge == 3
+        else:
+            with pytest.raises(ValueError, match="n_wedge must be an integer"):
+                train_decision_point_policy(ds, n_wedge, 0.9)
+
     def test_vacuous_threshold_defers_everything(self):
         ds = multi_step_dataset()
         counts = count_visits(ds, FIRST_VISIT)

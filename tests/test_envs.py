@@ -15,6 +15,7 @@ from dprl.envs import (
     greedy_intended_path,
 )
 from dprl.evaluation import MixedPolicy, exact_value
+from dprl.mdp import BehaviorPolicy
 from dprl.solvers import optimal_values
 from oracles import loop_grid_transitions
 
@@ -83,9 +84,7 @@ class TestCql:
         mdp, behavior = build_cql_mdp(num_risky=8, epsilon=0.1, gamma=0.99)
         rows = np.zeros((mdp.num_states, mdp.num_actions))
         rows[:, 0] = 1.0
-        from dprl.baselines import BaselinePolicy
-
-        always_good = BaselinePolicy(action_probabilities=rows, kind="probe")
+        always_good = BehaviorPolicy(action_probabilities=rows, kind="probe")
         value = exact_value(mdp, MixedPolicy(learned=always_good, behavior=behavior))
         assert value == pytest.approx(0.7, abs=1e-12)
 

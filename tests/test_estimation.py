@@ -285,6 +285,16 @@ class TestSegmentMeans:
         values = rng.random(3 * length) * 10.0 ** rng.integers(-8, 9, 3 * length)
         self.assert_means(values, [length, 0, length, length])
 
+    @pytest.mark.parametrize("length", EDGE_LENGTHS)
+    def test_many_runs_of_one_length(self, length):
+        # 200 runs of one length are reduced as one block of rows; 50 empty runs among them.
+        rng = np.random.default_rng(length)
+        sizes = np.full(250, length)
+        sizes[::5] = 0
+        values = rng.normal(size=200 * length) * 10.0 ** rng.integers(-20, 21, 200 * length)
+        values[rng.random(values.size) < 0.05] = rng.choice([0.0, -0.0])
+        self.assert_means(values, sizes)
+
     def test_nine_negative_zeros_give_positive_zero(self):
         # Eight lanes of -0.0 sum to -0.0; np.mean adds its sum to +0.0.
         for length in (1, 7, 8, 9, 200):

@@ -12,7 +12,6 @@ from conftest import (
     three_state_eval_chain,
     uniform_behavior,
 )
-from dprl.baselines import BaselinePolicy
 from dprl.discrete import DecisionPointPolicy
 from dprl import evaluation
 from dprl.envs import build_forest_mdp, build_gridworld
@@ -24,7 +23,7 @@ from dprl.evaluation import (
     run_reliability_experiment,
     train_algorithm,
 )
-from dprl.mdp import RewardSpec, TabularMdp, simulate
+from dprl.mdp import BehaviorPolicy, RewardSpec, TabularMdp, simulate
 
 FOREST_MIDDLE_ARM_VALUE = 0.53366445  # 0.55 * 0.99**3, derived by hand
 
@@ -58,7 +57,7 @@ class TestMixedPolicy:
 
     def test_baseline_policy_rows_pass_through(self):
         behavior = uniform_behavior(2, 2)
-        learned = BaselinePolicy(
+        learned = BehaviorPolicy(
             action_probabilities=np.array([[1.0, 0.0], [0.25, 0.75]]), kind="x"
         )
         rows = MixedPolicy(learned=learned, behavior=behavior).rows()
@@ -90,7 +89,7 @@ class TestExactValue:
         mdp, behavior = build_forest_mdp(num_chains=10, depth=3, epsilon=0.1, gamma=0.99)
         rows = np.zeros_like(behavior.action_probabilities)
         rows[:, 1] = 1.0
-        learned = BaselinePolicy(action_probabilities=rows, kind="probe")
+        learned = BehaviorPolicy(action_probabilities=rows, kind="probe")
         value = exact_value(mdp, MixedPolicy(learned, behavior))
         assert value == pytest.approx(FOREST_MIDDLE_ARM_VALUE, abs=1e-9)
 
@@ -101,7 +100,7 @@ class TestRollouts:
         behavior = uniform_behavior(4, 2)
         rows = np.zeros((4, 2))
         rows[:, 0] = 1.0
-        policy = MixedPolicy(BaselinePolicy(rows, kind="probe"), behavior)
+        policy = MixedPolicy(BehaviorPolicy(rows, kind="probe"), behavior)
         exact = exact_value(mdp, policy)
         returns = oracles.rollout_returns(mdp, policy, rollouts=20, seed=3)
         np.testing.assert_allclose(returns, exact, atol=1e-12)

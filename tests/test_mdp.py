@@ -371,6 +371,17 @@ class TestDatasetConstruction:
         with pytest.raises((TypeError, ValueError), match=message):
             TrajectoryDataset(**self.columns(**changes))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_range_rejected(self, seed):
+        # save_dataset would write it and load_dataset refuse it.
+        with pytest.raises(ValueError, match=rf"seed {seed} outside \[0, 2\*\*64\)"):
+            TrajectoryDataset(**self.columns(seeds=[4, seed]))
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        ds = TrajectoryDataset(**self.columns(seeds=[0, 2**64 - 1]))
+        save_dataset(ds, tmp_path / "data.jsonl")
+        assert load_dataset(tmp_path / "data.jsonl", 3, 2).seeds == (0, 2**64 - 1)
+
     @pytest.mark.parametrize("name", ["num_states", "num_actions"])
     @pytest.mark.parametrize("size", [2.5, True, -1])
     def test_sizes_must_be_nonnegative_integers(self, name, size):
