@@ -48,6 +48,7 @@ class ConfigError(ValueError):
 _ANY = ("any value", lambda v: True)  # a section checked on its own
 _NONNEGATIVE = rule("a nonnegative integer", numbers.Integral, lambda v: v >= 0)
 _CONFIG = {"environment": _ANY, "dataset": _ANY, "seeds": _NONNEGATIVE, "algorithms": _ANY}
+_OUTPUT_DIR = rule("a non-empty string", str, bool)
 _DATASET = {"num_trajectories": _NONNEGATIVE, "horizon": COUNT, "master_seed": _NONNEGATIVE}
 _BOUNDS = {
     "delta": rule("a number in (0, 1]", numbers.Real, lambda v: 0 < v <= 1),
@@ -72,7 +73,7 @@ def validate_config(config: dict) -> dict:
     """Check keys and values, algorithms' against ``ALGORITHMS``; fill in labels; return a copy."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    _check("config", config, _CONFIG, {"bounds": _ANY, "output_dir": _ANY})
+    _check("config", config, _CONFIG, {"bounds": _ANY, "output_dir": _OUTPUT_DIR})
 
     env = config["environment"]
     if not isinstance(env, dict) or "id" not in env:

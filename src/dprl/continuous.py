@@ -26,6 +26,7 @@ from .estimation import (
     segment_ids,
     segment_suffix_returns,
 )
+from .mdp import check_integer
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -186,8 +187,7 @@ def query(
     returns the passing action with the highest estimate, ties to the lowest
     action index.
     """
-    if n_wedge < 1:
-        raise ValueError("n_wedge must be >= 1")
+    check_integer("n_wedge", n_wedge, 1)
     if neighbor_mode not in _NEIGHBOR_MODES:
         raise ValueError(f"neighbor_mode must be one of {_NEIGHBOR_MODES}")
     mode = FIRST_VISIT if neighbor_mode == NEIGHBOR_FIRST else EVERY_VISIT
@@ -234,8 +234,7 @@ class CoveringNumbers:
 
 def estimate_covering_number(index: NeighborIndex, n_wedge: int) -> CoveringNumbers:
     """Greedy radius-ball covers of the dense region and the whole index."""
-    if n_wedge < 1:
-        raise ValueError("n_wedge must be >= 1")
+    check_integer("n_wedge", n_wedge, 1)
     if len(index) == 0:
         raise ValueError("index holds no points")
     m_dense = m_total = 0

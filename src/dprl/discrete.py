@@ -11,8 +11,6 @@ deterministic verdicts.
 
 from __future__ import annotations
 
-import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .estimation import (
     count_visits,
     monte_carlo_estimates,
 )
-from .mdp import TrajectoryDataset
+from .mdp import TrajectoryDataset, check_integer
 from .solvers import policy_iteration
 
 TAIL_DROP = "drop"
@@ -98,48 +96,6 @@ class DecisionPointPolicy:
         if both:
             raise ValueError(f"state {min(both)} is both a verdict and a deferral")
 
-    def to_json(self) -> str:
-        verdicts: dict[str, object] = {str(s): "DEFER" for s in self.defer_states}
-        verdicts.update((str(s), int(a)) for s, a in self.verdicts.items())
-        payload = {
-            "format": "dprl-policy",
-            "kind": "decision-point",
-            "n_wedge": self.n_wedge,
-            "iterations": self.iterations,
-            "decision_states": sorted(int(s) for s in self.verdicts),
-            "verdicts": verdicts,
-        }
-        return json.dumps(payload, sort_keys=True)  # sorts the verdict keys too
-
-    @staticmethod
-    def from_json(text: str) -> "DecisionPointPolicy":
-        """Parse :meth:`to_json` output; ``ValueError`` for a malformed or inconsistent file."""
-        payload = json.loads(text)
-        if payload.get("kind") != "decision-point":
-            raise ValueError("not a decision-point policy file")
-        for key, low in (("n_wedge", 1), ("iterations", 0)):
-            if type(payload[key]) is not int or payload[key] < low:
-                raise ValueError(f"{key} must be an integer >= {low}, got {payload[key]!r}")
-        cells = payload["verdicts"]
-        if not isinstance(cells, dict) or any(
-            a != "DEFER" and type(a) is not int for a in cells.values()
-        ):
-            raise ValueError("verdicts must map state ids to action ids or 'DEFER'")
-        for key in cells:  # one spelling per id, so no two keys name the same state
-            if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
-                raise ValueError(f"verdict key {key!r} is not a canonical state id")
-        verdicts = {int(s): a for s, a in cells.items() if a != "DEFER"}
-        listed = payload["decision_states"]
-        if not (isinstance(listed, list) and all(type(s) is int for s in listed)
-                and listed == sorted(verdicts)):
-            raise ValueError(f"decision_states must list the non-DEFER states {sorted(verdicts)}")
-        return DecisionPointPolicy(
-            n_wedge=payload["n_wedge"],
-            verdicts=verdicts,
-            defer_states=frozenset(int(s) for s, a in cells.items() if a == "DEFER"),
-            iterations=payload["iterations"],
-        )
-
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
         """A copy of ``behavior_rows`` with each verdict state's row one-hot on its action."""
         num_states, num_actions = behavior_rows.shape
@@ -167,12 +123,11 @@ def identify_decision_points(
     counts: CountTable, estimates: ValueEstimates, n_wedge: int
 ) -> DecisionPointSets:
     """The :class:`DecisionPointSets` of :func:`advantage_mask` on these counts and estimates."""
-    if isinstance(n_wedge, bool) or not isinstance(n_wedge, numbers.Integral) or n_wedge < 1:
-        raise ValueError(f"n_wedge must be an integer >= 1, got {n_wedge!r}")
+    n_wedge = check_integer("n_wedge", n_wedge, 1)
     return DecisionPointSets(
         gate=advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge),
         observed=counts.n_s >= 1,
-        n_wedge=int(n_wedge),
+        n_wedge=n_wedge,
     )
 
 

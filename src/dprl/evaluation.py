@@ -45,11 +45,68 @@ class PolicyError(ValueError):
     """A policy file that is not valid JSON, not a policy, or does not fit the environment."""
 
 
+def policy_json(policy: DecisionPointPolicy | BehaviorPolicy) -> str:
+    """The policy file's text, without its final newline.
+
+    A ``{"format": "dprl-policy", "kind": ...}`` object with sorted keys.  A
+    :class:`DecisionPointPolicy` is kind ``decision-point`` with ``n_wedge``,
+    ``iterations``, the sorted ``decision_states`` and ``verdicts`` mapping
+    each state id to its action id or ``"DEFER"``; a :class:`BehaviorPolicy`
+    keeps its own kind and stores ``params`` and ``rows``.
+    """
+    if isinstance(policy, DecisionPointPolicy):
+        verdicts: dict[str, object] = {str(s): "DEFER" for s in policy.defer_states}
+        verdicts.update((str(s), int(a)) for s, a in policy.verdicts.items())
+        body = {"kind": "decision-point", "n_wedge": policy.n_wedge,
+                "iterations": policy.iterations,
+                "decision_states": sorted(int(s) for s in policy.verdicts), "verdicts": verdicts}
+    else:
+        body = {"kind": policy.kind, "params": policy.params,
+                "rows": policy.action_probabilities.tolist()}
+    return json.dumps({"format": "dprl-policy", **body}, sort_keys=True)  # verdict keys too
+
+
 def save_policy(policy: DecisionPointPolicy | BehaviorPolicy, path: str | Path) -> None:
-    """Write ``policy.to_json()`` and a newline, creating the parent directory."""
+    """Write :func:`policy_json` and a newline, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(policy.to_json() + "\n", encoding="utf-8")
+    path.write_text(policy_json(policy) + "\n", encoding="utf-8")
+
+
+def _policy_from(payload) -> DecisionPointPolicy | BehaviorPolicy:
+    """The record a parsed policy file holds; ``KeyError``, ``TypeError`` or ``ValueError``
+    for a file :func:`policy_json` cannot have written."""
+    if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
+        raise ValueError("format is not 'dprl-policy'")
+    if payload.get("kind") != "decision-point":
+        if "rows" not in payload:
+            raise ValueError("not a stochastic-row policy file")
+        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
+            raise ValueError("rows must hold numbers")
+        return BehaviorPolicy(np.array(payload["rows"], dtype=np.float64),
+                              kind=payload.get("kind", "unknown"), params=payload.get("params", {}))
+    for key, low in (("n_wedge", 1), ("iterations", 0)):
+        if type(payload[key]) is not int or payload[key] < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {payload[key]!r}")
+    cells = payload["verdicts"]
+    if not isinstance(cells, dict) or any(
+        a != "DEFER" and type(a) is not int for a in cells.values()
+    ):
+        raise ValueError("verdicts must map state ids to action ids or 'DEFER'")
+    for key in cells:  # one spelling per id, so no two keys name the same state
+        if not (key.removeprefix("-").isdecimal() and key == str(int(key))):
+            raise ValueError(f"verdict key {key!r} is not a canonical state id")
+    verdicts = {int(s): a for s, a in cells.items() if a != "DEFER"}
+    listed = payload["decision_states"]
+    if not (isinstance(listed, list) and all(type(s) is int for s in listed)
+            and listed == sorted(verdicts)):
+        raise ValueError(f"decision_states must list the non-DEFER states {sorted(verdicts)}")
+    return DecisionPointPolicy(
+        n_wedge=payload["n_wedge"],
+        verdicts=verdicts,
+        defer_states=frozenset(int(s) for s, a in cells.items() if a == "DEFER"),
+        iterations=payload["iterations"],
+    )
 
 
 def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPolicy | BehaviorPolicy:
@@ -58,11 +115,7 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
-            raise ValueError("format is not 'dprl-policy'")
-        kind = DecisionPointPolicy if payload.get("kind") == "decision-point" else BehaviorPolicy
-        policy = kind.from_json(text)
+        policy = _policy_from(json.loads(text))
         BehaviorPolicy(policy.rows(behavior.action_probabilities))  # checks the rows
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc

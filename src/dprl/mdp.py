@@ -37,6 +37,16 @@ def _probability_rows(table: np.ndarray) -> np.ndarray:
     return (np.abs(table.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL) & (table >= 0.0).all(axis=-1)
 
 
+def check_integer(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an integer >= ``low``.
+
+    Bools are refused, and so are floats such as ``2.0``, ``nan`` and ``inf``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class RewardSpec:
     """Per-(state, action) uniform reward distributions.
@@ -145,28 +155,6 @@ class BehaviorPolicy:
         if not _probability_rows(self.action_probabilities).all():
             raise ValueError("every state's action distribution must be a probability row")
 
-    def to_json(self) -> str:
-        payload = {
-            "format": "dprl-policy",
-            "kind": self.kind,
-            "params": self.params,
-            "rows": [[float(p) for p in row] for row in self.action_probabilities],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BehaviorPolicy":
-        payload = json.loads(text)
-        if "rows" not in payload:
-            raise ValueError("not a stochastic-row policy file")
-        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
-            raise ValueError("rows must hold numbers")
-        return BehaviorPolicy(
-            action_probabilities=np.array(payload["rows"], dtype=np.float64),
-            kind=payload.get("kind", "unknown"),
-            params=payload.get("params", {}),
-        )
-
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
         """A copy of the rows, which must have the behavior's (S, A) shape."""
         if self.action_probabilities.shape != behavior_rows.shape:
@@ -240,10 +228,7 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         for name in ("num_states", "num_actions"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {size!r}")
-            object.__setattr__(self, name, int(size))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 0))
         columns = {}
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
             ids = columns[name] = _int_ids(getattr(self, name), name)
@@ -377,19 +362,18 @@ def simulate(
     Args:
         mdp: environment to sample from.
         policy: row-stochastic action distribution per state.
-        num_trajectories: episode count, >= 0.
-        horizon: hard cap on episode length, >= 1.
-        master_seed: root seed; per-trajectory streams are split from it.
+        num_trajectories: episode count, an integer >= 0.
+        horizon: hard cap on episode length, an integer >= 1.
+        master_seed: root seed, an integer >= 0; per-trajectory streams are split from it.
 
     Returns:
         TrajectoryDataset that is bit-identical across repeat calls.
     """
     if policy.num_states != mdp.num_states or policy.num_actions != mdp.num_actions:
         raise ValueError("policy shape does not match the MDP")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if num_trajectories < 0:
-        raise ValueError("num_trajectories must be >= 0")
+    num_trajectories = check_integer("num_trajectories", num_trajectories, 0)
+    horizon = check_integer("horizon", horizon, 1)
+    master_seed = check_integer("master_seed", master_seed, 0)
 
     # Each trajectory keeps its own stream, so trajectory i is reproducible
     # on its own; blocks of trajectories then step in lockstep.  The block

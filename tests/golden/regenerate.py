@@ -5,7 +5,7 @@ JSONL bytes, the first-visit count table's hash, the hash of the elevated
 model's segment counts (``make_smdp`` in absorb mode, as training builds
 it), the hash of the sorted ``[state, action]`` pairs passing the gate,
 the dprl verdicts and defer set, the hash of the policy file
-(``DecisionPointPolicy.to_json``), the policy-iteration count and C_{N∧}
+(``evaluation.policy_json``), the policy-iteration count and C_{N∧}
 (pairs seen at least ``n_wedge`` times).  For the baselines it records
 the hash of the ``[state, action]`` pairs PQI chooses at ``b = 0.02``
 (unseen states, which stay uniform, left out) and of the free pairs
@@ -36,6 +36,7 @@ from dprl.bounds import count_c_n_wedge
 from dprl.discrete import make_smdp, train_decision_point_policy
 from dprl.envs import build_environment
 from dprl.estimation import FIRST_VISIT, count_visits
+from dprl.evaluation import policy_json
 from dprl.mdp import save_dataset, simulate
 
 MANIFEST = Path(__file__).with_name("manifest.jsonl")
@@ -114,7 +115,7 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
             "n_sa_sha256": sha256_json(counts.n_sa.tolist()),
             "smdp_counts_sha256": sha256_json(model.counts.tolist()),
             "gate_sha256": sha256_json(np.argwhere(dp.gate).tolist()),
-            "policy_json_sha256": hashlib.sha256(policy.to_json().encode("utf-8")).hexdigest(),
+            "policy_json_sha256": hashlib.sha256(policy_json(policy).encode("utf-8")).hexdigest(),
             "c_n_wedge": count_c_n_wedge(counts, params["n_wedge"]),
             "pi_iterations": policy.iterations,
             "verdicts": {str(s): a for s, a in sorted(policy.verdicts.items())},

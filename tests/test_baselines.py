@@ -19,6 +19,7 @@ from dprl.estimation import EVERY_VISIT, count_visits
 from dprl.evaluation import (
     AlgorithmSpec,
     MixedPolicy,
+    PolicyError,
     exact_value,
     load_policy,
     save_policy,
@@ -105,9 +106,11 @@ class TestBaselinePolicy:
         assert back.kind == "spibb"
         assert back.params == {"n_wedge": 3.0, "behavior": "true"}
 
-    def test_from_json_requires_rows(self):
-        with pytest.raises(ValueError):
-            BehaviorPolicy.from_json('{"kind": "spibb"}')
+    def test_row_file_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"format": "dprl-policy", "kind": "spibb", "params": {}}')
+        with pytest.raises(PolicyError, match="not a stochastic-row policy file"):
+            load_policy(path, uniform_behavior(1, 2))
 
 
 class TestSpibb:

@@ -16,7 +16,7 @@ import pytest
 from dprl import cli
 from dprl.cli import ConfigError, config_hash, validate_config
 from dprl.envs import build_environment
-from dprl.evaluation import load_policy
+from dprl.evaluation import load_policy, policy_json
 from dprl.mdp import load_dataset
 
 
@@ -353,7 +353,7 @@ class TestTrain:
             "--dataset", str(out / "datasets" / "seed_0002.jsonl"), "--algorithm", label,
         ]) == 0
         path = out / f"policy_{label}.json"
-        text = load_policy(path, forest_behavior()).to_json() + "\n"
+        text = policy_json(load_policy(path, forest_behavior())) + "\n"
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_decision_point_policy_round_trips(self, workspace):
@@ -702,3 +702,17 @@ class TestExitCodes:
         rc = cli.main(["generate", "--config", str(cfg), "--seeds", "1"])
         assert rc == 0
         assert (tmp_path / "from_config" / "datasets" / "seed_0000.jsonl").exists()
+
+    @pytest.mark.parametrize("output_dir", [5, ""], ids=["int", "empty"])
+    def test_bad_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, output_dir):
+        # Not "error: expected str ..." with exit 1, nor a write into the working directory.
+        config = base_config()
+        config["output_dir"] = output_dir
+        cfg = write_config(tmp_path, config)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["generate", "--config", str(cfg), "--seeds", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: config: output_dir must be a non-empty string, got {output_dir!r}\n"
+        )
+        assert not (tmp_path / "datasets").exists()

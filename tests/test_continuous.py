@@ -1,5 +1,7 @@
 """Neighborhood variant: radius scan, ball tree, queries, covering numbers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,6 +421,16 @@ class TestQuery:
             query(index, np.zeros(1), n_wedge=0)
         with pytest.raises(ValueError):
             query(index, np.zeros(1), n_wedge=1, neighbor_mode="nearest")
+
+    @pytest.mark.parametrize("n_wedge", [True, 2.5, float("nan")])
+    def test_threshold_is_an_integer(self, n_wedge):
+        # The rule identify_decision_points applies; nan used to defer every query.
+        index = flat_index(np.zeros((4, 1)), [0] * 4, [0.0] * 4, 0.1)
+        message = re.escape(f"n_wedge must be an integer >= 1, got {n_wedge!r}")
+        with pytest.raises(ValueError, match=message):
+            query(index, np.zeros(1), n_wedge)
+        with pytest.raises(ValueError, match=message):
+            estimate_covering_number(index, n_wedge)
 
 
 class TestCoveringNumbers:

@@ -23,7 +23,14 @@ from dprl.discrete import (
 )
 from dprl.envs import build_environment
 from dprl.estimation import FIRST_VISIT, VISIT_MODES, count_visits, monte_carlo_estimates
-from dprl.evaluation import MixedPolicy, exact_value, load_policy, save_policy
+from dprl.evaluation import (
+    MixedPolicy,
+    PolicyError,
+    exact_value,
+    load_policy,
+    policy_json,
+    save_policy,
+)
 from dprl.mdp import simulate
 
 
@@ -412,19 +419,22 @@ class TestPolicyObject:
         policy = DecisionPointPolicy(
             n_wedge=2, verdicts={0: 1}, defer_states=frozenset({5}), iterations=1
         )
-        text = policy.to_json()
+        text = policy_json(policy)
         assert '"5": "DEFER"' in text
         assert '"0": 1' in text
 
     def test_state_both_verdict_and_deferral_rejected(self):
-        # to_json would write "DEFER" for state 0, which from_json rejects.
+        # policy_json would write "DEFER" for state 0, which load_policy rejects.
         with pytest.raises(ValueError, match="state 0 is both a verdict and a deferral"):
             DecisionPointPolicy(n_wedge=1, verdicts={0: 0}, defer_states=frozenset({0}),
                                 iterations=1)
 
-    def test_from_json_rejects_other_kinds(self):
-        with pytest.raises(ValueError):
-            DecisionPointPolicy.from_json('{"kind": "tabular", "verdicts": {}}')
+    def test_other_kind_with_verdicts_rejected(self, tmp_path):
+        # Only kind "decision-point" reads verdicts; any other kind needs rows.
+        path = tmp_path / "p.json"
+        path.write_text('{"format": "dprl-policy", "kind": "tabular", "verdicts": {}}')
+        with pytest.raises(PolicyError, match="not a stochastic-row policy file"):
+            load_policy(path, uniform_behavior(1, 2))
 
 
 class TestTrainConvenience:

@@ -23,6 +23,7 @@ from dprl.estimation import (
     segment_means,
     segment_suffix_returns,
 )
+from dprl.evaluation import policy_json
 
 NUM_STATES = 4
 NUM_ACTIONS = 2
@@ -335,7 +336,7 @@ CONSUMERS = {
     "smdp": lambda ds, dp: make_smdp(ds, dp, GAMMA),
     "fit": lambda ds, dp: fit_mle_model(ds),
     "clone": lambda ds, dp: train_behavior_clone(ds),
-    "train": lambda ds, dp: train_decision_point_policy(ds, 1, GAMMA).to_json(),
+    "train": lambda ds, dp: policy_json(train_decision_point_policy(ds, 1, GAMMA)),
 }
 
 

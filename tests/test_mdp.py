@@ -208,6 +208,23 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(mdp, uniform_behavior(2, 1), num_trajectories=1, horizon=5, master_seed=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_trajectories", 2.0), ("num_trajectories", True), ("horizon", 5.0),
+         ("horizon", True), ("master_seed", 1.5), ("master_seed", -1), ("master_seed", True)],
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # Not a TypeError inside numpy or SeedSequence, nor True read as 1.
+        args = {"num_trajectories": 1, "horizon": 5, "master_seed": 0, name: value}
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= \d, got {value!r}"):
+            simulate(single_state_loop(), uniform_behavior(1, 1), **args)
+
+    def test_numpy_integers_accepted(self):
+        mdp, pol = single_state_loop(), uniform_behavior(1, 1)
+        want = simulate(mdp, pol, num_trajectories=2, horizon=3, master_seed=4)
+        have = simulate(mdp, pol, np.int64(2), np.int32(3), np.uint64(4))
+        assert have.seeds == want.seeds and np.array_equal(have.rewards, want.rewards)
+
     def test_zero_trajectories_allowed(self):
         mdp = single_state_loop()
         ds = simulate(mdp, uniform_behavior(1, 1), num_trajectories=0, horizon=5, master_seed=0)
