@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EVERY_VISIT, count_visits
-from .mdp import BehaviorPolicy, TrajectoryDataset
+from .mdp import FRACTION, BehaviorPolicy, TrajectoryDataset, check, rule
 from .solvers import bellman_system, discounted_lookahead, policy_iteration
 
 
@@ -78,9 +78,8 @@ def _model_scores(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray
     return model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
 
 
-def is_n_wedge(value) -> bool:
-    """Whether ``value`` is a valid SPIBB ``n_wedge``: a non-bool number >= 1 (``inf`` too)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= 1
+# SPIBB's n_wedge; inf keeps every behavior row.
+N_WEDGE = rule("a number >= 1", numbers.Real, lambda v: v >= 1)
 
 
 def train_spibb(
@@ -101,10 +100,8 @@ def train_spibb(
     exactly, and ``n_wedge=1`` on full coverage is plain greedy policy
     iteration on the learned model.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if not is_n_wedge(n_wedge):
-        raise ValueError(f"n_wedge must be a number >= 1, got {n_wedge!r}")
+    check("gamma", gamma, FRACTION)
+    check("n_wedge", n_wedge, N_WEDGE)
     if model is None:
         model = fit_mle_model(dataset)
     behavior_rows = behavior.action_probabilities
@@ -147,10 +144,8 @@ def train_pqi(
     with no surviving pair falls back to its empirically most frequent
     action, and unseen states fall back to uniform.
     """
-    if not 0.0 < density_threshold < 1.0:
-        raise ValueError("density_threshold must lie in (0, 1)")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    check("density_threshold", density_threshold, FRACTION)
+    check("gamma", gamma, FRACTION)
     if model is None:
         model = fit_mle_model(dataset)
     num_states, num_actions = model.n_sa.shape

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import CountTable
+from .mdp import COUNT, FRACTION, LEVEL, NONNEGATIVE, POSITIVE, RADIUS, check, rule
 
 VARIANT_STATEMENT = "statement"
 VARIANT_PROOF = "proof"
-_VARIANTS = (VARIANT_STATEMENT, VARIANT_PROOF)
+VARIANT = rule("'statement' or 'proof'", str, lambda v: v in (VARIANT_STATEMENT, VARIANT_PROOF))
 
 
 @dataclass
@@ -52,21 +53,23 @@ class BoundInputs:
     dataset_size: int | None = None
 
 
-def _check_common(inputs: BoundInputs) -> None:
-    if not 0.0 < inputs.delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if not 0.0 < inputs.gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if inputs.v_max <= 0 or not math.isfinite(inputs.v_max):
-        raise ValueError("v_max must be positive and finite")
-    if inputs.n_wedge < 1:
-        raise ValueError("n_wedge must be >= 1")
+# The rule of each BoundInputs field; None passes none of them.
+_RULES = {
+    "v_max": POSITIVE, "gamma": FRACTION, "n_wedge": COUNT, "delta": LEVEL,
+    "c_n_wedge": NONNEGATIVE, "m_r_n_wedge": COUNT, "epsilon_r": RADIUS,
+    "num_states": COUNT, "num_actions": COUNT, "b": FRACTION, "dataset_size": COUNT,
+}
+
+
+def _check_inputs(inputs: BoundInputs, *fields: str) -> None:
+    """Check the fields every calculator uses, then ``fields``."""
+    for name in ("delta", "gamma", "v_max", "n_wedge", *fields):
+        check(name, getattr(inputs, name), _RULES[name])
 
 
 def count_c_n_wedge(counts: CountTable, n_wedge: int) -> int:
     """Number of state-action pairs observed at least ``n_wedge`` times."""
-    if n_wedge < 1:
-        raise ValueError("n_wedge must be >= 1")
+    check("n_wedge", n_wedge, COUNT)
     return int(np.sum(counts.n_sa >= n_wedge))
 
 
@@ -77,11 +80,8 @@ def dprl_discrete_bound(inputs: BoundInputs, variant: str = VARIANT_STATEMENT) -
     ``"proof"`` the tighter ``1 / (2 * n_wedge)``.  With no qualifying pair
     the learned policy is the logging policy and the bound is exactly 0.
     """
-    _check_common(inputs)
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
-    if inputs.c_n_wedge is None or inputs.c_n_wedge < 0:
-        raise ValueError("c_n_wedge must be a nonnegative count")
+    _check_inputs(inputs, "c_n_wedge")
+    check("variant", variant, VARIANT)
     if inputs.c_n_wedge == 0:
         return 0.0
     rate = 2.0 * inputs.n_wedge if variant == VARIANT_PROOF else float(inputs.n_wedge)
@@ -92,11 +92,7 @@ def dprl_discrete_bound(inputs: BoundInputs, variant: str = VARIANT_STATEMENT) -
 
 def dprl_continuous_bound(inputs: BoundInputs) -> float:
     """Neighborhood-based analogue over the dense-region cover."""
-    _check_common(inputs)
-    if inputs.m_r_n_wedge is None or inputs.m_r_n_wedge < 1:
-        raise ValueError("m_r_n_wedge must be >= 1")
-    if inputs.epsilon_r < 0:
-        raise ValueError("epsilon_r must be >= 0")
+    _check_inputs(inputs, "m_r_n_wedge", "epsilon_r")
     return (
         -(inputs.v_max / (1.0 - inputs.gamma))
         * math.sqrt(math.log(inputs.m_r_n_wedge / inputs.delta) / (2.0 * inputs.n_wedge))
@@ -110,9 +106,7 @@ def spibb_bound(inputs: BoundInputs) -> float:
     The union term ``2 * S * A * 2**S / delta`` is evaluated in log space so
     large state counts cannot overflow.
     """
-    _check_common(inputs)
-    if not inputs.num_states or not inputs.num_actions:
-        raise ValueError("num_states and num_actions must be >= 1")
+    _check_inputs(inputs, "num_states", "num_actions")
     log_term = (
         math.log(2.0 * inputs.num_states * inputs.num_actions / inputs.delta)
         + inputs.num_states * math.log(2.0)
@@ -129,13 +123,7 @@ def pqi_bound(inputs: BoundInputs) -> float:
     ``b`` approaches 0; as the dataset grows the statistical terms vanish
     and only the effective-horizon truncation term remains.
     """
-    _check_common(inputs)
-    if not inputs.num_states or not inputs.num_actions:
-        raise ValueError("num_states and num_actions must be >= 1")
-    if inputs.b is None or not 0.0 < inputs.b < 1.0:
-        raise ValueError("b must lie in (0, 1)")
-    if inputs.dataset_size is None or inputs.dataset_size < 1:
-        raise ValueError("dataset_size must be >= 1")
+    _check_inputs(inputs, "num_states", "num_actions", "b", "dataset_size")
     table = inputs.num_states * inputs.num_actions
     horizon = math.ceil(1.0 / (1.0 - inputs.gamma))
     log_factor = math.log(table / inputs.delta)
@@ -149,9 +137,7 @@ def pqi_bound(inputs: BoundInputs) -> float:
 
 def count_pessimism_bound(counts: CountTable, inputs: BoundInputs) -> float:
     """Expected clipped count penalty under the empirical pair distribution."""
-    _check_common(inputs)
-    if not inputs.num_states or not inputs.num_actions:
-        raise ValueError("num_states and num_actions must be >= 1")
+    _check_inputs(inputs, "num_states", "num_actions")
     n_sa = counts.n_sa
     total = n_sa.sum()
     if total == 0:

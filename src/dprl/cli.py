@@ -13,30 +13,37 @@ import argparse
 import csv
 import hashlib
 import json
-import numbers
 import os
 import sys
 from pathlib import Path
 
-from .bounds import VARIANT_PROOF, VARIANT_STATEMENT, bound_comparison_rows
+from .bounds import VARIANT, VARIANT_STATEMENT, bound_comparison_rows
 from .envs import ENVIRONMENTS, build_environment
 from .estimation import EVERY_VISIT, FIRST_VISIT, count_visits
 from .evaluation import (
     ALGORITHMS,
-    COUNT,
-    FRACTION,
     AlgorithmSpec,
     MixedPolicy,
     PolicyError,
-    check_params,
     exact_value,
     load_policy,
-    rule,
     run_reliability_experiment,
     save_policy,
     train_algorithm,
 )
-from .mdp import BehaviorPolicy, DatasetError, load_dataset, save_dataset, simulate
+from .mdp import (
+    COUNT,
+    FRACTION,
+    LEVEL,
+    NONNEGATIVE,
+    BehaviorPolicy,
+    DatasetError,
+    check_params,
+    load_dataset,
+    rule,
+    save_dataset,
+    simulate,
+)
 
 JOBS_ENV_VAR = "DPRL_JOBS"
 
@@ -46,16 +53,15 @@ class ConfigError(ValueError):
 
 
 _ANY = ("any value", lambda v: True)  # a section checked on its own
-_NONNEGATIVE = rule("a nonnegative integer", numbers.Integral, lambda v: v >= 0)
+_NONNEGATIVE = ("a nonnegative integer", NONNEGATIVE[1])  # the library's test, the CLI's words
 _CONFIG = {"environment": _ANY, "dataset": _ANY, "seeds": _NONNEGATIVE, "algorithms": _ANY}
 _OUTPUT_DIR = rule("a non-empty string", str, bool)
 _DATASET = {"num_trajectories": _NONNEGATIVE, "horizon": COUNT, "master_seed": _NONNEGATIVE}
 _BOUNDS = {
-    "delta": rule("a number in (0, 1]", numbers.Real, lambda v: 0 < v <= 1),
+    "delta": LEVEL,
     "n_wedge_grid": rule("a list of integers >= 1", list, lambda v: all(COUNT[1](n) for n in v)),
     "pqi_b": FRACTION,
 }
-_VARIANT = rule("'statement' or 'proof'", str, lambda v: v in (VARIANT_STATEMENT, VARIANT_PROOF))
 _LABEL = rule("a non-empty string without '/' or '\\'", str,
               lambda v: v != "" and not {"/", "\\"} & set(v))
 
@@ -111,7 +117,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("algorithms: labels must be unique")
 
     if "bounds" in normalized:
-        _check("bounds", normalized["bounds"], _BOUNDS, {"variant": _VARIANT})
+        _check("bounds", normalized["bounds"], _BOUNDS, {"variant": VARIANT})
     return normalized
 
 
@@ -122,6 +128,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return validate_config(raw)
 
 

@@ -26,11 +26,11 @@ from .estimation import (
     segment_ids,
     segment_suffix_returns,
 )
-from .mdp import check_integer
+from .mdp import COUNT, FRACTION, RADIUS, check, one_of
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
-_NEIGHBOR_MODES = (NEIGHBOR_ALL, NEIGHBOR_FIRST)
+_NEIGHBOR_MODE = one_of(NEIGHBOR_ALL, NEIGHBOR_FIRST)
 
 
 @dataclass
@@ -113,9 +113,7 @@ class NeighborIndex:
         for name in ("states", "returns"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        self.radius = float(radius)
-        if not 0.0 <= self.radius < np.inf:
-            raise ValueError("radius must be finite and >= 0")
+        self.radius = float(check("radius", radius, RADIUS))
         self._scale = np.sqrt(w)
         self._universe = tuple(np.unique(self.actions).tolist())
 
@@ -149,8 +147,7 @@ def build_index(
     radius: float,
 ) -> NeighborIndex:
     """Store every timestep of every trajectory with its suffix return."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    check("gamma", gamma, FRACTION)
     metric_weights = np.asarray(metric_weights, dtype=np.float64)
     trajectories = list(trajectories)  # read several times below
     if any(traj.states.shape[1] != len(metric_weights) for traj in trajectories):
@@ -187,9 +184,8 @@ def query(
     returns the passing action with the highest estimate, ties to the lowest
     action index.
     """
-    check_integer("n_wedge", n_wedge, 1)
-    if neighbor_mode not in _NEIGHBOR_MODES:
-        raise ValueError(f"neighbor_mode must be one of {_NEIGHBOR_MODES}")
+    check("n_wedge", n_wedge, COUNT)
+    check("neighbor_mode", neighbor_mode, _NEIGHBOR_MODE)
     mode = FIRST_VISIT if neighbor_mode == NEIGHBOR_FIRST else EVERY_VISIT
     hits = index.neighbors(state)
     universe = index.action_universe()
@@ -234,7 +230,7 @@ class CoveringNumbers:
 
 def estimate_covering_number(index: NeighborIndex, n_wedge: int) -> CoveringNumbers:
     """Greedy radius-ball covers of the dense region and the whole index."""
-    check_integer("n_wedge", n_wedge, 1)
+    check("n_wedge", n_wedge, COUNT)
     if len(index) == 0:
         raise ValueError("index holds no points")
     m_dense = m_total = 0

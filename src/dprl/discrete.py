@@ -22,12 +22,13 @@ from .estimation import (
     count_visits,
     monte_carlo_estimates,
 )
-from .mdp import TrajectoryDataset, check_integer
+from .mdp import COUNT, FRACTION, TrajectoryDataset, check, one_of
 from .solvers import policy_iteration
 
 TAIL_DROP = "drop"
 TAIL_ABSORB = "absorb"
 TAIL_MODES = (TAIL_DROP, TAIL_ABSORB)
+TAIL_MODE = one_of(*TAIL_MODES)
 
 
 @dataclass
@@ -123,7 +124,7 @@ def identify_decision_points(
     counts: CountTable, estimates: ValueEstimates, n_wedge: int
 ) -> DecisionPointSets:
     """The :class:`DecisionPointSets` of :func:`advantage_mask` on these counts and estimates."""
-    n_wedge = check_integer("n_wedge", n_wedge, 1)
+    n_wedge = int(check("n_wedge", n_wedge, COUNT))
     return DecisionPointSets(
         gate=advantage_mask(counts.n_sa, estimates.q_hat, estimates.v_hat, n_wedge),
         observed=counts.n_s >= 1,
@@ -150,10 +151,8 @@ def make_smdp(
     ``"drop"`` it is discarded.  Segments are summed in dataset order, each
     reward as one dot product, so the tables equal a per-trajectory loop's.
     """
-    if tail_mode not in TAIL_MODES:
-        raise ValueError(f"tail_mode must be one of {TAIL_MODES}, got {tail_mode!r}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    check("tail_mode", tail_mode, TAIL_MODE)
+    check("gamma", gamma, FRACTION)
     states = tuple(np.flatnonzero(dp.gate.any(axis=1)).tolist())
     num_dp = len(states)
     counts = np.zeros((num_dp, dataset.num_actions, num_dp + 1), dtype=np.int64)

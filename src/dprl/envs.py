@@ -21,12 +21,27 @@ import numbers
 
 import numpy as np
 
-from .evaluation import COUNT, FRACTION, check_params, rule
-from .mdp import BehaviorPolicy, RewardSpec, TabularMdp
+from .mdp import (
+    COUNT,
+    FRACTION,
+    BehaviorPolicy,
+    RewardSpec,
+    TabularMdp,
+    at_least,
+    check,
+    check_params,
+    rule,
+)
 from .solvers import optimal_values
 
 GRID_ACTIONS = 4  # 0 = up, 1 = right, 2 = down, 3 = left
 _GRID_MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # (dx, dy) per action
+
+# Each rule below serves both a builder and its ENVIRONMENTS entry.
+_EPSILON = rule("a number in [0, 0.5]", numbers.Real, lambda v: 0 <= v <= 0.5)
+_PROBABILITY = rule("a number in [0, 1]", numbers.Real, lambda v: 0 <= v <= 1)
+_SIDE = at_least(2)
+_INTEGER = rule("an integer", numbers.Integral, lambda v: True)
 
 
 def build_forest_mdp(
@@ -44,10 +59,9 @@ def build_forest_mdp(
     probabilities ``(epsilon, 1 - 2 * epsilon, epsilon)`` and is uniform at
     chain states, where every action moves the same way.
     """
-    if num_chains < 1 or depth < 1:
-        raise ValueError("num_chains and depth must be >= 1")
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError("epsilon must lie in [0, 1/2]")
+    check("num_chains", num_chains, COUNT)
+    check("depth", depth, COUNT)
+    check("epsilon", epsilon, _EPSILON)
 
     num_arm_chains = 2 * num_chains + 1
     num_states = 1 + num_arm_chains * depth + 1
@@ -111,10 +125,8 @@ def build_cql_mdp(
     its own terminal state, so episodes are a single step.  The logging
     policy plays ``(epsilon, 1 - 2 * epsilon, epsilon / num_risky, ...)``.
     """
-    if num_risky < 1:
-        raise ValueError("num_risky must be >= 1")
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError("epsilon must lie in [0, 1/2]")
+    check("num_risky", num_risky, COUNT)
+    check("epsilon", epsilon, _EPSILON)
 
     num_actions = num_risky + 2
     num_states = num_risky + 3  # start, good arm, safe arm, risky arms
@@ -178,10 +190,8 @@ def _grid_transitions(side: int, noise: float) -> np.ndarray:
 
 
 def _grid_mdp(side: int, noise: float, gamma: float) -> TabularMdp:
-    if side < 2:
-        raise ValueError("side must be >= 2")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
+    check("side", side, _SIDE)
+    check("noise", noise, _PROBABILITY)
     num_states = side * side
     goal = num_states - 1
     lo = np.zeros((num_states, GRID_ACTIONS))
@@ -257,16 +267,13 @@ def build_gridworld(
     Unif[0.9, 1.0] and teleports back to the start, so trajectories run to
     the horizon cap and the 100-state count of the 10x10 grid is preserved.
     """
-    if not 0.0 <= explore <= 1.0:
-        raise ValueError("explore must lie in [0, 1]")
+    check("explore", explore, _PROBABILITY)
     mdp = _grid_mdp(side, noise, gamma)
     num_states = mdp.num_states
     if careless_states is not None:
         careless_states = list(careless_states)
         for s in careless_states:
-            if not _is_integer(s):
-                raise ValueError(f"careless state {s!r} is not an integer")
-            if not 0 <= s < num_states:
+            if not 0 <= check("careless state", s, _INTEGER) < num_states:
                 raise ValueError(f"careless state {s} out of range")
         careless_states = frozenset(int(s) for s in careless_states)
 
@@ -297,13 +304,6 @@ def build_environment(env_id: str, **params) -> tuple[TabularMdp, BehaviorPolicy
     return build(**params)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-_EPSILON = rule("a number in [0, 0.5]", numbers.Real, lambda v: 0 <= v <= 0.5)
-_PROBABILITY = rule("a number in [0, 1]", numbers.Real, lambda v: 0 <= v <= 1)
-
 # id -> (rules of its config keys, builder); the keys are the builder's keyword parameters.
 ENVIRONMENTS = {
     "forest": (
@@ -312,10 +312,10 @@ ENVIRONMENTS = {
     ),
     "cql": ({"num_risky": COUNT, "epsilon": _EPSILON, "gamma": FRACTION}, build_cql_mdp),
     "gridworld": ({
-        "side": rule("an integer >= 2", numbers.Integral, lambda v: v >= 2),
+        "side": _SIDE,
         "noise": _PROBABILITY,
         "careless_states": rule("null or a list of integers", (list, type(None)),
-                                lambda v: v is None or all(map(_is_integer, v))),
+                                lambda v: v is None or all(map(_INTEGER[1], v))),
         "gamma": FRACTION,
         "explore": _PROBABILITY,
     }, build_gridworld),

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TrajectoryDataset
+from .mdp import FRACTION, TrajectoryDataset, check, one_of
 
 FIRST_VISIT = "first-visit"
 EVERY_VISIT = "every-visit"
 VISIT_MODES = (FIRST_VISIT, EVERY_VISIT)
+VISIT_MODE = one_of(*VISIT_MODES)
 
 
 @dataclass
@@ -72,11 +73,6 @@ def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: floa
 def segment_ids(offsets: np.ndarray) -> np.ndarray:
     """Per step, the index of its segment ``offsets[i]:offsets[i + 1]``."""
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in VISIT_MODES:
-        raise ValueError(f"mode must be one of {VISIT_MODES}, got {mode!r}")
 
 
 def _first_in_order(order: np.ndarray, keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -186,7 +182,7 @@ def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTa
     First-visit mode counts each pair at most once per trajectory, at the
     first time that action is taken in that state.
     """
-    _check_mode(mode)
+    check("mode", mode, VISIT_MODE)
     n_sa = dataset.visits.counts("pair", mode).reshape(dataset.num_states, dataset.num_actions)
     return CountTable(n_sa=n_sa.copy())
 
@@ -201,9 +197,8 @@ def monte_carlo_estimates(
     return per trajectory in which ``a`` is taken at ``s`` (from the first
     such time).  Every-visit mode averages over all occurrences.
     """
-    _check_mode(mode)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    check("mode", mode, VISIT_MODE)
+    check("gamma", gamma, FRACTION)
     visits = dataset.visits
     q_hat = visits.means("pair", mode, gamma).reshape(dataset.num_states, dataset.num_actions)
     return ValueEstimates(v_hat=visits.means("state", mode, gamma), q_hat=q_hat)

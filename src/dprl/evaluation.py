@@ -10,22 +10,27 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .baselines import (
-    is_n_wedge,
-    train_behavior_clone,
-    train_pqi,
-    train_spibb,
+from .baselines import N_WEDGE, train_behavior_clone, train_pqi, train_spibb
+from .discrete import TAIL_MODE, DecisionPointPolicy, train_decision_point_policy
+from .estimation import VISIT_MODE
+from .mdp import (
+    COUNT,
+    FRACTION,
+    LEVEL,
+    NONNEGATIVE,
+    BehaviorPolicy,
+    TabularMdp,
+    check,
+    check_params,
+    one_of,
+    rule,
+    simulate,
 )
-from .discrete import TAIL_MODES, DecisionPointPolicy, train_decision_point_policy
-from .estimation import VISIT_MODES
-from .mdp import BehaviorPolicy, TabularMdp, simulate
 from .solvers import policy_state_values
 
 
@@ -73,21 +78,29 @@ def save_policy(policy: DecisionPointPolicy | BehaviorPolicy, path: str | Path) 
     path.write_text(policy_json(policy) + "\n", encoding="utf-8")
 
 
+_KIND = rule("a string", str, lambda v: True)
+_PARAMS = rule("an object", dict, lambda v: True)
+_ROWS = rule("a list", list, lambda v: True)
+_ROW = rule("a list of numbers", list, lambda v: all(type(p) in (int, float) for p in v))
+
+
 def _policy_from(payload) -> DecisionPointPolicy | BehaviorPolicy:
     """The record a parsed policy file holds; ``KeyError``, ``TypeError`` or ``ValueError``
     for a file :func:`policy_json` cannot have written."""
     if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
         raise ValueError("format is not 'dprl-policy'")
-    if payload.get("kind") != "decision-point":
+    if check("kind", payload["kind"], _KIND) != "decision-point":
         if "rows" not in payload:
             raise ValueError("not a stochastic-row policy file")
-        if not all(type(p) in (int, float) for row in payload["rows"] for p in row):
-            raise ValueError("rows must hold numbers")
+        check("params", payload["params"], _PARAMS)
+        for i, row in enumerate(check("rows", payload["rows"], _ROWS)):
+            check(f"rows[{i}]", row, _ROW)
+        if len({len(row) for row in payload["rows"]}) > 1:
+            raise ValueError("rows must have equal lengths")
         return BehaviorPolicy(np.array(payload["rows"], dtype=np.float64),
-                              kind=payload.get("kind", "unknown"), params=payload.get("params", {}))
-    for key, low in (("n_wedge", 1), ("iterations", 0)):
-        if type(payload[key]) is not int or payload[key] < low:
-            raise ValueError(f"{key} must be an integer >= {low}, got {payload[key]!r}")
+                              kind=payload["kind"], params=payload["params"])
+    for key, key_rule in (("n_wedge", COUNT), ("iterations", NONNEGATIVE)):
+        check(key, payload[key], key_rule)
     cells = payload["verdicts"]
     if not isinstance(cells, dict) or any(
         a != "DEFER" and type(a) is not int for a in cells.values()
@@ -113,11 +126,10 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
     """Read a :func:`save_policy` file; raise :class:`PolicyError` unless it composes with
     ``behavior`` into probability rows (ids and rows must fit the behavior's (S, A) shape).
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        policy = _policy_from(json.loads(text))
+        policy = _policy_from(json.loads(Path(path).read_text(encoding="utf-8")))
         BehaviorPolicy(policy.rows(behavior.action_probabilities))  # checks the rows
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError) as exc:  # as are JSON and UTF-8 decode errors
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise PolicyError(f"{path}: {reason}") from exc
     return policy
@@ -137,8 +149,7 @@ def cvar(values, alpha: float) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("values must be non-empty")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check("alpha", alpha, LEVEL)
     ordered = np.sort(values, kind="stable")
     k = math.ceil(alpha * values.size)
     return float(ordered[:k].mean())
@@ -199,30 +210,6 @@ class ExperimentResult:
         return out
 
 
-def rule(what: str, kind: type, test: Callable) -> tuple:
-    """A value rule for :func:`check_params`: a non-bool ``kind`` instance passing ``test``."""
-    return what, lambda v: isinstance(v, kind) and not isinstance(v, bool) and test(v)
-
-
-def _one_of(*options: str) -> tuple:
-    return rule(f"one of {list(options)}", str, lambda v: v in options)
-
-
-COUNT = rule("an integer >= 1", numbers.Integral, lambda v: v >= 1)
-FRACTION = rule("a number in (0, 1)", numbers.Real, lambda v: 0 < v < 1)
-
-
-def check_params(params: dict, required: dict, optional: dict) -> None:
-    """Raise ``ValueError`` for the first unknown, missing or rule-breaking key."""
-    rules = {**optional, **required}
-    unknown, missing = sorted(set(params) - set(rules)), sorted(set(required) - set(params))
-    if unknown or missing:
-        raise ValueError(f"unknown keys {unknown}" if unknown else f"missing keys {missing}")
-    for key, value in params.items():
-        if not rules[key][1](value):
-            raise ValueError(f"{key} must be {rules[key][0]}, got {value!r}")
-
-
 def _train_dprl(params, dataset, mdp, behavior):
     policy = train_decision_point_policy(dataset, gamma=mdp.gamma, **params)
     return policy, 1.0 - len(policy.verdicts) / max(1, mdp.num_states - len(mdp.terminal_states))
@@ -241,10 +228,8 @@ def _train_spibb(params, dataset, mdp, behavior):
 # trainer maps (params, dataset, mdp, behavior) to (policy or None, defer
 # fraction) and looks learners up when called, so patched ones run.
 ALGORITHMS = {
-    "dprl": ({"n_wedge": COUNT}, {"tail_mode": _one_of(*TAIL_MODES),
-                                  "count_mode": _one_of(*VISIT_MODES)}, _train_dprl),
-    "spibb": ({"n_wedge": ("a number >= 1", is_n_wedge)},
-              {"behavior": _one_of("true", "estimated")}, _train_spibb),
+    "dprl": ({"n_wedge": COUNT}, {"tail_mode": TAIL_MODE, "count_mode": VISIT_MODE}, _train_dprl),
+    "spibb": ({"n_wedge": N_WEDGE}, {"behavior": one_of("true", "estimated")}, _train_spibb),
     "pqi": ({"density_threshold": FRACTION}, {},
             lambda p, ds, mdp, b: (train_pqi(ds, p["density_threshold"], mdp.gamma), 0.0)),
     "behavior_clone": ({}, {}, lambda p, ds, mdp, b: (train_behavior_clone(ds), 0.0)),
@@ -307,10 +292,8 @@ def run_reliability_experiment(
     records its reason instead of aborting the experiment; other exceptions
     propagate.
     """
-    if num_seeds < 0:
-        raise ValueError("num_seeds must be >= 0")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check("num_seeds", num_seeds, NONNEGATIVE)
+    check("jobs", jobs, COUNT)
     labels = [spec.label for spec in algorithms]
     if len(set(labels)) != len(labels):
         raise ValueError("algorithm labels must be unique")

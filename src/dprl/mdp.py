@@ -1,4 +1,4 @@
-"""Tabular MDP primitives: reward models, behavior policies, trajectory data.
+"""Tabular MDP primitives: reward models, behavior policies, trajectory data, value rules.
 
 Conventions used throughout the package:
 
@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -37,14 +37,46 @@ def _probability_rows(table: np.ndarray) -> np.ndarray:
     return (np.abs(table.sum(axis=-1) - 1.0) <= _ROW_SUM_TOL) & (table >= 0.0).all(axis=-1)
 
 
-def check_integer(name: str, value, low: int) -> int:
-    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an integer >= ``low``.
+def rule(what: str, kind, test: Callable) -> tuple:
+    """A value rule ``(what, test)``: a non-bool ``kind`` instance passing ``test``."""
+    return what, lambda v: isinstance(v, kind) and not isinstance(v, bool) and test(v)
 
-    Bools are refused, and so are floats such as ``2.0``, ``nan`` and ``inf``.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
+
+def check(name: str, value, value_rule: tuple):
+    """``value`` itself; ``ValueError("<name> must be <what>, got <value!r>")`` unless it passes."""
+    what, test = value_rule
+    if not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def check_params(params: dict, required: dict, optional: dict) -> None:
+    """Raise ``ValueError`` for the first unknown, missing or rule-breaking key."""
+    rules = {**optional, **required}
+    unknown, missing = sorted(set(params) - set(rules)), sorted(set(required) - set(params))
+    if unknown or missing:
+        raise ValueError(f"unknown keys {unknown}" if unknown else f"missing keys {missing}")
+    for key, value in params.items():
+        check(key, value, rules[key])
+
+
+def at_least(low: int) -> tuple:
+    """The rule of an integer >= ``low``."""
+    return rule(f"an integer >= {low}", numbers.Integral, lambda v: v >= low)
+
+
+def one_of(*options: str) -> tuple:
+    """The rule of a string among ``options``."""
+    return rule(f"one of {list(options)}", str, lambda v: v in options)
+
+
+# No rule passes a bool, and 2.0, nan and inf are not integers.
+COUNT = at_least(1)
+NONNEGATIVE = at_least(0)
+FRACTION = rule("a number in (0, 1)", numbers.Real, lambda v: 0 < v < 1)
+LEVEL = rule("a number in (0, 1]", numbers.Real, lambda v: 0 < v <= 1)
+POSITIVE = rule("a positive finite number", numbers.Real, lambda v: 0 < v < math.inf)
+RADIUS = rule("a finite number >= 0", numbers.Real, lambda v: 0 <= v < math.inf)
 
 
 @dataclass
@@ -105,23 +137,21 @@ class TabularMdp:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         if self.transitions.ndim != 3 or self.transitions.shape[0] != self.transitions.shape[2]:
             raise ValueError("transitions must have shape (S, A, S)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not np.isfinite(self.r_max) or self.r_max <= 0:
-            raise ValueError("r_max must be positive and finite")
+        check("gamma", self.gamma, FRACTION)
+        check("r_max", self.r_max, POSITIVE)
         bad = np.argwhere(~_probability_rows(self.transitions)).tolist()
         if bad:
             raise ValueError(f"transition row {bad[0]} must be nonnegative and sum to 1")
         if self.rewards.lo.shape != self.transitions.shape[:2]:
             raise ValueError("reward table shape must match (S, A)")
         if np.any(self.rewards.lo < 0.0) or np.any(self.rewards.hi > self.r_max + 1e-12):
-            raise ValueError("reward support must lie inside [0, r_max]")
-        if not 0 <= self.start_state < self.num_states:
-            raise ValueError("start_state out of range")
-        self.terminal_states = frozenset(int(t) for t in self.terminal_states)
-        for t in self.terminal_states:
-            if not 0 <= t < self.num_states:
-                raise ValueError("terminal state out of range")
+            raise ValueError("reward support must be within [0, r_max]")
+        num_states = self.num_states
+        state = rule(f"a state id in [0, {num_states})", numbers.Integral,
+                     lambda v: 0 <= v < num_states)
+        check("start_state", self.start_state, state)
+        self.terminal_states = frozenset(int(check("terminal state", t, state))
+                                         for t in self.terminal_states)
 
     @property
     def num_states(self) -> int:
@@ -228,7 +258,7 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         for name in ("num_states", "num_actions"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), 0))
+            object.__setattr__(self, name, int(check(name, getattr(self, name), NONNEGATIVE)))
         columns = {}
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
             ids = columns[name] = _int_ids(getattr(self, name), name)
@@ -371,9 +401,9 @@ def simulate(
     """
     if policy.num_states != mdp.num_states or policy.num_actions != mdp.num_actions:
         raise ValueError("policy shape does not match the MDP")
-    num_trajectories = check_integer("num_trajectories", num_trajectories, 0)
-    horizon = check_integer("horizon", horizon, 1)
-    master_seed = check_integer("master_seed", master_seed, 0)
+    num_trajectories = int(check("num_trajectories", num_trajectories, NONNEGATIVE))
+    horizon = int(check("horizon", horizon, COUNT))
+    master_seed = int(check("master_seed", master_seed, NONNEGATIVE))
 
     # Each trajectory keeps its own stream, so trajectory i is reproducible
     # on its own; blocks of trajectories then step in lockstep.  The block
@@ -464,14 +494,17 @@ def load_dataset(path: str | Path, num_states: int, num_actions: int) -> Traject
 
     Ids outside ``[0, num_states)`` or ``[0, num_actions)``, non-integer ids,
     seeds that are not integers in ``[0, 2**64)`` and non-finite rewards
-    raise :class:`DatasetError` naming the line.
+    raise :class:`DatasetError` naming the line; text that is not UTF-8 one naming the file.
     """
     trajectories: list[Trajectory] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                trajectories.append(
-                    _read_trajectory(line, num_states, num_actions, f"{path} line {lineno}")
-                )
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    trajectories.append(
+                        _read_trajectory(line, num_states, num_actions, f"{path} line {lineno}")
+                    )
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     return TrajectoryDataset.from_trajectories(trajectories, num_states, num_actions)

@@ -59,6 +59,49 @@ class TestCountSummary:
             count_c_n_wedge(table([[1]]), 0)
 
 
+# Inputs every calculator accepts; each test below breaks one field.
+ALL_FIELDS = dict(v_max=1.0, gamma=0.9, n_wedge=10, delta=0.1, c_n_wedge=3, m_r_n_wedge=2,
+                  epsilon_r=0.01, num_states=2, num_actions=2, b=0.02, dataset_size=100)
+CALCULATORS = {
+    "count_c_n_wedge": lambda inputs: count_c_n_wedge(table([[3, 0], [10, 2]]), inputs.n_wedge),
+    "dprl_discrete": dprl_discrete_bound,
+    "dprl_continuous": dprl_continuous_bound,
+    "spibb": spibb_bound,
+    "pqi": pqi_bound,
+    "count_pessimism": lambda inputs: count_pessimism_bound(table([[3, 0], [10, 2]]), inputs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALCULATORS))
+@pytest.mark.parametrize("n_wedge", [float("nan"), 2.5, True], ids=["nan", "fraction", "bool"])
+def test_every_calculator_rejects_a_threshold_that_is_not_a_count(name, n_wedge):
+    # A nan threshold used to count no pair, and so report the strongest guarantee, 0.
+    inputs = BoundInputs(**{**ALL_FIELDS, "n_wedge": n_wedge})
+    with pytest.raises(ValueError, match=rf"^n_wedge must be an integer >= 1, got {n_wedge!r}$"):
+        CALCULATORS[name](inputs)
+
+
+@pytest.mark.parametrize(
+    "name, field, value, what",
+    [
+        ("dprl_discrete", "c_n_wedge", float("nan"), "an integer >= 0"),
+        ("dprl_continuous", "m_r_n_wedge", 2.5, "an integer >= 1"),
+        ("dprl_continuous", "epsilon_r", float("nan"), "a finite number >= 0"),
+        ("dprl_continuous", "epsilon_r", float("inf"), "a finite number >= 0"),
+        ("spibb", "v_max", float("inf"), "a positive finite number"),
+        ("pqi", "dataset_size", 2.5, "an integer >= 1"),
+        ("pqi", "b", float("nan"), r"a number in \(0, 1\)"),
+        ("count_pessimism", "delta", float("nan"), r"a number in \(0, 1\]"),
+    ],
+    ids=["nan-c", "fractional-m", "nan-epsilon", "inf-epsilon", "inf-v-max",
+         "fractional-size", "nan-b", "nan-delta"],
+)
+def test_calculators_reject_a_field_outside_its_rule(name, field, value, what):
+    inputs = BoundInputs(**{**ALL_FIELDS, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be {what}, got {value!r}$"):
+        CALCULATORS[name](inputs)
+
+
 class TestDiscreteBound:
     def inputs(self, **overrides) -> BoundInputs:
         base = dict(v_max=1.0, gamma=0.9, n_wedge=100, delta=0.1, c_n_wedge=10)

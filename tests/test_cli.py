@@ -660,8 +660,47 @@ class TestExitCodes:
         text = json.dumps({"format": "dprl-policy", "kind": "spibb", "params": {}, "rows": rows})
         self.assert_policy_error(workspace, tmp_path, capsys, text, match)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.update(kind=5), "kind must be a string, got 5"),
+            (lambda p: p.update(kind=None), "kind must be a string, got None"),
+            (lambda p: p.pop("kind"), "missing key 'kind'"),
+            (lambda p: p.update(params=5), "params must be an object, got 5"),
+            (lambda p: p.update(rows=5), "rows must be a list, got 5"),
+            (lambda p: p.update(rows=[1, 2]), "rows[0] must be a list of numbers, got 1"),
+            (lambda p: p.update(rows=[[1.0, 0.0, 0.0], [0.5, True, 0.5]]),
+             "rows[1] must be a list of numbers, got [0.5, True, 0.5]"),
+            (lambda p: p["rows"][1].pop(), "rows must have equal lengths"),
+        ],
+        ids=["int-kind", "null-kind", "no-kind", "int-params", "int-rows", "flat-rows",
+             "bool-entry", "ragged-rows"],
+    )
+    def test_bad_row_envelope_exits_2(self, workspace, tmp_path, capsys, edit, match):
+        payload = {"format": "dprl-policy", "kind": "spibb", "params": {},
+                   "rows": forest_behavior().action_probabilities.tolist()}
+        edit(payload)
+        self.assert_policy_error(workspace, tmp_path, capsys, json.dumps(payload), match)
+
     def test_invalid_json_policy_exits_2(self, workspace, tmp_path, capsys):
         self.assert_policy_error(workspace, tmp_path, capsys, "{not json", "p.json")
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "policy"])
+    def test_file_that_is_not_utf8_exits_2(self, workspace, tmp_path, capsys, kind):
+        cfg, _ = workspace
+        latin = tmp_path / "latin.bin"
+        latin.write_bytes(b"\xff")
+        argv = {
+            "config": ["generate", "--config", str(latin)],
+            "dataset": ["train", "--config", str(cfg), "--dataset", str(latin), "--algorithm", "dprl"],
+            "policy": ["evaluate", "--config", str(cfg), "--policy", str(latin)],
+        }[kind]
+        rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"{kind} error: {latin}: 'utf-8' codec can't decode byte 0xff"
+        )
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def assert_policy_error(workspace, tmp_path, capsys, text, match):

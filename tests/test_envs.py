@@ -249,18 +249,23 @@ class TestRegistry:
             ("gridworld", {"side": 3, "noise": True}, "noise must be a number in [0, 1], got True"),
             ("gridworld", {"side": 3.0}, "side must be an integer >= 2, got 3.0"),
             ("forest", {"num_chains": 2.0}, "num_chains must be an integer >= 1, got 2.0"),
+            ("forest", {"num_chains": 2.5}, "num_chains must be an integer >= 1, got 2.5"),
             ("forest", {"depth": True}, "depth must be an integer >= 1, got True"),
             ("cql", {"epsilon": 0.7}, "epsilon must be a number in [0, 0.5], got 0.7"),
             ("cql", {"gamma": 1}, "gamma must be a number in (0, 1), got 1"),
             ("cql", {"size": 3}, "unknown keys ['size']"),
         ],
-        ids=["bool-noise", "float-side", "float-chains", "bool-depth", "wide-epsilon",
-             "gamma-one", "unknown-key"],
+        ids=["bool-noise", "float-side", "float-chains", "fractional-chains", "bool-depth",
+             "wide-epsilon", "gamma-one", "unknown-key"],
     )
     def test_library_calls_apply_the_registry_rules(self, env_id, params, message):
         with pytest.raises(ValueError) as info:
             build_environment(env_id, **params)
         assert str(info.value) == message
+        if not message.startswith("unknown keys"):  # the builder applies the same rule
+            with pytest.raises(ValueError) as info:
+                ENVIRONMENTS[env_id][1](**params)
+            assert str(info.value) == message
 
     def test_gridworld_accepts_careless_list(self):
         mdp, behavior = build_environment(

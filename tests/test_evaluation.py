@@ -345,8 +345,16 @@ class TestReliabilityExperiment:
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -2):  # not quietly run in-process
-            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}"):
                 self.run(jobs=jobs, num_seeds=1)
+
+    @pytest.mark.parametrize("key", ["num_seeds", "jobs"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_counts_rejected(self, key, value):
+        # 2.5 used to fail inside range() and True to run one seed.
+        low = 0 if key == "num_seeds" else 1
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer >= {low}, got {value!r}$"):
+            self.run(**{key: value})
 
     def test_duplicate_labels_rejected(self):
         mdp, behavior = build_forest_mdp(num_chains=1, depth=1)

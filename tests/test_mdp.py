@@ -105,6 +105,20 @@ class TestContainers:
                 terminal_states=frozenset({7}),
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("start_state", True, "start_state must be a state id in [0, 1), got True"),
+         ("start_state", 0.5, "start_state must be a state id in [0, 1), got 0.5"),
+         ("terminal_states", {0.5}, "terminal state must be a state id in [0, 1), got 0.5")],
+        ids=["bool-start", "fractional-start", "fractional-terminal"],
+    )
+    def test_mdp_rejects_state_ids_that_are_not_integers(self, field, value, message):
+        # 0.5 used to start, or end, at state 0.
+        with pytest.raises(ValueError) as info:
+            TabularMdp(transitions=np.ones((1, 1, 1)), rewards=RewardSpec.constant(np.zeros((1, 1))),
+                       gamma=0.9, **{"start_state": 0, field: value})
+        assert str(info.value) == message
+
     def test_v_max(self):
         mdp = single_state_loop(gamma=0.95)
         assert mdp.v_max == pytest.approx(20.0)
