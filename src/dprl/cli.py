@@ -3,8 +3,7 @@
 All commands are driven by one JSON config file, validated up front with
 unknown keys rejected.  Outputs (line-delimited datasets, policy JSON, CSV
 tables, JSON summaries) are byte-identical across reruns of the same
-config, including when seeds are fanned out to worker processes.  Worker
-count comes from ``--jobs`` or, failing that, the ``DPRL_JOBS`` variable.
+config, including when seeds are fanned out to ``--jobs`` worker processes.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,9 +43,6 @@ from .mdp import (
     simulate,
 )
 
-JOBS_ENV_VAR = "DPRL_JOBS"
-
-
 class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
@@ -55,7 +50,6 @@ class ConfigError(ValueError):
 _ANY = ("any value", lambda v: True)  # a section checked on its own
 _NONNEGATIVE = ("a nonnegative integer", NONNEGATIVE[1])  # the library's test, the CLI's words
 _CONFIG = {"environment": _ANY, "dataset": _ANY, "seeds": _NONNEGATIVE, "algorithms": _ANY}
-_OUTPUT_DIR = rule("a non-empty string", str, bool)
 _DATASET = {"num_trajectories": _NONNEGATIVE, "horizon": COUNT, "master_seed": _NONNEGATIVE}
 _BOUNDS = {
     "delta": LEVEL,
@@ -79,7 +73,7 @@ def validate_config(config: dict) -> dict:
     """Check keys and values, algorithms' against ``ALGORITHMS``; fill in labels; return a copy."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    _check("config", config, _CONFIG, {"bounds": _ANY, "output_dir": _OUTPUT_DIR})
+    _check("config", config, _CONFIG, {"bounds": _ANY})
 
     env = config["environment"]
     if not isinstance(env, dict) or "id" not in env:
@@ -155,13 +149,13 @@ def _algorithm_specs(config: dict) -> list[AlgorithmSpec]:
     return specs
 
 
-def _integer_flag(value_rule: tuple):
-    """An argparse ``type`` reading an integer that must pass a config rule."""
+def _flag(value_rule: tuple, convert=int):
+    """An argparse ``type`` reading ``convert(text)``, which must pass a value rule."""
     what, test = value_rule
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
         if value is None or not test(value):
@@ -171,27 +165,8 @@ def _integer_flag(value_rule: tuple):
     return parse
 
 
-_SEEDS_FLAG, _JOBS_FLAG = _integer_flag(_NONNEGATIVE), _integer_flag(COUNT)
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env_value = os.environ.get(JOBS_ENV_VAR, "")
-    if not env_value.strip():
-        return 1
-    try:
-        return _JOBS_FLAG(env_value)
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"{JOBS_ENV_VAR} {exc}") from None
-
-
-def _out_dir(args, config: dict) -> Path:
-    if args.out:
-        return Path(args.out)
-    if "output_dir" in config:
-        return Path(config["output_dir"])
-    raise ConfigError("no output directory: pass --out or set output_dir in the config")
+_SEEDS_FLAG, _JOBS_FLAG = _flag(_NONNEGATIVE), _flag(COUNT)
+_OUT_FLAG = _flag(rule("a non-empty path", str, bool), str)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -213,7 +188,7 @@ def _dataset_path(out: Path, index: int) -> Path:
 
 def cmd_generate(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
     if num_seeds == 0:
@@ -241,7 +216,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     mdp, behavior = _build_env(config)
     specs = {spec.label: spec for spec in _algorithm_specs(config)}
     if args.algorithm not in specs:
@@ -260,7 +235,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     mdp, behavior = _build_env(config)
     policy = load_policy(args.policy, behavior)
     value = exact_value(mdp, MixedPolicy(policy, behavior))
@@ -282,7 +257,7 @@ def cmd_bounds(args) -> int:
     config = load_config(args.config)
     if "bounds" not in config:
         raise ConfigError("config has no 'bounds' section")
-    out = _out_dir(args, config)
+    out = Path(args.out)
     mdp, behavior = _build_env(config)
     spec = config["dataset"]
     dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"], spec["master_seed"])
@@ -313,7 +288,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config)
+    out = Path(args.out)
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
     spec = config["dataset"]
@@ -325,8 +300,7 @@ def cmd_sweep(args) -> int:
         num_trajectories=spec["num_trajectories"],
         horizon=spec["horizon"],
         master_seed=spec["master_seed"],
-        jobs=_resolve_jobs(args),
-        config_hash=config_hash(config),
+        jobs=args.jobs,
     )
     rows = []
     for i, seed in enumerate(result.seeds):
@@ -340,7 +314,7 @@ def cmd_sweep(args) -> int:
                 }
             )
     _write_csv(out / "per_seed.csv", ["seed", "algorithm", "value", "defer_fraction"], rows)
-    _write_json(out / "summary.json", result.summary())
+    _write_json(out / "summary.json", {**result.summary(), "config_hash": config_hash(config)})
     print(f"swept {num_seeds} seed(s) x {len(result.labels)} algorithm(s) -> {out}")
     return 0
 
@@ -354,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, jobs: bool = False, seeds: bool = False) -> None:
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--out", type=_OUT_FLAG, required=True, help="output directory")
         if seeds:
             p.add_argument("--seeds", type=_SEEDS_FLAG, default=None,
                            help="override config seed count")
         if jobs:
-            p.add_argument("--jobs", type=_JOBS_FLAG, default=None, help="worker processes")
+            p.add_argument("--jobs", type=_JOBS_FLAG, default=1, help="worker processes (default 1)")
 
     p = sub.add_parser("generate", help="write per-seed trajectory datasets")
     common(p, seeds=True)

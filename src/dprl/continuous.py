@@ -26,7 +26,7 @@ from .estimation import (
     segment_ids,
     segment_suffix_returns,
 )
-from .mdp import COUNT, FRACTION, RADIUS, check, one_of
+from .mdp import COUNT, FRACTION, RADIUS, _int_ids, _reals, check, one_of
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -43,8 +43,8 @@ class ContinuousTrajectory:
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        self.actions = _int_ids(self.actions, "actions")
+        self.rewards = _reals(self.rewards, "rewards")
         if self.states.ndim != 2:
             raise ValueError("states must be (T, d)")
         if not (len(self.states) == len(self.actions) == len(self.rewards)):
@@ -96,9 +96,9 @@ class NeighborIndex:
         radius: float,
     ) -> None:
         self.states = np.asarray(states, dtype=np.float64)
-        self.actions = np.asarray(actions, dtype=np.int64)
-        self.returns = np.asarray(returns, dtype=np.float64)
-        self.trajectory_ids = np.asarray(trajectory_ids, dtype=np.int64)
+        self.actions = _int_ids(actions, "actions")
+        self.returns = _reals(returns, "returns")
+        self.trajectory_ids = _int_ids(trajectory_ids, "trajectory_ids")
         self.metric_weights = np.asarray(metric_weights, dtype=np.float64)
         w = self.metric_weights
         if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):

@@ -22,7 +22,7 @@ from .estimation import (
     count_visits,
     monte_carlo_estimates,
 )
-from .mdp import COUNT, FRACTION, TrajectoryDataset, check, one_of
+from .mdp import COUNT, FRACTION, NONNEGATIVE, TrajectoryDataset, check, one_of
 from .solvers import policy_iteration
 
 TAIL_DROP = "drop"
@@ -83,7 +83,9 @@ class DecisionPointPolicy:
     """Deterministic verdicts at decision points, deferral elsewhere.
 
     A state with no verdict, listed in ``defer_states`` or not, runs the
-    logging policy.  No state is both a verdict and a deferral.
+    logging policy.  No state is both a verdict and a deferral.  ``n_wedge``
+    is an integer >= 1, ``iterations`` one >= 0, and every state and action
+    id an integer >= 0, kept as a Python int.
     """
 
     n_wedge: int
@@ -93,6 +95,14 @@ class DecisionPointPolicy:
     provenance: DecisionPointSets | None = None
 
     def __post_init__(self) -> None:
+        self.n_wedge = int(check("n_wedge", self.n_wedge, COUNT))
+        self.iterations = int(check("iterations", self.iterations, NONNEGATIVE))
+        for name, ids in (("verdict state id", self.verdicts), ("defer state id", self.defer_states),
+                          ("verdict action id", self.verdicts.values())):
+            for i in ids:
+                check(name, i, NONNEGATIVE)
+        self.verdicts = {int(s): int(a) for s, a in self.verdicts.items()}
+        self.defer_states = frozenset(map(int, self.defer_states))
         both = self.verdicts.keys() & self.defer_states
         if both:
             raise ValueError(f"state {min(both)} is both a verdict and a deferral")
@@ -100,9 +110,9 @@ class DecisionPointPolicy:
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
         """A copy of ``behavior_rows`` with each verdict state's row one-hot on its action."""
         num_states, num_actions = behavior_rows.shape
-        if not all(0 <= s < num_states for s in (*self.verdicts, *self.defer_states)):
+        if not all(s < num_states for s in (*self.verdicts, *self.defer_states)):
             raise ValueError(f"a state id lies outside [0, {num_states})")
-        if not all(0 <= a < num_actions for a in self.verdicts.values()):
+        if not all(a < num_actions for a in self.verdicts.values()):
             raise ValueError(f"an action id lies outside [0, {num_actions})")
         rows = behavior_rows.copy()
         for s, a in self.verdicts.items():

@@ -78,8 +78,6 @@ def save_policy(policy: DecisionPointPolicy | BehaviorPolicy, path: str | Path) 
     path.write_text(policy_json(policy) + "\n", encoding="utf-8")
 
 
-_KIND = rule("a string", str, lambda v: True)
-_PARAMS = rule("an object", dict, lambda v: True)
 _ROWS = rule("a list", list, lambda v: True)
 _ROW = rule("a list of numbers", list, lambda v: all(type(p) in (int, float) for p in v))
 
@@ -89,18 +87,15 @@ def _policy_from(payload) -> DecisionPointPolicy | BehaviorPolicy:
     for a file :func:`policy_json` cannot have written."""
     if not isinstance(payload, dict) or payload.get("format") != "dprl-policy":
         raise ValueError("format is not 'dprl-policy'")
-    if check("kind", payload["kind"], _KIND) != "decision-point":
+    if payload["kind"] != "decision-point":  # BehaviorPolicy checks kind and params
         if "rows" not in payload:
             raise ValueError("not a stochastic-row policy file")
-        check("params", payload["params"], _PARAMS)
         for i, row in enumerate(check("rows", payload["rows"], _ROWS)):
             check(f"rows[{i}]", row, _ROW)
         if len({len(row) for row in payload["rows"]}) > 1:
             raise ValueError("rows must have equal lengths")
         return BehaviorPolicy(np.array(payload["rows"], dtype=np.float64),
                               kind=payload["kind"], params=payload["params"])
-    for key, key_rule in (("n_wedge", COUNT), ("iterations", NONNEGATIVE)):
-        check(key, payload[key], key_rule)
     cells = payload["verdicts"]
     if not isinstance(cells, dict) or any(
         a != "DEFER" and type(a) is not int for a in cells.values()
@@ -173,7 +168,6 @@ class ExperimentResult:
     values: dict[str, list[float]]
     defer_fractions: dict[str, list[float]]
     failures: dict[str, list[int]]
-    config_hash: str = ""
     # (exception type, message) of each seed in failures[label], in order
     errors: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
 
@@ -196,7 +190,7 @@ class ExperimentResult:
         return float(finite.mean()) if finite.size else float("nan")
 
     def summary(self) -> dict:
-        out: dict = {"config_hash": self.config_hash, "num_seeds": len(self.seeds), "algorithms": {}}
+        out: dict = {"num_seeds": len(self.seeds), "algorithms": {}}
         for label in self.labels:
             entry = out["algorithms"][label] = {
                 "cvar_5": self.cvar(label),
@@ -280,7 +274,6 @@ def run_reliability_experiment(
     horizon: int,
     master_seed: int,
     jobs: int = 1,
-    config_hash: str = "",
 ) -> ExperimentResult:
     """Repeat dataset draw, training and exact evaluation over seeds.
 
@@ -326,6 +319,5 @@ def run_reliability_experiment(
         values=values,
         defer_fractions=defer_fractions,
         failures=failures,
-        config_hash=config_hash,
         errors=errors,
     )

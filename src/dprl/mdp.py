@@ -77,6 +77,8 @@ FRACTION = rule("a number in (0, 1)", numbers.Real, lambda v: 0 < v < 1)
 LEVEL = rule("a number in (0, 1]", numbers.Real, lambda v: 0 < v <= 1)
 POSITIVE = rule("a positive finite number", numbers.Real, lambda v: 0 < v < math.inf)
 RADIUS = rule("a finite number >= 0", numbers.Real, lambda v: 0 <= v < math.inf)
+_KIND = rule("a string", str, lambda v: True)
+_PARAMS = rule("an object", dict, lambda v: True)
 
 
 @dataclass
@@ -171,7 +173,9 @@ class BehaviorPolicy:
     """Stationary stochastic tabular policy: a logging policy or a baseline learner's output.
 
     Every row of the ``(S, A)`` table must be a probability row.  ``kind``
-    names where the rows came from and ``params`` how they were learned.
+    names where the rows came from, a string other than ``"decision-point"``
+    (the policy-file kind of a ``DecisionPointPolicy``), and ``params`` how
+    they were learned, a dict.
     """
 
     action_probabilities: np.ndarray
@@ -179,6 +183,9 @@ class BehaviorPolicy:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if check("kind", self.kind, _KIND) == "decision-point":
+            raise ValueError("kind must not be 'decision-point', a DecisionPointPolicy's kind")
+        check("params", self.params, _PARAMS)
         self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
         if self.action_probabilities.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
@@ -209,6 +216,14 @@ def _int_ids(values, name: str) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as float64; an empty column may have any dtype, others must be numbers."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iuf":  # no "1" or True read as 1.0
+        raise ValueError(f"{name} must hold numbers, not {column.dtype}")
+    return column.astype(np.float64, copy=False)
+
+
 @dataclass
 class Trajectory:
     """One episode: aligned state/action/reward arrays plus its RNG seed.
@@ -225,7 +240,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         self.states = _int_ids(self.states, "states")
         self.actions = _int_ids(self.actions, "actions")
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        self.rewards = _reals(self.rewards, "rewards")
         if not (len(self.states) == len(self.actions) == len(self.rewards)):
             raise ValueError("states, actions and rewards must have equal length")
 
@@ -243,7 +258,8 @@ class TrajectoryDataset:
     that ``offsets`` runs from 0 to that length without decreasing, that
     ``num_states`` and ``num_actions`` are integers >= 0 (not bools), that
     every id lies in ``[0, num_states)`` or ``[0, num_actions)``, that every
-    seed lies in ``[0, 2**64)`` and that every reward is finite.  It then
+    seed lies in ``[0, 2**64)`` and that every reward is a finite number
+    (ids and offsets must already be integers, rewards numbers).  It then
     keeps read-only copies of the columns and refuses attribute writes, so
     :attr:`visits`, built from the columns on first use, can never go stale.
     """
@@ -265,10 +281,10 @@ class TrajectoryDataset:
             outside = (ids < 0) | (ids >= limit)
             if outside.any():
                 raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
-        rewards = columns["rewards"] = np.asarray(self.rewards, dtype=np.float64)
+        rewards = columns["rewards"] = _reals(self.rewards, "rewards")
         if not np.isfinite(rewards).all():
             raise ValueError(f"reward {rewards[~np.isfinite(rewards)][0]} is not finite")
-        offsets = columns["offsets"] = np.asarray(self.offsets, dtype=np.int64)
+        offsets = columns["offsets"] = _int_ids(self.offsets, "offsets")
         # Python ints, as the JSONL writes them; index() refuses floats.
         seeds = tuple(operator.index(s) for s in self.seeds)
         bad = [s for s in seeds if not 0 <= s < _SEED_LIMIT]

@@ -292,34 +292,6 @@ def shuffled_greedy_cover(
     return len(centers)
 
 
-def loop_policy_value(
-    transitions: np.ndarray,
-    reward_means: np.ndarray,
-    gamma: float,
-    rows: np.ndarray,
-    terminals,
-    start_state: int,
-) -> float:
-    """Exact policy evaluation with loop-built linear system."""
-    n, num_actions = rows.shape
-    a_mat = np.zeros((n, n))
-    b_vec = np.zeros(n)
-    term = set(int(t) for t in terminals)
-    for s in range(n):
-        a_mat[s, s] = 1.0
-        if s in term:
-            continue
-        for a in range(num_actions):
-            pr = rows[s, a]
-            if pr == 0.0:
-                continue
-            b_vec[s] += pr * reward_means[s, a]
-            for s2 in range(n):
-                a_mat[s, s2] -= gamma * pr * transitions[s, a, s2]
-    values = np.linalg.solve(a_mat, b_vec)
-    return float(values[start_state])
-
-
 def mle_from_dataset_loops(dataset, num_states: int, num_actions: int):
     """Empirical model rebuilt with dictionaries (reward mean, transition MLE)."""
     r_sum = np.zeros((num_states, num_actions))

@@ -7,7 +7,6 @@ multi-process sweeps.
 
 import csv
 import json
-from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -273,28 +272,24 @@ class TestValidateConfig:
 
 
 class TestJobsResolution:
-    def test_flag_beats_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "3")
-        assert cli._resolve_jobs(Namespace(jobs=4)) == 4
+    """``--jobs`` alone sets the worker count; ``DPRL_JOBS`` in the environment is not read."""
 
-    def test_environment_variable_when_no_flag(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "3")
-        assert cli._resolve_jobs(Namespace(jobs=None)) == 3
+    @staticmethod
+    def jobs(*flags: str) -> int:
+        return cli.build_parser().parse_args(["sweep", "--config", "c", "--out", "o", *flags]).jobs
+
+    def test_flag_beats_environment_variable(self, monkeypatch):
+        monkeypatch.setenv("DPRL_JOBS", "3")
+        assert self.jobs("--jobs", "4") == 4
+
+    @pytest.mark.parametrize("value", ["3", "many", "0", "-3", "2.5"])
+    def test_environment_variable_is_ignored(self, monkeypatch, value):
+        monkeypatch.setenv("DPRL_JOBS", value)
+        assert self.jobs() == 1
 
     def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
-        assert cli._resolve_jobs(Namespace(jobs=None)) == 1
-
-    def test_garbage_environment_variable_rejected(self, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "many")
-        with pytest.raises(ConfigError, match=cli.JOBS_ENV_VAR):
-            cli._resolve_jobs(Namespace(jobs=None))
-
-    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
-    def test_environment_variable_below_one_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, value)
-        with pytest.raises(ConfigError, match=f"{cli.JOBS_ENV_VAR} must be an integer >= 1"):
-            cli._resolve_jobs(Namespace(jobs=None))
+        monkeypatch.delenv("DPRL_JOBS", raising=False)
+        assert self.jobs() == 1
 
 
 @pytest.fixture(scope="module")
@@ -548,9 +543,9 @@ class TestSweep:
         assert read_tree(first) == read_tree(again)
         assert read_tree(first) == read_tree(parallel)
 
-    def test_jobs_environment_variable_applies(self, tmp_path, monkeypatch):
+    def test_jobs_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         serial = self.run_sweep(tmp_path, "serial_env", [])
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
+        monkeypatch.setenv("DPRL_JOBS", "0")  # not a worker count, and not read
         via_env = self.run_sweep(tmp_path, "via_env", [])
         assert read_tree(serial) == read_tree(via_env)
 
@@ -730,28 +725,26 @@ class TestExitCodes:
 
     def test_no_output_directory_anywhere(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
-        rc = cli.main(["generate", "--config", str(cfg)])
-        assert rc == 2
-        assert "output directory" in capsys.readouterr().err
+        for command in ("generate", "train", "evaluate", "bounds", "sweep"):
+            with pytest.raises(SystemExit) as info:
+                cli.main([command, "--config", str(cfg)])
+            assert info.value.code == 2
+            assert "--out" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(["generate", "--config", str(cfg), "--out", ""])
+        assert info.value.code == 2
+        assert "--out: must be a non-empty path, got ''" in capsys.readouterr().err
 
-    def test_output_dir_from_config_is_honored(self, tmp_path):
-        config = base_config()
-        config["output_dir"] = str(tmp_path / "from_config")
-        cfg = write_config(tmp_path, config)
-        rc = cli.main(["generate", "--config", str(cfg), "--seeds", "1"])
-        assert rc == 0
-        assert (tmp_path / "from_config" / "datasets" / "seed_0000.jsonl").exists()
-
-    @pytest.mark.parametrize("output_dir", [5, ""], ids=["int", "empty"])
+    @pytest.mark.parametrize("output_dir", [5, "", "from_config"], ids=["int", "empty", "path"])
     def test_bad_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, output_dir):
-        # Not "error: expected str ..." with exit 1, nor a write into the working directory.
+        # --out is the one output directory; the config has no output_dir key.
         config = base_config()
         config["output_dir"] = output_dir
         cfg = write_config(tmp_path, config)
         monkeypatch.chdir(tmp_path)
-        rc = cli.main(["generate", "--config", str(cfg), "--seeds", "1"])
+        rc = cli.main(["generate", "--config", str(cfg), "--seeds", "1", "--out", "out"])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"config error: config: output_dir must be a non-empty string, got {output_dir!r}\n"
-        )
+        assert capsys.readouterr().err == "config error: config: unknown keys ['output_dir']\n"
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "from_config").exists()
         assert not (tmp_path / "datasets").exists()

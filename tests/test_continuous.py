@@ -281,10 +281,14 @@ class TestIndex:
         with pytest.raises(ValueError, match="radius"):
             flat_index(np.zeros((2, 2)), [0, 0], [0.0, 0.0], -0.1)
         traj = ContinuousTrajectory(
-            states=np.zeros((2, 3)), actions=np.zeros(2), rewards=np.zeros(2)
+            states=np.zeros((2, 3)), actions=np.zeros(2, dtype=np.int64), rewards=np.zeros(2)
         )
         with pytest.raises(ValueError, match="dimension"):
             build_index([traj], gamma=0.9, metric_weights=np.ones(2), radius=0.1)
+        with pytest.raises(ValueError, match="actions must hold integer ids"):  # not [0, 1]
+            ContinuousTrajectory(states=np.zeros((2, 3)), actions=[0.7, 1.9], rewards=np.zeros(2))
+        with pytest.raises(ValueError, match="rewards must hold numbers"):
+            ContinuousTrajectory(states=np.zeros((2, 3)), actions=[0, 1], rewards=[True, False])
 
     @pytest.mark.parametrize(
         "field, value",
@@ -304,6 +308,11 @@ class TestIndex:
             ("radius", np.inf),
             ("trajectory_ids", [0, 1, 0]),  # decreasing: not trajectory-major
             ("trajectory_ids", [2**40, 0, 1]),
+            # Not read as actions [0, 1, 0], trajectory ids [0, 0, 1] or returns [1.0, 2.0, 3.0].
+            ("actions", [0.7, 1.9, 0.2]),
+            ("actions", [True, False, True]),
+            ("trajectory_ids", [0.0, 0.5, 1.0]),
+            ("returns", ["1", "2", "3"]),
         ],
     )
     def test_rejects_malformed_fields(self, field, value):
@@ -330,7 +339,8 @@ class TestIndex:
 
     def test_build_inherits_the_checks(self):
         traj = ContinuousTrajectory(
-            states=np.array([[0.0], [np.nan]]), actions=np.zeros(2), rewards=np.zeros(2)
+            states=np.array([[0.0], [np.nan]]), actions=np.zeros(2, dtype=np.int64),
+            rewards=np.zeros(2),
         )
         with pytest.raises(ValueError, match="states"):
             build_index([traj], gamma=0.9, metric_weights=np.ones(1), radius=0.1)

@@ -429,6 +429,35 @@ class TestPolicyObject:
             DecisionPointPolicy(n_wedge=1, verdicts={0: 0}, defer_states=frozenset({0}),
                                 iterations=1)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [(dict(verdicts={0: 1.5}), "verdict action id must be an integer >= 0, got 1.5"),
+         (dict(verdicts={0: True}), "verdict action id must be an integer >= 0, got True"),
+         (dict(verdicts={0.5: 1}), "verdict state id must be an integer >= 0, got 0.5"),
+         (dict(verdicts={-1: 1}), "verdict state id must be an integer >= 0, got -1"),
+         (dict(defer_states=frozenset({"3"})), "defer state id must be an integer >= 0, got '3'"),
+         (dict(n_wedge=True), "n_wedge must be an integer >= 1, got True"),
+         (dict(n_wedge=0), "n_wedge must be an integer >= 1, got 0"),
+         (dict(iterations=-1), "iterations must be an integer >= 0, got -1"),
+         (dict(iterations=2.0), "iterations must be an integer >= 0, got 2.0")],
+        ids=["float-action", "bool-action", "float-state", "negative-state", "string-defer",
+             "bool-n-wedge", "zero-n-wedge", "negative-iterations", "float-iterations"],
+    )
+    def test_record_no_policy_file_holds_rejected(self, changes, message):
+        # Each used to construct; exact_value or load_policy then failed on it.
+        fields = dict(n_wedge=2, verdicts={0: 1}, defer_states=frozenset({5}), iterations=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecisionPointPolicy(**{**fields, **changes})
+
+    def test_numpy_ids_stored_as_python_ints(self):
+        # save_policy used to raise "Object of type int64 is not JSON serializable".
+        policy = DecisionPointPolicy(n_wedge=np.int64(2), verdicts={np.int64(0): np.int64(1)},
+                                     defer_states=frozenset({np.int64(5)}), iterations=np.int64(1))
+        ids = [policy.n_wedge, policy.iterations, *policy.defer_states]
+        ids += [i for pair in policy.verdicts.items() for i in pair]
+        assert all(type(i) is int for i in ids)
+        assert '"0": 1' in policy_json(policy) and '"5": "DEFER"' in policy_json(policy)
+
     def test_other_kind_with_verdicts_rejected(self, tmp_path):
         # Only kind "decision-point" reads verdicts; any other kind needs rows.
         path = tmp_path / "p.json"

@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -20,7 +24,9 @@ from dprl.evaluation import (
     MixedPolicy,
     cvar,
     exact_value,
+    load_policy,
     run_reliability_experiment,
+    save_policy,
     train_algorithm,
 )
 from dprl.mdp import BehaviorPolicy, RewardSpec, TabularMdp, simulate
@@ -251,6 +257,62 @@ class TestTrainDispatch:
             )
 
 
+def ids_below(n: int):
+    """Ids in ``[0, n)`` as ints or numpy ints, and a few values no id may take."""
+    return st.integers(0, n - 1) | st.integers(0, n - 1).map(np.int64) | st.sampled_from([-1, True, 1.5])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestPolicyFiles:
+    STATES, ACTIONS = 6, 3
+
+    @staticmethod
+    def round_trip(policy):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_policy(policy, Path(tmp) / "p.json")
+            behavior = uniform_behavior(TestPolicyFiles.STATES, TestPolicyFiles.ACTIONS)
+            return load_policy(Path(tmp) / "p.json", behavior)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_wedge=st.integers(-1, 4) | st.just(True),
+        iterations=st.integers(-1, 4) | st.integers(0, 4).map(np.int64),
+        verdicts=st.dictionaries(ids_below(STATES), ids_below(ACTIONS), max_size=4),
+        defer_states=st.frozensets(ids_below(STATES), max_size=3),
+    )
+    def test_decision_point_record_that_constructs_round_trips(
+        self, n_wedge, iterations, verdicts, defer_states
+    ):
+        try:
+            policy = DecisionPointPolicy(n_wedge=n_wedge, verdicts=verdicts,
+                                         defer_states=defer_states, iterations=iterations)
+        except ValueError:
+            return
+        assert self.round_trip(policy) == policy
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.text() | st.just("decision-point") | st.integers(),
+        params=st.dictionaries(st.text(), JSON_VALUES, max_size=3) | st.integers(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_record_that_constructs_round_trips(self, kind, params, seed):
+        rows = np.random.default_rng(seed).dirichlet(np.ones(self.ACTIONS), size=self.STATES)
+        try:
+            policy = BehaviorPolicy(rows, kind=kind, params=params)
+        except ValueError:
+            return
+        back = self.round_trip(policy)
+        assert (back.kind, back.params) == (policy.kind, policy.params)
+        assert np.array_equal(back.action_probabilities, policy.action_probabilities)
+
+
 class TestReliabilityExperiment:
     def specs(self):
         return [
@@ -269,7 +331,6 @@ class TestReliabilityExperiment:
             horizon=6,
             master_seed=100,
             jobs=jobs,
-            config_hash="abc",
         )
 
     def test_shapes_and_seed_layout(self):
@@ -284,7 +345,7 @@ class TestReliabilityExperiment:
     def test_summary_structure(self):
         result = self.run()
         summary = result.summary()
-        assert summary["config_hash"] == "abc"
+        assert set(summary) == {"num_seeds", "algorithms"}  # the CLI adds config_hash
         assert summary["num_seeds"] == 4
         for label in ("dprl", "behavior"):
             entry = summary["algorithms"][label]

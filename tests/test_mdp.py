@@ -129,6 +129,18 @@ class TestContainers:
         with pytest.raises(ValueError):
             BehaviorPolicy(np.array([[0.5, 0.5], [np.nan, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("kind", 5, "kind must be a string, got 5"),
+         ("kind", "decision-point", "kind must not be 'decision-point'"),
+         ("params", 5, "params must be an object, got 5")],
+        ids=["int-kind", "decision-point-kind", "int-params"],
+    )
+    def test_behavior_policy_rejects_a_record_no_policy_file_holds(self, field, value, message):
+        # save_policy used to write these, and load_policy refused the file.
+        with pytest.raises(ValueError, match=message):
+            BehaviorPolicy(np.array([[0.5, 0.5]]), **{field: value})
+
 
 class TestSeeds:
     def test_trajectory_seed_deterministic(self):
@@ -396,6 +408,10 @@ class TestDatasetConstruction:
                   num_actions=3), r"action id 3 outside \[0, 3\)"),
             (dict(rewards=[0.5, np.inf, 1.0]), "reward inf is not finite"),
             (dict(rewards=[0.5, 0.25, np.nan]), "reward nan is not finite"),
+            # Not read as offsets [0, 2, 3] or rewards of 1.0.
+            (dict(offsets=[0, 2.5, 3]), "offsets must hold integer ids, not float64"),
+            (dict(rewards=["1", "0", "1"]), "rewards must hold numbers, not <U1"),
+            (dict(rewards=[True, False, True]), "rewards must hold numbers, not bool"),
         ],
     )
     def test_inconsistent_columns_rejected(self, changes, message):
@@ -432,6 +448,8 @@ class TestDatasetConstruction:
             Trajectory([0.5], [1], [0.3], 0)
         with pytest.raises(ValueError, match="actions must hold integer ids"):
             Trajectory([0], [1.2], [0.3], 0)
+        with pytest.raises(ValueError, match="rewards must hold numbers"):  # not 1.0
+            Trajectory([0], [1], ["1"], 0)
         empty = Trajectory([], [], [], 0)  # numpy reads an empty list as float64
         ds = TrajectoryDataset.from_trajectories([empty, Trajectory([1], [0], [0.3], 1)], 2, 1)
         assert empty.states.dtype == empty.actions.dtype == np.int64
