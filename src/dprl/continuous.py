@@ -42,7 +42,7 @@ class ContinuousTrajectory:
     rewards: np.ndarray
 
     def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=np.float64)
+        self.states = _reals(self.states, "states")
         self.actions = _int_ids(self.actions, "actions")
         self.rewards = _reals(self.rewards, "rewards")
         if self.states.ndim != 2:
@@ -95,11 +95,11 @@ class NeighborIndex:
         metric_weights: np.ndarray,
         radius: float,
     ) -> None:
-        self.states = np.asarray(states, dtype=np.float64)
+        self.states = _reals(states, "states")
         self.actions = _int_ids(actions, "actions")
         self.returns = _reals(returns, "returns")
         self.trajectory_ids = _int_ids(trajectory_ids, "trajectory_ids")
-        self.metric_weights = np.asarray(metric_weights, dtype=np.float64)
+        self.metric_weights = _reals(metric_weights, "metric_weights")
         w = self.metric_weights
         if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("metric_weights must be positive and finite per dimension")
@@ -148,7 +148,7 @@ def build_index(
 ) -> NeighborIndex:
     """Store every timestep of every trajectory with its suffix return."""
     check("gamma", gamma, FRACTION)
-    metric_weights = np.asarray(metric_weights, dtype=np.float64)
+    metric_weights = _reals(metric_weights, "metric_weights")
     trajectories = list(trajectories)  # read several times below
     if any(traj.states.shape[1] != len(metric_weights) for traj in trajectories):
         raise ValueError("trajectory state dimension does not match metric_weights")

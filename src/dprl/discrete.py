@@ -158,8 +158,11 @@ def make_smdp(
     reward over steps ``t`` through ``t' - 1``.  With ``tail_mode="absorb"`` the remainder of each
     trajectory after its last recorded visit becomes a segment into the
     virtual absorbing state, carrying the full discounted tail reward; with
-    ``"drop"`` it is discarded.  Segments are summed in dataset order, each
-    reward as one dot product, so the tables equal a per-trajectory loop's.
+    ``"drop"`` it is discarded.  ``gamma**k`` is the running product of ``k``
+    factors ``gamma``, and each segment's reward is summed left to right, so
+    the tables come from IEEE elementwise operations alone (no BLAS ``dot``,
+    no ``pow``) and equal a per-trajectory loop's; segments are added to
+    their cells in dataset order.
     """
     check("tail_mode", tail_mode, TAIL_MODE)
     check("gamma", gamma, FRACTION)
@@ -183,14 +186,21 @@ def make_smdp(
     targets = np.where(last, num_dp, np.roll(rows, -1))
     if tail_mode == TAIL_DROP:
         starts, ends, rows, targets = (x[~last] for x in (starts, ends, rows, targets))
-    powers = gamma ** np.arange((ends - starts).max(initial=0) + 1)
-    # One dot per segment (a prefix sum would round differently); add.at then
-    # accumulates the segments in dataset order.
-    gains = [float(np.dot(dataset.rewards[t:u], powers[: u - t]))
-             for t, u in zip(starts.tolist(), ends.tolist())]
+    lengths = ends - starts
+    powers = np.multiply.accumulate(np.r_[1.0, np.full(lengths.max(initial=0), gamma)])
+    # Every segment's reward summed left to right at once: longest first, step
+    # k adds to the live[k] segments longer than k.  add.at then accumulates
+    # the segments in dataset order.
+    order = np.argsort(-lengths, kind="stable")
+    first, live = starts[order], np.searchsorted(-lengths[order], -np.arange(len(powers) - 1))
+    acc = np.zeros(len(order))
+    for k, m in enumerate(live.tolist()):
+        acc[:m] += dataset.rewards[first[:m] + k] * powers[k]
+    gains = np.empty_like(acc)
+    gains[order] = acc
     cells = (rows, dataset.actions[starts], targets)
     np.add.at(counts, cells, 1)
-    np.add.at(disc, cells, powers[ends - starts])
+    np.add.at(disc, cells, powers[lengths])
     np.add.at(gain, cells, gains)
 
     observed = counts > 0

@@ -94,8 +94,8 @@ class RewardSpec:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
+        self.lo = _reals(self.lo, "lo")
+        self.hi = _reals(self.hi, "hi")
         if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
             raise ValueError("reward bounds must be matching (S, A) arrays")
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
@@ -109,7 +109,7 @@ class RewardSpec:
 
     @staticmethod
     def constant(values: np.ndarray) -> "RewardSpec":
-        values = np.asarray(values, dtype=np.float64)
+        values = _reals(values, "values")
         return RewardSpec(lo=values.copy(), hi=values.copy())
 
 
@@ -136,7 +136,7 @@ class TabularMdp:
     name: str = ""
 
     def __post_init__(self) -> None:
-        self.transitions = np.asarray(self.transitions, dtype=np.float64)
+        self.transitions = _reals(self.transitions, "transitions")
         if self.transitions.ndim != 3 or self.transitions.shape[0] != self.transitions.shape[2]:
             raise ValueError("transitions must have shape (S, A, S)")
         check("gamma", self.gamma, FRACTION)
@@ -186,7 +186,7 @@ class BehaviorPolicy:
         if check("kind", self.kind, _KIND) == "decision-point":
             raise ValueError("kind must not be 'decision-point', a DecisionPointPolicy's kind")
         check("params", self.params, _PARAMS)
-        self.action_probabilities = np.asarray(self.action_probabilities, dtype=np.float64)
+        self.action_probabilities = _reals(self.action_probabilities, "action_probabilities")
         if self.action_probabilities.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
         if not _probability_rows(self.action_probabilities).all():
@@ -217,7 +217,7 @@ def _int_ids(values, name: str) -> np.ndarray:
 
 
 def _reals(values, name: str) -> np.ndarray:
-    """``values`` as float64; an empty column may have any dtype, others must be numbers."""
+    """``values`` as float64, any shape; an empty one may have any dtype, others must be numbers."""
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "iuf":  # no "1" or True read as 1.0
         raise ValueError(f"{name} must hold numbers, not {column.dtype}")

@@ -1,20 +1,24 @@
-"""Integer-tier golden answers: what dprl decides on a fixed grid of configs.
+"""Machine-independent golden answers: what dprl decides on a fixed grid of configs.
 
 For every seed of every config this records the sha256 of the dataset's
 JSONL bytes, the first-visit count table's hash, the hash of the elevated
 model's segment counts (``make_smdp`` in absorb mode, as training builds
-it), the hash of the sorted ``[state, action]`` pairs passing the gate,
-the dprl verdicts and defer set, the hash of the policy file
-(``evaluation.policy_json``), the policy-iteration count and C_{N∧}
-(pairs seen at least ``n_wedge`` times).  For the baselines it records
+it) and of its ``gamma_tilde`` and ``r_tilde`` bytes, the hash of the
+sorted ``[state, action]`` pairs passing the gate, the dprl verdicts and
+defer set, the hash of the policy file (``evaluation.policy_json``), the
+policy-iteration count and C_{N∧} (pairs seen at least ``n_wedge``
+times).  For the baselines it records
 the hash of the ``[state, action]`` pairs PQI chooses at ``b = 0.02``
 (unseen states, which stay uniform, left out) and of the free pairs
 that hold SPIBB's free mass under the true behaviour at the config's
 ``n_wedge``.  For a continuous point set
 in the style of the ``continuous-cover`` benchmark it records the covering
 numbers ``(m_dense, m_total)`` and the hash of the query decisions in each
-neighbour mode.  None of these is a float, so they do not move with the
-BLAS kernel or thread count; ``tests/test_golden.py`` checks them.
+neighbour mode.  Apart from the two elevated tables none of these is a
+float, and those two are made from the data by IEEE elementwise operations
+alone (running products, left-to-right sums, one division per cell), so
+nothing here moves with the BLAS kernel, the thread count or the CPU;
+``tests/test_golden.py`` checks them.
 
 Regenerate the manifest (only when answers are meant to change) with
 
@@ -114,6 +118,8 @@ def seed_answers(config: dict, workdir: Path) -> list[dict]:
             "jsonl_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             "n_sa_sha256": sha256_json(counts.n_sa.tolist()),
             "smdp_counts_sha256": sha256_json(model.counts.tolist()),
+            "smdp_gamma_tilde_sha256": hashlib.sha256(model.gamma_tilde.tobytes()).hexdigest(),
+            "smdp_r_tilde_sha256": hashlib.sha256(model.r_tilde.tobytes()).hexdigest(),
             "gate_sha256": sha256_json(np.argwhere(dp.gate).tolist()),
             "policy_json_sha256": hashlib.sha256(policy_json(policy).encode("utf-8")).hexdigest(),
             "c_n_wedge": count_c_n_wedge(counts, params["n_wedge"]),

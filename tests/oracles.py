@@ -103,7 +103,8 @@ def loop_make_smdp(dataset, dp, gamma: float, tail_mode: str = "absorb"):
     """``discrete.make_smdp`` one trajectory at a time, with a seen-set for first visits.
 
     Interior segments and the tail are summed at separate sites, each reward
-    as ``np.dot`` against that trajectory's own table of powers.
+    added step by step, left to right, against that trajectory's own table of
+    powers, which is a running product of ``gamma`` factors.
     """
     states = tuple(sorted(dp.decision_states))
     pos = {s: i for i, s in enumerate(states)}
@@ -112,6 +113,13 @@ def loop_make_smdp(dataset, dp, gamma: float, tail_mode: str = "absorb"):
     counts = np.zeros((num_dp, num_actions, num_dp + 1), dtype=np.int64)
     disc = np.zeros((num_dp, num_actions, num_dp + 1))
     gain = np.zeros((num_dp, num_actions, num_dp + 1))
+
+    def discounted(rewards, powers):
+        total = 0.0
+        for r, p in zip(rewards.tolist(), powers):
+            total += r * p
+        return total
+
     for traj in dataset:
         states_t, actions_t = traj.states.tolist(), traj.actions.tolist()
         visits: list[int] = []
@@ -123,18 +131,20 @@ def loop_make_smdp(dataset, dp, gamma: float, tail_mode: str = "absorb"):
         if not visits:
             continue
         length = len(traj)
-        powers = gamma ** np.arange(length + 1)
+        powers = [1.0]
+        for _ in range(length):
+            powers.append(powers[-1] * gamma)
         for t, t_next in zip(visits, visits[1:]):
             i, a, j = pos[states_t[t]], actions_t[t], pos[states_t[t_next]]
             counts[i, a, j] += 1
             disc[i, a, j] += powers[t_next - t]
-            gain[i, a, j] += float(np.dot(traj.rewards[t:t_next], powers[: t_next - t]))
+            gain[i, a, j] += discounted(traj.rewards[t:t_next], powers)
         if tail_mode == "absorb":
             t = visits[-1]
             i, a = pos[states_t[t]], actions_t[t]
             counts[i, a, num_dp] += 1
             disc[i, a, num_dp] += powers[length - t]
-            gain[i, a, num_dp] += float(np.dot(traj.rewards[t:], powers[: length - t]))
+            gain[i, a, num_dp] += discounted(traj.rewards[t:], powers)
 
     observed = counts > 0
     p_tilde = np.zeros_like(disc)

@@ -289,6 +289,10 @@ class TestIndex:
             ContinuousTrajectory(states=np.zeros((2, 3)), actions=[0.7, 1.9], rewards=np.zeros(2))
         with pytest.raises(ValueError, match="rewards must hold numbers"):
             ContinuousTrajectory(states=np.zeros((2, 3)), actions=[0, 1], rewards=[True, False])
+        with pytest.raises(ValueError, match="states must hold numbers, not <U5"):  # not 1.0s
+            ContinuousTrajectory(states=[["1"], [True]], actions=[0, 1], rewards=[0.0, 0.0])
+        with pytest.raises(ValueError, match="metric_weights must hold numbers, not <U1"):
+            build_index([], gamma=0.9, metric_weights=["1"], radius=0.1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -313,6 +317,10 @@ class TestIndex:
             ("actions", [True, False, True]),
             ("trajectory_ids", [0.0, 0.5, 1.0]),
             ("returns", ["1", "2", "3"]),
+            ("states", np.ones((3, 2), dtype=bool)),
+            ("states", [["1", "0"], ["0", "0"], ["0", "1"]]),
+            ("metric_weights", ["1", "1"]),
+            ("metric_weights", [True, True]),
         ],
     )
     def test_rejects_malformed_fields(self, field, value):

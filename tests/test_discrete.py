@@ -86,6 +86,40 @@ def sets_from_gate(gate, observed=None) -> DecisionPointSets:
     return DecisionPointSets(gate=gate, observed=observed, n_wedge=1)
 
 
+def assert_smdp_matches_loop_oracle(ds, dp, gamma, tail_mode):
+    """Every table of ``make_smdp`` has the loop oracle's dtype, shape and bytes."""
+    model = make_smdp(ds, dp, gamma, tail_mode)
+    expected = oracles.loop_make_smdp(ds, dp, gamma, tail_mode)
+    assert model.states == expected.states
+    for field in fields(SmdpModel)[1:]:
+        got, want = getattr(model, field.name), getattr(expected, field.name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+@st.composite
+def long_segment_datasets(draw):
+    """Datasets whose decision visits lie 16 to 200 steps apart.
+
+    States 0-3 can be decision states; each trajectory visits some of them
+    once, in a drawn order, and fills the steps between with state 4.  Half
+    the gaps come from a short list, so segments of equal length (ties in
+    ``make_smdp``'s longest-first order) are common.  Trajectories may be
+    empty or never visit a decision state, and so add no segment or tail.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = st.one_of(st.sampled_from([16, 17, 40]), st.integers(16, 200))
+    trajs = []
+    for seed in range(draw(st.integers(1, 6))):
+        states = [4] * draw(st.sampled_from([0, 0, 3]))
+        for s in draw(st.permutations(range(4)))[: draw(st.integers(0, 4))]:
+            states += [s] + [4] * (draw(gaps) - 1)
+        n = len(states)
+        rewards = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+        trajs.append(make_traj(states, rng.integers(0, 2, n), rewards, seed))
+    return make_dataset(trajs, 5, 2)
+
+
 def decision_sets_of(ds, mask: int) -> DecisionPointSets:
     """Decision points, passing action 0, at the states whose bits are set in ``mask``."""
     gate = np.zeros((ds.num_states, ds.num_actions), dtype=bool)
@@ -233,14 +267,39 @@ class TestMakeSmdp:
         0b0111, 0.9,
     )
     def test_matches_loop_oracle(self, tail_mode, ds, mask, gamma):
-        dp = decision_sets_of(ds, mask)
-        model = make_smdp(ds, dp, gamma, tail_mode)
-        expected = oracles.loop_make_smdp(ds, dp, gamma, tail_mode)
-        assert model.states == expected.states
-        for field in fields(SmdpModel)[1:]:
-            got, want = getattr(model, field.name), getattr(expected, field.name)
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
-            assert got.tobytes() == want.tobytes(), field.name
+        assert_smdp_matches_loop_oracle(ds, decision_sets_of(ds, mask), gamma, tail_mode)
+
+    @pytest.mark.parametrize("tail_mode", [TAIL_ABSORB, TAIL_DROP])
+    @given(long_segment_datasets(), st.integers(1, 15), st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+    def test_long_segments_match_loop_oracle(self, tail_mode, ds, mask, gamma):
+        # From 16 steps on, a BLAS dot blocks its sum and numpy's pow can
+        # differ from the running product, so both would show here.
+        assert_smdp_matches_loop_oracle(ds, decision_sets_of(ds, mask), gamma, tail_mode)
+
+    def test_rewards_are_summed_left_to_right(self):
+        # 1 + 2**-55 rounds back to 1 at every step of a left-to-right sum,
+        # while any blocked sum (a BLAS dot, a pairwise sum) keeps the 39
+        # small terms together and ends above 1.
+        rewards = [1.0] + [2.0 ** (k - 55) for k in range(1, 40)]
+        ds = make_dataset([make_traj([0] + [1] * 39, [0] * 40, rewards)], 2, 1)
+        model = make_smdp(ds, sets_from_gate([[True], [False]]), gamma=0.5)
+        assert model.r_tilde[0, 0, 1] == 1.0
+        assert model.gamma_tilde[0, 0, 1] == 2.0**-40
+
+    def test_discounts_are_running_products(self):
+        # Trajectory k takes action k - 1 at decision state 0 and then k - 1
+        # steps in state 1, so cell (0, k - 1, absorb) holds powers[k].
+        gamma, longest = 0.95, 60
+        ds = make_dataset([make_traj([0] + [1] * (k - 1), [k - 1] * k, [0.0] * k)
+                           for k in range(1, longest + 1)], 2, longest)
+        gate = np.zeros((2, longest), dtype=bool)
+        gate[0] = True
+        model = make_smdp(ds, sets_from_gate(gate), gamma)
+        running = [gamma]
+        while len(running) < longest:
+            running.append(running[-1] * gamma)
+        assert model.gamma_tilde[0, :, 1].tolist() == running
+        assert running != [gamma**k for k in range(1, longest + 1)]  # the test can tell them apart
 
     @pytest.mark.parametrize("tail_mode", [TAIL_ABSORB, TAIL_DROP])
     @given(random_datasets(), st.integers(0, 63))

@@ -1,4 +1,4 @@
-"""The integer-tier golden answers still hold: same datasets, counts and verdicts.
+"""The machine-independent golden answers still hold: datasets, counts, tables, verdicts.
 
 ``tests/golden/manifest.jsonl`` is regenerated by ``tests/golden/regenerate.py``
 only when a change is meant to move these answers.

@@ -142,6 +142,33 @@ class TestContainers:
             BehaviorPolicy(np.array([[0.5, 0.5]]), **{field: value})
 
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: BehaviorPolicy([[True, False], ["1", "0"]]),
+          "action_probabilities must hold numbers, not <U5"),
+         (lambda: BehaviorPolicy(np.eye(2, dtype=bool)),
+          "action_probabilities must hold numbers, not bool"),
+         (lambda: RewardSpec(lo=[[True]], hi=[["1"]]), "lo must hold numbers, not bool"),
+         (lambda: RewardSpec(lo=[[0.0]], hi=[["1"]]), "hi must hold numbers, not <U1"),
+         (lambda: RewardSpec.constant([[True]]), "values must hold numbers, not bool"),
+         (lambda: TabularMdp(np.ones((1, 1, 1), dtype=bool), RewardSpec.constant([[0.0]]), 0.9, 0),
+          "transitions must hold numbers, not bool")],
+        ids=["policy-strings", "policy-bools", "lo-bool", "hi-string", "constant-bool",
+             "transitions-bool"],
+    )
+    def test_float_tables_reject_bools_and_strings(self, build, message):
+        # Each used to build, storing 1.0 for True and "1".
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_float_tables_accept_integers(self):
+        policy = BehaviorPolicy([[1, 0], [0, 1]])
+        spec = RewardSpec(lo=[[0]], hi=[[1]])
+        assert policy.action_probabilities.dtype == spec.lo.dtype == spec.hi.dtype == np.float64
+        assert spec.mean().tolist() == [[0.5]]
+
+
 class TestSeeds:
     def test_trajectory_seed_deterministic(self):
         assert trajectory_seed(42, 7) == trajectory_seed(42, 7)
