@@ -128,10 +128,10 @@ class NeighborIndex:
 
         The distance is ``BallTree``'s per-point test on scaled points, so
         results equal a tree search over ``states * sqrt(metric_weights)``.
-        A state of the wrong shape or with a NaN or infinite coordinate
-        raises ``ValueError``.
+        A state of the wrong shape, of strings or bools, or with a NaN or
+        infinite coordinate raises ``ValueError``.
         """
-        state = np.asarray(state, dtype=np.float64)
+        state = _reals(state, "state")
         if state.shape != self._scale.shape:
             raise ValueError(f"state must have shape {self._scale.shape}, got {state.shape}")
         if not np.isfinite(state).all():

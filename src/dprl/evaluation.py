@@ -131,8 +131,18 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
 
 
 def exact_value(mdp: TabularMdp, policy: MixedPolicy) -> float:
-    """Exact discounted start-state value of the composed policy."""
-    return float(policy_state_values(mdp, policy.rows())[mdp.start_state])
+    """Exact discounted start-state value of the composed policy.
+
+    The logging policy's own value (``learned`` is ``None``) is solved once
+    per (MDP, behaviour) pair and kept in ``mdp.logging_values``.
+    """
+    if policy.learned is not None:
+        return float(policy_state_values(mdp, policy.rows())[mdp.start_state])
+    solved = mdp.logging_values
+    if id(policy.behavior) not in solved:
+        value = float(policy_state_values(mdp, policy.rows())[mdp.start_state])
+        solved[id(policy.behavior)] = (policy.behavior, value)
+    return solved[id(policy.behavior)][1]
 
 
 def cvar(values, alpha: float) -> float:

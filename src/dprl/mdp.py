@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -20,7 +21,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,27 +82,88 @@ _KIND = rule("a string", str, lambda v: True)
 _PARAMS = rule("an object", dict, lambda v: True)
 
 
-@dataclass
-class RewardSpec:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+class _Frozen:
+    """Base of a frozen dataclass: pickles its fields alone, so what it caches stays out of
+    the bytes, and unpickles its arrays read-only (numpy unpickles arrays writeable)."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value = _read_only(value)
+            object.__setattr__(self, name, value)
+
+
+def _support_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each probability row's CDF at its positive entries, ``(R, K)``, and their ids, ``(R, K + 1)``.
+
+    K is the widest row's number of positive entries.  ``cdf[r, j]`` is the
+    row's running sum at its ``j``-th positive entry, bit for bit its full
+    ``cumsum`` there, because adding a zero leaves a partial sum as it was;
+    shorter rows are padded with ``+inf``.  ``ids[r, j]`` is that entry's
+    column, padded with the row's last positive column.  The first full-row
+    running sum above a ``u`` in ``[0, 1)`` always has positive mass, so
+    ``ids[r, (cdf[r] <= u).sum()]`` is ``bisect_right`` on the full CDF row,
+    clamped to the last positive column.
+    """
+    row, column = np.nonzero(rows > 0)  # row-major: each row's columns ascend
+    support = np.bincount(row, minlength=len(rows))
+    ends = np.cumsum(support)
+    rank = np.arange(len(column)) - np.repeat(ends - support, support)
+    width = int(support.max(initial=0))
+    cdf = np.zeros((len(rows), width))
+    cdf[row, rank] = rows[row, column]
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[np.arange(width) >= support[:, None]] = np.inf
+    ids = np.repeat(column[ends - 1][:, None], width + 1, axis=1)
+    ids[row, rank] = column
+    return _read_only(cdf), _read_only(ids)
+
+
+class StepTables(NamedTuple):
+    """What one lockstep step reads: tables over the flattened ``s * A + a`` pairs, and one mask."""
+
+    successor_cdf: np.ndarray  # (S * A, K), see _support_table
+    successor_ids: np.ndarray  # (S * A, K + 1)
+    lo: np.ndarray  # (S * A,) reward interval lower ends
+    span: np.ndarray  # (S * A,) hi - lo
+    terminal: np.ndarray  # (S,) bool
+
+
+@dataclass(frozen=True)
+class RewardSpec(_Frozen):
     """Per-(state, action) uniform reward distributions.
 
     Attributes:
         lo: ``(S, A)`` array of interval lower endpoints.
         hi: ``(S, A)`` array of interval upper endpoints, ``hi >= lo``.
+
+    Construction checks the bounds, then takes both arrays read-only (a
+    float64 array passed in becomes read-only itself) and refuses attribute
+    writes.
     """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        self.lo = _reals(self.lo, "lo")
-        self.hi = _reals(self.hi, "hi")
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
+        lo, hi = _reals(self.lo, "lo"), _reals(self.hi, "hi")
+        if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("reward bounds must be matching (S, A) arrays")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("reward bounds must be finite")
-        if np.any(self.hi < self.lo):
+        if np.any(hi < lo):
             raise ValueError("reward interval has hi < lo")
+        object.__setattr__(self, "lo", _read_only(lo))
+        object.__setattr__(self, "hi", _read_only(hi))
 
     def mean(self) -> np.ndarray:
         """Expected reward per (state, action)."""
@@ -113,8 +175,8 @@ class RewardSpec:
         return RewardSpec(lo=values.copy(), hi=values.copy())
 
 
-@dataclass
-class TabularMdp:
+@dataclass(frozen=True)
+class TabularMdp(_Frozen):
     """Finite MDP with dense transition tensor and interval rewards.
 
     Attributes:
@@ -125,6 +187,12 @@ class TabularMdp:
         terminal_states: states that end an episode on entry.
         r_max: reward scale; ``v_max = r_max / (1 - gamma)`` is finite.
         name: short human-readable descriptor, e.g. ``forest(...)``.
+
+    Construction checks the fields, then takes ``transitions`` read-only
+    without copying it (a float64 table passed in becomes read-only itself)
+    and refuses attribute writes.  So the tables built from the fields on
+    first use (:attr:`step_tables`, :attr:`expected_rewards`) can never go
+    stale; they stay out of pickles.
     """
 
     transitions: np.ndarray
@@ -136,24 +204,25 @@ class TabularMdp:
     name: str = ""
 
     def __post_init__(self) -> None:
-        self.transitions = _reals(self.transitions, "transitions")
-        if self.transitions.ndim != 3 or self.transitions.shape[0] != self.transitions.shape[2]:
+        transitions = _reals(self.transitions, "transitions")
+        if transitions.ndim != 3 or transitions.shape[0] != transitions.shape[2]:
             raise ValueError("transitions must have shape (S, A, S)")
         check("gamma", self.gamma, FRACTION)
         check("r_max", self.r_max, POSITIVE)
-        bad = np.argwhere(~_probability_rows(self.transitions)).tolist()
+        bad = np.argwhere(~_probability_rows(transitions)).tolist()
         if bad:
             raise ValueError(f"transition row {bad[0]} must be nonnegative and sum to 1")
-        if self.rewards.lo.shape != self.transitions.shape[:2]:
+        if self.rewards.lo.shape != transitions.shape[:2]:
             raise ValueError("reward table shape must match (S, A)")
         if np.any(self.rewards.lo < 0.0) or np.any(self.rewards.hi > self.r_max + 1e-12):
             raise ValueError("reward support must be within [0, r_max]")
-        num_states = self.num_states
+        num_states = transitions.shape[0]
         state = rule(f"a state id in [0, {num_states})", numbers.Integral,
                      lambda v: 0 <= v < num_states)
         check("start_state", self.start_state, state)
-        self.terminal_states = frozenset(int(check("terminal state", t, state))
-                                         for t in self.terminal_states)
+        terminal = frozenset(int(check("terminal state", t, state)) for t in self.terminal_states)
+        object.__setattr__(self, "transitions", _read_only(transitions))
+        object.__setattr__(self, "terminal_states", terminal)
 
     @property
     def num_states(self) -> int:
@@ -167,15 +236,44 @@ class TabularMdp:
     def v_max(self) -> float:
         return self.r_max / (1.0 - self.gamma)
 
+    @cached_property
+    def expected_rewards(self) -> np.ndarray:
+        """``rewards.mean()``, read-only, built on first use."""
+        return _read_only(self.rewards.mean())
 
-@dataclass
-class BehaviorPolicy:
+    @cached_property
+    def step_tables(self) -> StepTables:
+        """The successor tables of every (state, action) row and the flat reward bounds."""
+        terminal = np.zeros(self.num_states, dtype=bool)
+        terminal[list(self.terminal_states)] = True
+        lo = _read_only(self.rewards.lo.ravel())
+        return StepTables(
+            *_support_table(self.transitions.reshape(-1, self.num_states)),
+            lo=lo,
+            span=_read_only(self.rewards.hi.ravel() - lo),
+            terminal=_read_only(terminal),
+        )
+
+    @cached_property
+    def logging_values(self) -> dict:
+        """``id(behavior) -> (behavior, start value)``, filled by ``evaluation.exact_value``.
+
+        Each entry holds its behaviour, so no other object can take its id
+        while the entry lives.
+        """
+        return {}
+
+
+@dataclass(frozen=True)
+class BehaviorPolicy(_Frozen):
     """Stationary stochastic tabular policy: a logging policy or a baseline learner's output.
 
     Every row of the ``(S, A)`` table must be a probability row.  ``kind``
     names where the rows came from, a string other than ``"decision-point"``
     (the policy-file kind of a ``DecisionPointPolicy``), and ``params`` how
-    they were learned, a dict.
+    they were learned, a dict.  Construction takes the table read-only (a
+    float64 array passed in becomes read-only itself) and refuses attribute
+    writes; :attr:`action_table` is built from it on first use.
     """
 
     action_probabilities: np.ndarray
@@ -186,11 +284,12 @@ class BehaviorPolicy:
         if check("kind", self.kind, _KIND) == "decision-point":
             raise ValueError("kind must not be 'decision-point', a DecisionPointPolicy's kind")
         check("params", self.params, _PARAMS)
-        self.action_probabilities = _reals(self.action_probabilities, "action_probabilities")
-        if self.action_probabilities.ndim != 2:
+        rows = _reals(self.action_probabilities, "action_probabilities")
+        if rows.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
-        if not _probability_rows(self.action_probabilities).all():
+        if not _probability_rows(rows).all():
             raise ValueError("every state's action distribution must be a probability row")
+        object.__setattr__(self, "action_probabilities", _read_only(rows))
 
     def rows(self, behavior_rows: np.ndarray) -> np.ndarray:
         """A copy of the rows, which must have the behavior's (S, A) shape."""
@@ -206,6 +305,11 @@ class BehaviorPolicy:
     @property
     def num_actions(self) -> int:
         return self.action_probabilities.shape[1]
+
+    @cached_property
+    def action_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The action CDF and ids of each state's row, see :func:`_support_table`."""
+        return _support_table(self.action_probabilities)
 
 
 def _int_ids(values, name: str) -> np.ndarray:
@@ -297,10 +401,8 @@ class TrajectoryDataset:
                 or offsets[-1] != steps or (np.diff(offsets) < 0).any()):
             raise ValueError(f"offsets must run from 0 to {steps} without decreasing, "
                              f"one more entry than the {len(seeds)} seeds")
-        for name, column in columns.items():
-            column = column.copy()  # the caller's array stays the caller's
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        for name, column in columns.items():  # copies: the caller's array stays the caller's
+            object.__setattr__(self, name, _read_only(column.copy()))
         object.__setattr__(self, "seeds", seeds)
 
     @classmethod
@@ -362,16 +464,9 @@ def _lockstep_rollout(
     plus the ``(N,)`` episode lengths; entries past a length are garbage.
     """
     num_trajectories, horizon, _ = draws.shape
-    num_states, num_actions = mdp.num_states, mdp.num_actions
-    behavior_cdf = np.cumsum(policy.action_probabilities, axis=1)
-    transition_cdf = np.cumsum(mdp.transitions, axis=2)
-    # A uniform past a row's total (rows may sum to 1 - 1e-9) takes its last positive index.
-    last_action = num_actions - 1 - np.argmax(policy.action_probabilities[:, ::-1] > 0, axis=1)
-    last_successor = num_states - 1 - np.argmax(mdp.transitions[:, :, ::-1] > 0, axis=2)
-    lo = mdp.rewards.lo
-    span = mdp.rewards.hi - mdp.rewards.lo
-    is_terminal = np.zeros(num_states, dtype=bool)
-    is_terminal[list(mdp.terminal_states)] = True
+    num_actions = mdp.num_actions
+    action_cdf, action_ids = policy.action_table
+    table = mdp.step_tables
 
     states = np.empty((num_trajectories, horizon), dtype=np.int64)
     actions = np.empty((num_trajectories, horizon), dtype=np.int64)
@@ -380,19 +475,20 @@ def _lockstep_rollout(
     live = np.arange(num_trajectories)
     s = np.full(num_trajectories, mdp.start_state, dtype=np.int64)
     for t in range(horizon):
-        done = is_terminal[s]
+        done = table.terminal[s]
         if done.any():
             lengths[live[done]] = t
             live, s = live[~done], s[~done]
         if not live.size:
             break
         u = draws[live, t]
-        # Counting CDF entries <= u is bisect_right on the nondecreasing CDF row.
-        a = np.minimum((behavior_cdf[s] <= u[:, :1]).sum(axis=1), last_action[s])
+        # Counting a row's support CDF entries <= u is bisect_right on its full CDF row.
+        a = action_ids[s, (action_cdf[s] <= u[:, :1]).sum(axis=1)]
+        sa = s * num_actions + a
         states[live, t] = s
         actions[live, t] = a
-        rewards[live, t] = lo[s, a] + u[:, 1] * span[s, a]
-        s = np.minimum((transition_cdf[s, a] <= u[:, 2:]).sum(axis=1), last_successor[s, a])
+        rewards[live, t] = table.lo[sa] + u[:, 1] * table.span[sa]
+        s = table.successor_ids[sa, (table.successor_cdf[sa] <= u[:, 2:]).sum(axis=1)]
     return states, actions, rewards, lengths
 
 

@@ -78,7 +78,7 @@ def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     action_rows = np.asarray(action_rows, dtype=np.float64)
     if action_rows.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("action_rows shape must be (S, A)")
-    rhs = (mdp.rewards.mean() * action_rows).sum(axis=1)
+    rhs = (mdp.expected_rewards * action_rows).sum(axis=1)
     system = bellman_system(np.einsum("sa,sat->st", action_rows, mdp.transitions), mdp.gamma)
     for t in mdp.terminal_states:
         system[t, :] = 0.0
@@ -95,7 +95,7 @@ def q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).copy()
     for t in mdp.terminal_states:
         values[t] = 0.0
-    q = mdp.rewards.mean() + discounted_lookahead(mdp.transitions, values, mdp.gamma)
+    q = mdp.expected_rewards + discounted_lookahead(mdp.transitions, values, mdp.gamma)
     for t in mdp.terminal_states:
         q[t, :] = 0.0
     return q

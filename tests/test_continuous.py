@@ -251,6 +251,14 @@ class TestIndex:
         with pytest.raises(ValueError, match="finite"):
             query(index, np.asarray(state), 5)
 
+    @pytest.mark.parametrize("state", [["0", False], [True, False], ["0.5", "0.5"]])
+    def test_query_state_of_strings_or_bools_rejected(self, state):
+        index = flat_index(np.zeros((30, 2)), [0] * 30, np.linspace(0.0, 1.0, 30), 1.0)
+        with pytest.raises(ValueError, match="state must hold numbers"):
+            index.neighbors(state)
+        with pytest.raises(ValueError, match="state must hold numbers"):
+            query(index, state, 5)
+
     def test_dimension_scaling_covariance(self):
         rng = np.random.default_rng(4)
         points = rng.random((80, 2))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from conftest import (
     three_state_eval_chain,
     uniform_behavior,
 )
+from dprl.envs import build_forest_mdp, build_gridworld
+from dprl.evaluation import MixedPolicy, exact_value
 from dprl.mdp import (
     BehaviorPolicy,
     DatasetError,
@@ -28,7 +31,7 @@ from dprl.mdp import (
     trajectory_seed,
 )
 import dprl.mdp as mdp_module
-from dprl.mdp import _lockstep_rollout
+from dprl.mdp import _lockstep_rollout, _support_table
 from oracles import bisect_rollout, bisect_simulate
 
 
@@ -533,6 +536,45 @@ def small_mdps(draw):
     return mdp, BehaviorPolicy(rows)
 
 
+@st.composite
+def edge_rows(draw, width: int, rng) -> np.ndarray:
+    """One probability row of ``width >= 3`` entries shaped like a sampler edge case."""
+    kind = draw(st.sampled_from(["gaps", "short tail", "single", "tiny"]))
+    row = np.zeros(width)
+    if kind == "single":  # one successor
+        row[draw(st.integers(0, width - 1))] = 1.0
+    elif kind == "tiny":  # 1e-300 after 0.5 leaves the running sum at 0.5
+        row[sorted(draw(st.sets(st.integers(0, width - 1), min_size=3, max_size=3)))] = (
+            0.5, 1e-300, 0.5)
+    else:  # positive entries with zero gaps between them; "short tail" sums to 1 - 1e-10
+        last = width - 2 if kind == "short tail" else width - 1  # and ends in zero mass
+        columns = sorted(draw(st.sets(st.integers(0, last), min_size=1, max_size=last + 1)))
+        row[columns] = rng.random(len(columns)) + 0.01
+        row /= row.sum()
+        if kind == "short tail":
+            row *= 1.0 - 1e-10
+    return row
+
+
+@st.composite
+def edge_row_mdps(draw):
+    """Random MDP and logger whose every row is one of :func:`edge_rows`."""
+    num_states, num_actions = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transitions = np.array([[draw(edge_rows(num_states, rng)) for _ in range(num_actions)]
+                            for _ in range(num_states)])
+    rows = np.array([draw(edge_rows(num_actions, rng)) for _ in range(num_states)])
+    lo = rng.random((num_states, num_actions)) / 2
+    mdp = TabularMdp(
+        transitions=transitions,
+        rewards=RewardSpec(lo=lo, hi=lo + rng.random(lo.shape) / 2),
+        gamma=0.9,
+        start_state=draw(st.integers(0, num_states - 1)),
+        terminal_states=frozenset(draw(st.sets(st.integers(0, num_states - 1), max_size=1))),
+    )
+    return mdp, BehaviorPolicy(rows)
+
+
 def assert_same_episode(traj, states, actions, rewards):
     assert traj.states.dtype == np.int64 and traj.actions.dtype == np.int64
     assert traj.rewards.dtype == np.float64
@@ -546,7 +588,7 @@ class TestLockstepMatchesOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        case=small_mdps(),
+        case=small_mdps() | edge_row_mdps(),
         num_trajectories=st.integers(0, 6),
         horizon=st.integers(1, 8),
         master_seed=st.integers(0, 2**32 - 1),
@@ -560,14 +602,17 @@ class TestLockstepMatchesOracle:
             assert type(traj.seed) is int and traj.seed == seed
             assert_same_episode(traj, states, actions, rewards)
 
-    @settings(max_examples=80, deadline=None)
-    @given(case=small_mdps(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    @given(case=small_mdps() | edge_row_mdps(), data=st.data())
     def test_rollout_equals_oracle_on_edge_uniforms(self, case, data):
         # Uniforms at 0 and just below 1 hit the CDF ends, where the clamp
-        # and the zero-mass tails decide the outcome.
+        # and the zero-mass tails decide the outcome; 0.5 and its neighbour
+        # hit the running sum that a 1e-300 entry leaves where it was.
         mdp, policy = case
         shape = (data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6)), 3)
-        edges = st.sampled_from([0.0, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+        edges = st.sampled_from([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0 - 1e-10,
+                                 np.nextafter(1.0 - 1e-10, 1.0), 1.0 - 1e-12,
+                                 np.nextafter(1.0, 0.0)])
         values = data.draw(
             st.lists(edges | st.floats(0.0, 1.0, exclude_max=True),
                      min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
@@ -597,6 +642,15 @@ class TestLockstepMatchesOracle:
         assert lengths.tolist() == [2]
         assert actions[0].tolist() == [1, 1] and states[0].tolist() == [0, 1]
         assert bisect_rollout(mdp, policy, draws)[0][:2] == ([0, 1], [1, 1])
+
+    def test_support_table_keeps_positive_entries_and_pads(self):
+        rows = np.array([[0.5, 1e-300, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0],
+                         [0.25, 0.0, 0.75 - 1e-10, 0.0]])
+        cdf, ids = _support_table(rows)
+        assert cdf.tolist() == [[0.5, 0.5, 1.0], [1.0, np.inf, np.inf],
+                                [0.25, np.cumsum(rows[2])[2], np.inf]]
+        assert ids.tolist() == [[0, 1, 3, 3], [2, 2, 2, 2], [0, 2, 2, 2]]
+        assert not cdf.flags.writeable and not ids.flags.writeable
 
     def test_horizon_one_and_zero_trajectories(self):
         mdp = deterministic_chain(4)
@@ -629,3 +683,47 @@ class TestLockstepMatchesOracle:
             assert column.base is None and column.flags.c_contiguous and column.shape == (15,)
         for traj in ds:  # views into the columns, not copies
             assert traj.states.base is ds.states and traj.rewards.base is ds.rewards
+
+
+class TestFrozenEnvironment:
+    """An MDP and a policy take their arrays read-only, so their cached tables cannot go stale."""
+
+    def test_arrays_and_fields_refuse_writes(self):
+        mdp, behavior = build_forest_mdp(num_chains=3, depth=2, epsilon=0.2)
+        simulate(mdp, behavior, 5, 10, 0)  # builds the tables
+        arrays = [mdp.transitions, mdp.rewards.lo, mdp.rewards.hi, behavior.action_probabilities,
+                  mdp.expected_rewards, *mdp.step_tables, *behavior.action_table]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.5
+        for record, name in [(mdp, "transitions"), (mdp, "gamma"), (mdp, "terminal_states"),
+                             (mdp.rewards, "lo"), (mdp.rewards, "hi"),
+                             (behavior, "action_probabilities"), (behavior, "kind")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
+    def test_transition_table_is_taken_not_copied(self):
+        table = np.full((2, 1, 2), 0.5)
+        mdp = TabularMdp(table, RewardSpec.constant(np.zeros((2, 1))), 0.9, 0)
+        assert mdp.transitions is table and not table.flags.writeable
+
+    def test_caches_stay_out_of_pickles(self):
+        mdp, behavior = build_gridworld(side=4)
+        before = len(pickle.dumps((mdp, behavior)))
+        simulate(mdp, behavior, 5, 10, 0)
+        exact_value(mdp, MixedPolicy(None, behavior))
+        assert {"step_tables", "expected_rewards", "logging_values"} <= set(vars(mdp))
+        assert "action_table" in vars(behavior)
+        assert len(pickle.dumps((mdp, behavior))) == before
+
+    def test_unpickled_environment_samples_the_same_bytes(self):
+        mdp, behavior = build_forest_mdp(num_chains=4, depth=3, epsilon=0.2)
+        expected = simulate(mdp, behavior, 30, 10, 3)
+        mdp, behavior = pickle.loads(pickle.dumps((mdp, behavior)))
+        for array in (mdp.transitions, mdp.rewards.lo, mdp.rewards.hi,
+                      behavior.action_probabilities):
+            assert not array.flags.writeable
+        got = simulate(mdp, behavior, 30, 10, 3)
+        for name in ("states", "actions", "rewards", "offsets"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert got.seeds == expected.seeds
