@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 _ROW_SUM_TOL = 1e-9
 _SEED_LIMIT = 2**64  # trajectory seeds are integers in [0, 2**64), numpy's uint64 range
 _LOCKSTEP_SLOTS = 1 << 16  # trajectory steps simulated per lockstep block
+_MASK32 = 0xFFFFFFFF
 
 
 def _probability_rows(table: np.ndarray) -> np.ndarray:
@@ -325,6 +326,11 @@ def _reals(values, name: str) -> np.ndarray:
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "iuf":  # no "1" or True read as 1.0
         raise ValueError(f"{name} must hold numbers, not {column.dtype}")
+    # Nor a bool among numbers, which numpy reads as float64 too; an ndarray has one dtype.
+    if column.size and not isinstance(values, np.ndarray) and any(
+            isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_
+            for v in np.asarray(values, dtype=object).flat):
+        raise ValueError(f"{name} must hold numbers, not bool")
     return column.astype(np.float64, copy=False)
 
 
@@ -353,7 +359,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class TrajectoryDataset:
+class TrajectoryDataset(_Frozen):
     """A batch of trajectories stored as flat, read-only step columns.
 
     ``states``, ``actions`` and ``rewards`` hold every step in dataset order;
@@ -365,7 +371,8 @@ class TrajectoryDataset:
     seed lies in ``[0, 2**64)`` and that every reward is a finite number
     (ids and offsets must already be integers, rewards numbers).  It then
     keeps read-only copies of the columns and refuses attribute writes, so
-    :attr:`visits`, built from the columns on first use, can never go stale.
+    :attr:`visits`, built from the columns on first use, can never go stale;
+    it stays out of pickles, which unpickle the columns read-only.
     """
 
     states: np.ndarray
@@ -444,14 +451,68 @@ class TrajectoryDataset:
         return VisitIndex(self)
 
 
-def trajectory_seed(master_seed: int, index: int) -> int:
-    """Derive the per-trajectory RNG seed for trajectory ``index``.
+def _hashmix(value, const: int, u32=int, mult: int = 0x931E8875):
+    """numpy's ``SeedSequence`` hashmix and next constant; ``u32=np.uint32`` for uint32 arrays."""
+    nxt = const * mult & _MASK32
+    mixed = (value ^ u32(const)) * u32(nxt) & u32(_MASK32)
+    return mixed ^ mixed >> u32(16), nxt
 
-    Uses numpy's splittable seed-sequence scheme so any single trajectory can
-    be regenerated without simulating its predecessors.
+
+def _mix(value, word, const: int, u32=int):
+    """numpy's ``SeedSequence`` mix of ``hashmix(word)`` into pool word ``value``; next constant."""
+    mixed, const = _hashmix(word, const, u32)
+    mixed = (u32(0xCA01F9DD) * value - u32(0x4973F715) * mixed) & u32(_MASK32)
+    return mixed ^ mixed >> u32(16), const
+
+
+def trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Trajectory ``i``'s seed for each ``i`` in ``range(start, stop)``, uint64, in one pass.
+
+    Each equals ``SeedSequence(entropy=master_seed, spawn_key=(i,))``'s
+    ``generate_state(1, np.uint64)[0]``, so any trajectory can be regenerated
+    alone.  The pool after the master's words, shared by all ``i``, is built
+    in Python ints; the index words (two from 2**32 on) mix in as uint32
+    lanes.  An index outside ``[0, 2**64)`` raises ``ValueError``.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    master_seed, start, stop = map(operator.index, (master_seed, start, stop))
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed}")
+    if start >= stop:
+        return np.empty(0, dtype=np.uint64)
+    if start < 0 or stop > _SEED_LIMIT:
+        raise ValueError(f"trajectory indices [{start}, {stop}) reach outside [0, 2**64)")
+    # Little-endian words, zero-padded to the pool size as numpy pads a spawned sequence's.
+    words = [master_seed >> shift & _MASK32 for shift in range(0, master_seed.bit_length(), 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], 0x43B0D7E5
+    for word in words[:4]:
+        mixed, const = _hashmix(word, const)
+        pool.append(mixed)
+    for src in range(4):  # every ordered pair, so late words reach early ones
+        for dst in range(4):
+            if src != dst:
+                pool[dst], const = _mix(pool[dst], pool[src], const)
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst], const = _mix(pool[dst], word, const)
+    index = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
+    pool = [np.full(len(index), value, dtype=np.uint32) for value in pool]
+    low, high = (index & np.uint64(_MASK32)).astype(np.uint32), index >> np.uint64(32)
+    for dst in range(4):
+        pool[dst], const = _mix(pool[dst], low, const, np.uint32)
+    if high.any():  # a second index word mixes into its lanes alone
+        long, high = high > np.uint64(0), high.astype(np.uint32)
+        for dst in range(4):
+            mixed, const = _mix(pool[dst], high, const, np.uint32)
+            pool[dst] = np.where(long, mixed, pool[dst])
+    word0, const = _hashmix(pool[0], 0x8B51F9DD, np.uint32, mult=0x58F38DED)  # generate_state
+    word1, _ = _hashmix(pool[1], const, np.uint32, mult=0x58F38DED)
+    return word0.astype(np.uint64) | word1.astype(np.uint64) << np.uint64(32)
+
+
+def trajectory_seed(master_seed: int, index: int) -> int:
+    """The RNG seed of trajectory ``index``, see :func:`trajectory_seeds`."""
+    return int(trajectory_seeds(master_seed, index, operator.index(index) + 1)[0])
 
 
 def _lockstep_rollout(
@@ -525,8 +586,8 @@ def simulate(
     lengths = [np.zeros(1, dtype=np.int64)]  # offsets are their running sum
     block = max(1, _LOCKSTEP_SLOTS // horizon)
     for first in range(0, num_trajectories, block):
-        block_seeds = [trajectory_seed(master_seed, i)
-                       for i in range(first, min(first + block, num_trajectories))]
+        block_seeds = trajectory_seeds(
+            master_seed, first, min(first + block, num_trajectories)).tolist()
         draws = np.empty((len(block_seeds), horizon, 3))
         for row, seed in zip(draws, block_seeds):
             np.random.default_rng(seed).random(out=row)

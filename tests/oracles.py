@@ -18,7 +18,7 @@ from dprl.baselines import MleModel
 from dprl.continuous import NEIGHBOR_FIRST, ContinuousVerdict, CoveringNumbers
 from dprl.discrete import SmdpModel
 from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
-from dprl.mdp import BehaviorPolicy, simulate, trajectory_seed
+from dprl.mdp import BehaviorPolicy, simulate
 
 
 def linear_scan_neighbors(
@@ -427,13 +427,19 @@ def bisect_rollout(mdp, policy, draws: np.ndarray) -> list[tuple[list, list, lis
     return out
 
 
+def seed_sequence_seed(master_seed: int, index: int) -> int:
+    """Trajectory ``index``'s seed straight from numpy's ``SeedSequence``, one object per seed."""
+    sequence = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    return int(sequence.generate_state(1, np.uint64)[0])
+
+
 def bisect_simulate(mdp, policy, num_trajectories: int, horizon: int, master_seed: int):
     """Per-trajectory simulator: ``(seed, states, actions, rewards)`` per episode.
 
-    Episode ``i`` reads ``default_rng(trajectory_seed(master_seed, i))``
+    Episode ``i`` reads ``default_rng(seed_sequence_seed(master_seed, i))``
     drawn as one ``(horizon, 3)`` block.
     """
-    seeds = [trajectory_seed(master_seed, i) for i in range(num_trajectories)]
+    seeds = [seed_sequence_seed(master_seed, i) for i in range(num_trajectories)]
     draws = [np.random.default_rng(seed).random((horizon, 3)) for seed in seeds]
     return [(seed, *episode) for seed, episode in zip(seeds, bisect_rollout(mdp, policy, draws))]
 

@@ -251,7 +251,9 @@ class TestIndex:
         with pytest.raises(ValueError, match="finite"):
             query(index, np.asarray(state), 5)
 
-    @pytest.mark.parametrize("state", [["0", False], [True, False], ["0.5", "0.5"]])
+    # numpy reads [0.5, True] as float64 [0.5, 1.0], which used to answer as that point.
+    @pytest.mark.parametrize("state", [["0", False], [True, False], ["0.5", "0.5"], [0.5, True],
+                                       (np.False_, 0.0), [np.float64(0.5), np.array(True)]])
     def test_query_state_of_strings_or_bools_rejected(self, state):
         index = flat_index(np.zeros((30, 2)), [0] * 30, np.linspace(0.0, 1.0, 30), 1.0)
         with pytest.raises(ValueError, match="state must hold numbers"):

@@ -29,10 +29,11 @@ from dprl.mdp import (
     save_dataset,
     simulate,
     trajectory_seed,
+    trajectory_seeds,
 )
 import dprl.mdp as mdp_module
 from dprl.mdp import _lockstep_rollout, _support_table
-from oracles import bisect_rollout, bisect_simulate
+from oracles import bisect_rollout, bisect_simulate, seed_sequence_seed
 
 
 def single_state_loop(gamma: float = 0.9) -> TabularMdp:
@@ -155,9 +156,20 @@ class TestContainers:
          (lambda: RewardSpec(lo=[[0.0]], hi=[["1"]]), "hi must hold numbers, not <U1"),
          (lambda: RewardSpec.constant([[True]]), "values must hold numbers, not bool"),
          (lambda: TabularMdp(np.ones((1, 1, 1), dtype=bool), RewardSpec.constant([[0.0]]), 0.9, 0),
-          "transitions must hold numbers, not bool")],
+          "transitions must hold numbers, not bool"),
+         # A bool among numbers, which numpy reads as float64 too.
+         (lambda: RewardSpec(lo=[[0.0, True]], hi=[[1.0, 1.0]]), "lo must hold numbers, not bool"),
+         (lambda: TabularMdp([[[0.0, np.True_]], [[1, 0.0]]],
+                             RewardSpec.constant([[0.0]] * 2), 0.9, 0),
+          "transitions must hold numbers, not bool"),
+         (lambda: BehaviorPolicy([np.array([True, False]), [0.5, 0.5]]),
+          "action_probabilities must hold numbers, not bool"),
+         (lambda: TrajectoryDataset(states=[0, 0], actions=[0, 0], rewards=(0.5, False),
+                                    offsets=[0, 2], seeds=[0], num_states=1, num_actions=1),
+          "rewards must hold numbers, not bool")],
         ids=["policy-strings", "policy-bools", "lo-bool", "hi-string", "constant-bool",
-             "transitions-bool"],
+             "transitions-bool", "lo-mixed-bool", "transitions-mixed-bool",
+             "policy-bool-array-row", "dataset-rewards-mixed-bool"],
     )
     def test_float_tables_reject_bools_and_strings(self, build, message):
         # Each used to build, storing 1.0 for True and "1".
@@ -179,6 +191,39 @@ class TestSeeds:
     def test_trajectory_seed_distinct_across_indices(self):
         seeds = {trajectory_seed(42, i) for i in range(200)}
         assert len(seeds) == 200
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        master_seed=st.sampled_from([1, 2, 3, 4, 5, 7]).flatmap(
+            lambda words: st.integers(2 ** (32 * words - 32) if words > 1 else 0,
+                                      2 ** (32 * words) - 1)),
+        start=(st.integers(0, 40) | st.integers(2**32 - 20, 2**32 + 4)
+               | st.integers(2**64 - 20, 2**64)),
+        length=st.integers(0, 24),
+    )
+    def test_trajectory_seeds_equal_numpy(self, master_seed, start, length):
+        # Masters of 1 to 7 words; ranges that cross 2**32 (one index word to two) and empty ones.
+        stop = min(start + length, 2**64)
+        seeds = trajectory_seeds(master_seed, start, stop)
+        assert seeds.dtype == np.uint64 and seeds.shape == (stop - start,)
+        assert seeds.tolist() == [seed_sequence_seed(master_seed, i) for i in range(start, stop)]
+
+    def test_trajectory_seeds_across_two_to_the_32(self):
+        seeds = trajectory_seeds(2**64 + 9, 2**32 - 2, 2**32 + 2).tolist()
+        assert seeds == [seed_sequence_seed(2**64 + 9, i) for i in range(2**32 - 2, 2**32 + 2)]
+        for empty in (trajectory_seeds(3, 5, 5), trajectory_seeds(3, 2**64, 2**64)):
+            assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_trajectory_seed_index_outside_uint64_range_rejected(self, index):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            trajectory_seed(0, index)
+
+    def test_trajectory_seeds_range_outside_uint64_rejected(self):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            trajectory_seeds(0, 2**64 - 1, 2**64 + 1)
+        with pytest.raises(ValueError, match="master_seed must be an integer >= 0"):
+            trajectory_seeds(-1, 0, 1)
 
     def test_trajectory_seed_distinct_across_masters(self):
         a = {trajectory_seed(1, i) for i in range(100)}
@@ -498,6 +543,30 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError, match="read-only"):
             ds.visits.keys["pair"][0] = 1
 
+    def test_pickle_holds_the_columns_alone(self):
+        mdp, behavior = build_gridworld(side=4)
+        ds = simulate(mdp, behavior, 6, 12, 5)
+        before = len(pickle.dumps(ds))
+
+        def visit_view(dataset):
+            visits = dataset.visits
+            view = {"trajectory": visits.trajectory.tolist()}
+            for kind in ("state", "pair"):
+                view[kind] = visits.keys[kind].tolist()
+                for mode in ("first-visit", "every-visit"):
+                    view[kind, mode] = (visits.order(kind, mode).tolist(),
+                                        visits.counts(kind, mode).tolist())
+            return view
+
+        expected = visit_view(ds)
+        assert len(pickle.dumps(ds)) == before  # the visit index stays out
+        got = pickle.loads(pickle.dumps(ds))
+        for name in ("states", "actions", "rewards", "offsets"):
+            assert not getattr(got, name).flags.writeable
+            assert getattr(got, name).tobytes() == getattr(ds, name).tobytes()
+        assert "visits" not in vars(got) and got.seeds == ds.seeds
+        assert visit_view(got) == expected
+
     def test_callers_arrays_stay_theirs(self):
         columns = self.columns(states=np.array([0, 1, 2]), rewards=np.array([0.5, 0.25, 1.0]))
         ds = TrajectoryDataset(**columns)
@@ -601,6 +670,18 @@ class TestLockstepMatchesOracle:
         for traj, (seed, states, actions, rewards) in zip(ds, expected):
             assert type(traj.seed) is int and traj.seed == seed
             assert_same_episode(traj, states, actions, rewards)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=small_mdps(), num_trajectories=st.integers(0, 6),
+           master_seed=st.integers(2**64, 2**256))
+    def test_simulate_equals_oracle_for_wide_masters(self, case, num_trajectories, master_seed):
+        # Masters of 3 to 9 words take the seed derivation's word loops.
+        mdp, policy = case
+        ds = simulate(mdp, policy, num_trajectories, 4, master_seed)
+        expected = bisect_simulate(mdp, policy, num_trajectories, 4, master_seed)
+        assert list(ds.seeds) == [seed for seed, *_ in expected]
+        for traj, (_, *episode) in zip(ds, expected):
+            assert_same_episode(traj, *episode)
 
     @settings(max_examples=120, deadline=None)
     @given(case=small_mdps() | edge_row_mdps(), data=st.data())
