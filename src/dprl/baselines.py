@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EVERY_VISIT, count_visits
-from .mdp import FRACTION, BehaviorPolicy, TrajectoryDataset, check, rule
+from .estimation import EVERY_VISIT, count_visits, segment_reduce
+from .mdp import FRACTION, BehaviorPolicy, TrajectoryDataset, _read_only, check, rule
 from .solvers import bellman_system, discounted_lookahead, policy_iteration
 
 
@@ -37,7 +37,7 @@ class MleModel:
 
     def __post_init__(self) -> None:
         for table in (self.p_hat, self.r_hat, self.n_sa):
-            table.flags.writeable = False
+            _read_only(table)
 
 
 def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
@@ -111,11 +111,7 @@ def train_spibb(
     free = model.n_sa >= n_wedge
     # Sum each state's free behavior mass as its compacted row, as numpy would.
     num_free = free.sum(axis=1)
-    free_mass = np.zeros(len(free))
-    for k in np.unique(num_free[num_free > 0]).tolist():
-        group = np.flatnonzero(num_free == k)
-        cols = np.nonzero(free[group])[1].reshape(len(group), k)
-        free_mass[group] = behavior_rows[group[:, None], cols].sum(axis=1)
+    free_mass = segment_reduce(behavior_rows[free], num_free, np.ndarray.sum)
     active = np.flatnonzero(num_free > 0)
 
     def rows_for(policy: np.ndarray) -> np.ndarray:

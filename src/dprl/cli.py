@@ -186,9 +186,7 @@ def _dataset_path(out: Path, index: int) -> Path:
     return out / "datasets" / f"seed_{index:04d}.jsonl"
 
 
-def cmd_generate(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_generate(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
     if num_seeds == 0:
@@ -214,9 +212,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_train(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     specs = {spec.label: spec for spec in _algorithm_specs(config)}
     if args.algorithm not in specs:
@@ -233,9 +229,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_evaluate(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     policy = load_policy(args.policy, behavior)
     value = exact_value(mdp, MixedPolicy(policy, behavior))
@@ -253,11 +247,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    config = load_config(args.config)
+def cmd_bounds(args, config: dict, out: Path) -> int:
     if "bounds" not in config:
         raise ConfigError("config has no 'bounds' section")
-    out = Path(args.out)
     mdp, behavior = _build_env(config)
     spec = config["dataset"]
     dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"], spec["master_seed"])
@@ -286,9 +278,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    out = Path(args.out)
+def cmd_sweep(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
     spec = config["dataset"]
@@ -360,19 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOUNDARY_ERRORS = {ConfigError: "config", DatasetError: "dataset", PolicyError: "policy"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DatasetError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return 2
-    except PolicyError as exc:
-        print(f"policy error: {exc}", file=sys.stderr)
+        return args.func(args, load_config(args.config), Path(args.out))
+    except (ConfigError, DatasetError, PolicyError) as exc:
+        print(f"{_BOUNDARY_ERRORS[type(exc)]} error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface anything else as exit 1
         print(f"error: {exc}", file=sys.stderr)

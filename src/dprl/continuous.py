@@ -26,7 +26,7 @@ from .estimation import (
     segment_ids,
     segment_suffix_returns,
 )
-from .mdp import COUNT, FRACTION, RADIUS, _int_ids, _reals, check, one_of
+from .mdp import COUNT, FRACTION, RADIUS, _int_ids, _read_only, _reals, check, one_of
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -76,6 +76,8 @@ class NeighborIndex:
 
     A radius query is one exact vectorised scan over the stored points,
     O(K·d) per query; building the index does no search-structure work.
+    The index takes its arrays read-only, without copying them, so a float64
+    or int64 array passed in becomes read-only itself.
 
     Attributes:
         states: ``(K, d)`` raw state vectors in insertion order, which is
@@ -114,6 +116,8 @@ class NeighborIndex:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         self.radius = float(check("radius", radius, RADIUS))
+        for name in ("states", "actions", "returns", "trajectory_ids", "metric_weights"):
+            _read_only(getattr(self, name))  # _scale and _universe derive from them
         self._scale = np.sqrt(w)
         self._universe = tuple(np.unique(self.actions).tolist())
 

@@ -20,6 +20,7 @@ from .estimation import (
     CountTable,
     ValueEstimates,
     count_visits,
+    longest_first,
     monte_carlo_estimates,
 )
 from .mdp import COUNT, FRACTION, NONNEGATIVE, TrajectoryDataset, check, one_of
@@ -191,8 +192,8 @@ def make_smdp(
     # Every segment's reward summed left to right at once: longest first, step
     # k adds to the live[k] segments longer than k.  add.at then accumulates
     # the segments in dataset order.
-    order = np.argsort(-lengths, kind="stable")
-    first, live = starts[order], np.searchsorted(-lengths[order], -np.arange(len(powers) - 1))
+    order, live = longest_first(lengths)
+    first = starts[order]
     acc = np.zeros(len(order))
     for k, m in enumerate(live.tolist()):
         acc[:m] += dataset.rewards[first[:m] + k] * powers[k]

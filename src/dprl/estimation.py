@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import FRACTION, TrajectoryDataset, check, one_of
+from .mdp import FRACTION, TrajectoryDataset, _read_only, check, one_of
 
 FIRST_VISIT = "first-visit"
 EVERY_VISIT = "every-visit"
@@ -48,6 +48,16 @@ class ValueEstimates:
     q_hat: np.ndarray
 
 
+def longest_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segments ordered longest first (stable), and ``live[k]``, how many are longer than ``k``.
+
+    So the first ``live[k]`` segments in ``order`` are those with a step at
+    position ``k``, for every ``k`` below the longest length.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    return order, np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+
+
 def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: float) -> np.ndarray:
     """Discounted suffix returns within each segment ``offsets[i]:offsets[i + 1]``.
 
@@ -56,13 +66,11 @@ def segment_suffix_returns(rewards: np.ndarray, offsets: np.ndarray, gamma: floa
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets)
-    order = np.argsort(-lengths, kind="stable")
-    ends, lengths = offsets[1:][order], lengths[order]
+    order, live = longest_first(np.diff(offsets))
+    ends = offsets[1:][order]
     out = np.empty_like(rewards)
     acc = np.zeros(len(ends))
     # live[k - 1] segments have a k-th step from the end.
-    live = np.searchsorted(-lengths, -np.arange(1, lengths.max(initial=0) + 1), side="right")
     for k, m in enumerate(live.tolist(), start=1):
         steps = ends[:m] - k
         acc[:m] = rewards[steps] + gamma * acc[:m]
@@ -88,19 +96,20 @@ def _first_in_order(order: np.ndarray, keys: np.ndarray, groups: np.ndarray) -> 
     return order[first]
 
 
-def segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.mean`` of each consecutive run of ``sizes[i]`` values, bit for bit; nan where 0.
+def segment_reduce(values: np.ndarray, sizes: np.ndarray, reduce=np.ndarray.mean) -> np.ndarray:
+    """``reduce`` of each consecutive run of ``sizes[i]`` values, bit for bit; nan where 0.
 
-    The runs of one length are gathered as the rows of one array and reduced
-    with ``.mean(axis=1)``, which takes each row's mean as ``np.mean`` takes
-    that run's alone.
+    ``reduce`` is ``np.ndarray.mean`` (visit means) or ``np.ndarray.sum``
+    (SPIBB's free mass).  The runs of one length are gathered as the rows of
+    one array and reduced along ``axis=1``, which reduces each row as numpy
+    reduces that run alone.
     """
-    means = np.full(len(sizes), np.nan)
+    out = np.full(len(sizes), np.nan)
     starts = np.cumsum(sizes) - sizes
     for n in np.unique(sizes[sizes > 0]).tolist():
         runs = np.flatnonzero(sizes == n)
-        means[runs] = values[starts[runs, None] + np.arange(n)].mean(axis=1)
-    return means
+        out[runs] = reduce(values[starts[runs, None] + np.arange(n)], axis=1)
+    return out
 
 
 def _visit_means(keys, values, groups, mode: str, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +124,7 @@ def _visit_means(keys, values, groups, mode: str, num_keys: int) -> tuple[np.nda
     if mode == FIRST_VISIT:
         order = _first_in_order(order, keys, groups)
     sizes = np.bincount(keys[order], minlength=num_keys)
-    return segment_means(values[order], sizes), sizes
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    return segment_reduce(values[order], sizes), sizes
 
 
 class VisitIndex:
@@ -173,7 +177,7 @@ class VisitIndex:
 
     def means(self, kind: str, mode: str, gamma: float) -> np.ndarray:
         """``(num_keys,)`` mean suffix return over the steps ``mode`` counts; nan if none."""
-        return segment_means(self.returns(gamma)[self.order(kind, mode)], self.counts(kind, mode))
+        return segment_reduce(self.returns(gamma)[self.order(kind, mode)], self.counts(kind, mode))
 
 
 def count_visits(dataset: TrajectoryDataset, mode: str = FIRST_VISIT) -> CountTable:

@@ -581,6 +581,28 @@ def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
     return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
 
 
+def value_iteration(mdp, max_sweeps: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal ``(values, q)`` by Bellman optimality sweeps, one state and action at a time.
+
+    Terminal states are worth 0 and their Q rows are 0.  Sweeps stop when no
+    value changes, or after ``max_sweeps``.
+    """
+    transitions = mdp.transitions.tolist()
+    lo, hi = mdp.rewards.lo.tolist(), mdp.rewards.hi.tolist()
+    states, actions = range(mdp.num_states), range(mdp.num_actions)
+    values = [0.0] * mdp.num_states
+    for _ in range(max_sweeps):
+        q = [[0.0] * mdp.num_actions if s in mdp.terminal_states else
+             [(lo[s][a] + hi[s][a]) / 2.0
+              + mdp.gamma * sum(p * v for p, v in zip(transitions[s][a], values)) for a in actions]
+             for s in states]
+        new = [max(row) for row in q]
+        if new == values:
+            break
+        values = new
+    return np.array(values), np.array(q)
+
+
 def dense_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
     """``(gamma * P) @ values`` with the whole scaled ``(S, A, S)`` copy."""
     return (gamma * transitions) @ values

@@ -59,7 +59,39 @@ def read_tree(root: Path) -> dict[str, bytes]:
     }
 
 
+def _edited(edit) -> dict:
+    config = base_config()
+    edit(config)
+    return config
+
+
+# Configs that each fail one boundary check, and the message it raises.
+MALFORMED_CONFIGS = [
+    (_edited(lambda c: c.update(dataset=5)), "dataset: must be an object"),
+    ([base_config()], "config root must be a JSON object"),
+    (_edited(lambda c: c["environment"].pop("id")), "environment: must be an object with an 'id'"),
+    (_edited(lambda c: c.update(algorithms=[5])),
+     "algorithms: each entry must be an object with a 'name'"),
+]
+MALFORMED_CONFIG_IDS = ["dataset-not-object", "root-list", "environment-without-id",
+                    "algorithm-not-object"]
+CARELESS_OUT_OF_RANGE = _edited(lambda c: c.update(
+    environment={"id": "gridworld", "side": 4, "careless_states": [100]}))
+
+
 class TestValidateConfig:
+    @pytest.mark.parametrize("config, message", MALFORMED_CONFIGS, ids=MALFORMED_CONFIG_IDS)
+    def test_rejects_malformed_section(self, config, message):
+        with pytest.raises(ConfigError) as info:
+            validate_config(config)
+        assert str(info.value) == message
+
+    def test_builder_failure_becomes_a_config_error(self):
+        # The rules accept any nonnegative careless state; only the builder knows the grid size.
+        with pytest.raises(ConfigError) as info:
+            cli._build_env(validate_config(CARELESS_OUT_OF_RANGE))
+        assert str(info.value) == "environment[gridworld]: careless state 100 out of range"
+
     def test_accepts_base_config_and_assigns_labels(self):
         normalized = validate_config(base_config())
         labels = [e["label"] for e in normalized["algorithms"]]
@@ -710,6 +742,19 @@ class TestExitCodes:
         assert err.startswith(f"policy error: {policy}: ")
         assert match in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        MALFORMED_CONFIGS
+        + [(CARELESS_OUT_OF_RANGE, "environment[gridworld]: careless state 100 out of range")],
+        ids=[*MALFORMED_CONFIG_IDS, "builder-failure"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

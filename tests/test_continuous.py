@@ -24,6 +24,22 @@ from dprl.discrete import identify_decision_points
 from dprl.mdp import simulate
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda: ContinuousTrajectory(states=[0.0, 1.0], actions=[0, 1], rewards=[0.0, 0.0]),
+      "states must be (T, d)"),
+     (lambda: ContinuousTrajectory(states=[[0.0], [1.0]], actions=[0], rewards=[0.0, 0.0]),
+      "states, actions and rewards must have equal length"),
+     (lambda: NeighborIndex(np.zeros((3, 2)), np.zeros(3, np.int64), np.zeros(3),
+                            np.zeros(3, np.int64), np.ones(3), 0.1),
+      "state dimension does not match metric_weights")],
+    ids=["one-dimensional-states", "unequal-lengths", "index-dimension"],
+)
+def test_shape_checks(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def flat_index(points, actions, returns, radius, weights=None):
     """Index over loose points, one synthetic trajectory id per point."""
     points = np.asarray(points, dtype=np.float64)
@@ -189,6 +205,18 @@ class TestBallTree:
 
 
 class TestIndex:
+    @pytest.mark.parametrize("column", ["states", "actions", "returns", "trajectory_ids",
+                                        "metric_weights"])
+    def test_columns_are_read_only(self, column):
+        # The action universe and the metric scale are derived once, at construction;
+        # a write into a column used to reach numpy's IndexError at the next query.
+        index = flat_index([[0.0], [0.1], [0.2], [0.3]], [0, 0, 1, 1], [1.0, 0.5, 0.25, 0.0], 1.0)
+        before = query(index, np.array([0.15]), 1)
+        array = getattr(index, column)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 5
+        assert_same_verdict(query(index, np.array([0.15]), 1), before)
+
     def test_suffix_returns_stored_per_timestep(self):
         traj = ContinuousTrajectory(
             states=np.array([[0.0], [1.0]]),

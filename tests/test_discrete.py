@@ -22,7 +22,13 @@ from dprl.discrete import (
     train_decision_point_policy,
 )
 from dprl.envs import build_environment
-from dprl.estimation import FIRST_VISIT, VISIT_MODES, count_visits, monte_carlo_estimates
+from dprl.estimation import (
+    FIRST_VISIT,
+    VISIT_MODES,
+    ValueEstimates,
+    count_visits,
+    monte_carlo_estimates,
+)
 from dprl.evaluation import (
     MixedPolicy,
     PolicyError,
@@ -335,6 +341,18 @@ class TestMakeSmdp:
 
 
 class TestPolicyIteration:
+    def test_singular_elevated_system_names_the_state(self):
+        # A self-loop with discount 1 leaves I - W singular.
+        one = np.ones((1, 1, 2))
+        one[..., 1] = 0.0
+        model = SmdpModel(states=(0,), counts=one.astype(np.int64), p_tilde=one, gamma_tilde=one,
+                          r_tilde=np.zeros((1, 1, 2)), r_bar=np.zeros((1, 1)))
+        estimates = ValueEstimates(v_hat=np.zeros(1), q_hat=np.zeros((1, 1)))
+        with pytest.raises(RuntimeError) as info:
+            smdp_policy_iteration(model, sets_from_gate(np.ones((1, 1), bool)), estimates)
+        assert str(info.value) == (
+            "singular evaluation system; check segment discounts at decision state 0")
+
     def test_single_decision_point_converges_immediately(self):
         ds = make_dataset([make_traj([0], [0], [0.5])], 1, 1)
         _, est, dp, model = pipeline(ds, n_wedge=1, gamma=0.9)

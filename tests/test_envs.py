@@ -121,6 +121,16 @@ class TestGridworld:
         value = exact_value(mdp, MixedPolicy(learned=None, behavior=behavior))
         assert value == pytest.approx(GRID2_OPTIMAL_START_VALUE, abs=1e-9)
 
+    def test_careless_goal_keeps_its_best_action(self):
+        # Every action at the goal restarts with the same reward, so the worst and the
+        # best action coincide and the careless row is one-hot on it.
+        mdp, behavior = build_gridworld(side=4, careless_states=[15])
+        _, q_star, greedy = optimal_values(mdp)
+        assert int(np.argmin(q_star[15])) == greedy[15]
+        expected = np.zeros(mdp.num_actions)
+        expected[greedy[15]] = 1.0
+        assert behavior.action_probabilities[15].tolist() == expected.tolist()
+
     def test_empty_careless_set_recovers_optimal_policy(self):
         mdp, behavior = build_gridworld(side=4, careless_states=frozenset())
         values, _, greedy = optimal_values(mdp)

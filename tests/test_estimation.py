@@ -19,8 +19,9 @@ from dprl.estimation import (
     ValueEstimates,
     _visit_means,
     count_visits,
+    longest_first,
     monte_carlo_estimates,
-    segment_means,
+    segment_reduce,
     segment_suffix_returns,
 )
 from dprl.evaluation import policy_json
@@ -264,13 +265,13 @@ def mixed_magnitudes(draw, size):
 
 
 class TestSegmentMeans:
-    """``segment_means`` equals ``np.mean`` of each run, byte for byte."""
+    """``segment_reduce`` equals ``np.mean`` of each run, byte for byte."""
 
     @staticmethod
     def assert_means(values, sizes):
         bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         expected = [np.mean(values[a:b]) if b > a else np.nan for a, b in zip(bounds, bounds[1:])]
-        got = segment_means(values, np.asarray(sizes, dtype=np.int64))
+        got = segment_reduce(values, np.asarray(sizes, dtype=np.int64))
         assert_same_array(got, np.array(expected, dtype=np.float64))
 
     @settings(max_examples=200, deadline=None)
@@ -300,8 +301,28 @@ class TestSegmentMeans:
         # Eight lanes of -0.0 sum to -0.0; np.mean adds its sum to +0.0.
         for length in (1, 7, 8, 9, 200):
             zeros = np.full(length, -0.0)
-            got = segment_means(zeros, np.array([length]))
+            got = segment_reduce(zeros, np.array([length]))
             assert got.tobytes() == np.array([0.0]).tobytes() == np.mean(zeros).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 400), st.sampled_from(EDGE_LENGTHS)), max_size=12)
+           .flatmap(lambda sizes: st.tuples(st.just(sizes), mixed_magnitudes(sum(sizes)))))
+    def test_sum_equals_numpy_sum(self, case):
+        # SPIBB's free mass: each run reduced as np.sum reduces it alone.
+        sizes, values = case
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        expected = [np.sum(values[a:b]) if b > a else np.nan for a, b in zip(bounds, bounds[1:])]
+        got = segment_reduce(values, np.asarray(sizes, dtype=np.int64), np.ndarray.sum)
+        assert_same_array(got, np.array(expected, dtype=np.float64))
+
+
+class TestLongestFirst:
+    @given(st.lists(st.integers(0, 9), max_size=20))
+    def test_order_and_live_counts(self, lengths):
+        lengths = np.array(lengths, dtype=np.int64)
+        order, live = longest_first(lengths)
+        assert order.tolist() == sorted(range(len(lengths)), key=lambda i: -lengths[i])
+        assert live.tolist() == [int((lengths > k).sum()) for k in range(max(lengths, default=0))]
 
 
 class TestVisitMeans:

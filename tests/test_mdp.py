@@ -177,6 +177,27 @@ class TestContainers:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: RewardSpec(lo=np.zeros(2), hi=np.zeros(2)),
+          "reward bounds must be matching (S, A) arrays"),
+         (lambda: TabularMdp(np.ones((2, 2)), RewardSpec.constant(np.zeros((2, 1))), 0.9, 0),
+          "transitions must have shape (S, A, S)"),
+         (lambda: TabularMdp(np.full((2, 1, 2), 0.5), RewardSpec.constant(np.zeros((2, 2))),
+                             0.9, 0),
+          "reward table shape must match (S, A)"),
+         (lambda: BehaviorPolicy(np.array([0.5, 0.5])), "action_probabilities must be (S, A)"),
+         (lambda: Trajectory(states=np.array([0, 1]), actions=np.array([0]),
+                             rewards=np.array([0.0, 0.0]), seed=0),
+          "states, actions and rewards must have equal length")],
+        ids=["one-dimensional-bounds", "two-dimensional-transitions", "reward-shape",
+             "one-dimensional-rows", "unequal-trajectory"],
+    )
+    def test_shape_checks(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_float_tables_accept_integers(self):
         policy = BehaviorPolicy([[1, 0], [0, 1]])
         spec = RewardSpec(lo=[[0]], hi=[[1]])

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from dprl.baselines import fit_mle_model, train_pqi, train_spibb
 from dprl.envs import build_forest_mdp
-from dprl.mdp import simulate
+from dprl.mdp import RewardSpec, TabularMdp, simulate
 from dprl.solvers import (
     bellman_system,
     discounted_lookahead,
+    optimal_values,
     policy_iteration,
     policy_state_values,
 )
@@ -111,6 +112,42 @@ class TestPolicyIteration:
     def test_nothing_to_choose_takes_no_round(self):
         policy, rounds = policy_iteration(None, np.ones((0, 3), bool), np.zeros((0, 3)))
         assert policy.shape == (0,) and rounds == 0
+
+
+def paying_terminal_mdp() -> TabularMdp:
+    """State 0 moves to state 1, a terminal whose actions would pay 0.5 if it were acted in."""
+    transitions = np.zeros((2, 2, 2))
+    transitions[:, :, 1] = 1.0
+    rewards = RewardSpec.constant(np.array([[0.2, 0.1], [0.5, 0.5]]))
+    return TabularMdp(transitions, rewards, gamma=0.9, start_state=0, terminal_states={1})
+
+
+class TestOptimalValues:
+    @pytest.mark.parametrize("build", [lambda: build_forest_mdp(num_chains=2, depth=2)[0],
+                                       paying_terminal_mdp], ids=["forest", "paying-terminal"])
+    def test_terminal_states_match_value_iteration(self, build):
+        # q_from_values pins each terminal state's value and Q row to 0.
+        mdp = build()
+        terminal = sorted(mdp.terminal_states)
+        assert terminal == [mdp.num_states - 1]
+        v_star, q_star, greedy = optimal_values(mdp)
+        v_oracle, q_oracle = oracles.value_iteration(mdp)
+        np.testing.assert_allclose(v_star, v_oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q_star, q_oracle, rtol=0, atol=1e-12)
+        assert greedy.tolist() == np.argmax(q_oracle >= q_oracle.max(axis=1, keepdims=True) - 1e-9,
+                                            axis=1).tolist()
+        assert (q_star[terminal] == 0.0).all() and (v_star[terminal] == 0.0).all()
+
+    def test_forest_root(self):
+        v_star, _, greedy = optimal_values(build_forest_mdp(num_chains=2, depth=2)[0])
+        assert greedy[0] == 0
+        assert v_star[0] == pytest.approx(0.68607, abs=1e-12)
+
+    def test_action_rows_of_the_wrong_shape_rejected(self):
+        mdp, _ = build_forest_mdp(num_chains=2, depth=2)
+        with pytest.raises(ValueError) as info:
+            policy_state_values(mdp, np.ones((mdp.num_states, mdp.num_actions + 1)))
+        assert str(info.value) == "action_rows shape must be (S, A)"
 
 
 class TestPqiMasking:
