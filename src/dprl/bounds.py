@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import CountTable
-from .mdp import COUNT, FRACTION, LEVEL, NONNEGATIVE, POSITIVE, RADIUS, check, rule
+from .mdp import COUNT, FRACTION, LEVEL, NONNEGATIVE, POSITIVE, RADIUS, check, one_of
 
 VARIANT_STATEMENT = "statement"
 VARIANT_PROOF = "proof"
-VARIANT = rule("'statement' or 'proof'", str, lambda v: v in (VARIANT_STATEMENT, VARIANT_PROOF))
+VARIANT = one_of(VARIANT_STATEMENT, VARIANT_PROOF)
 
 
 @dataclass
@@ -173,25 +173,16 @@ def bound_comparison_rows(
     """
     rows: list[dict] = []
     for n_wedge in n_wedge_grid:
-        base = dict(
-            v_max=v_max,
-            gamma=gamma,
-            n_wedge=n_wedge,
-            delta=delta,
-            num_states=num_states,
-            num_actions=num_actions,
-        )
         c = count_c_n_wedge(counts, n_wedge)
-        dprl = dprl_discrete_bound(BoundInputs(**base, c_n_wedge=c), variant=variant)
-        spibb = spibb_bound(BoundInputs(**base))
-        pqi = pqi_bound(BoundInputs(**base, b=pqi_b, dataset_size=dataset_size))
-        pessimism = count_pessimism_bound(pessimism_counts, BoundInputs(**base))
-        rows.append({"method": "dprl", "n_wedge": n_wedge, "b": "", "num_states": num_states,
-                     "c_n_wedge": c, "bound": dprl, "note": ""})
-        rows.append({"method": "spibb", "n_wedge": n_wedge, "b": "", "num_states": num_states,
-                     "c_n_wedge": "", "bound": spibb, "note": ""})
-        rows.append({"method": "pqi", "n_wedge": n_wedge, "b": pqi_b, "num_states": num_states,
-                     "c_n_wedge": "", "bound": pqi, "note": "up_to_constants"})
-        rows.append({"method": "count_pessimism", "n_wedge": n_wedge, "b": "", "num_states": num_states,
-                     "c_n_wedge": "", "bound": pessimism, "note": ""})
+        inputs = BoundInputs(v_max=v_max, gamma=gamma, n_wedge=n_wedge, delta=delta, c_n_wedge=c,
+                             num_states=num_states, num_actions=num_actions, b=pqi_b,
+                             dataset_size=dataset_size)
+        for method, bound, b, c_n_wedge, note in (
+            ("dprl", dprl_discrete_bound(inputs, variant=variant), "", c, ""),
+            ("spibb", spibb_bound(inputs), "", "", ""),
+            ("pqi", pqi_bound(inputs), pqi_b, "", "up_to_constants"),
+            ("count_pessimism", count_pessimism_bound(pessimism_counts, inputs), "", "", ""),
+        ):
+            rows.append({"method": method, "n_wedge": n_wedge, "b": b, "num_states": num_states,
+                         "c_n_wedge": c_n_wedge, "bound": bound, "note": note})
     return rows

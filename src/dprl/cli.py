@@ -120,6 +120,8 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -137,7 +139,7 @@ def _build_env(config: dict):
     env_id = env.pop("id")
     try:
         return build_environment(env_id, **env)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RuntimeError) as exc:  # a builder fails only on its config
         raise ConfigError(f"environment[{env_id}]: {exc}") from exc
 
 
@@ -182,10 +184,6 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _dataset_path(out: Path, index: int) -> Path:
-    return out / "datasets" / f"seed_{index:04d}.jsonl"
-
-
 def cmd_generate(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
@@ -198,7 +196,7 @@ def cmd_generate(args, config: dict, out: Path) -> int:
         master = spec["master_seed"] + i
         master_seeds.append(master)
         dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"], master)
-        save_dataset(dataset, _dataset_path(out, i))
+        save_dataset(dataset, out / "datasets" / f"seed_{i:04d}.jsonl")
     _write_json(
         out / "datasets" / "meta.json",
         {
@@ -250,9 +248,10 @@ def cmd_evaluate(args, config: dict, out: Path) -> int:
 def cmd_bounds(args, config: dict, out: Path) -> int:
     if "bounds" not in config:
         raise ConfigError("config has no 'bounds' section")
+    if config["dataset"]["num_trajectories"] == 0:
+        raise ConfigError("bounds: dataset.num_trajectories must be >= 1, got 0")
     mdp, behavior = _build_env(config)
-    spec = config["dataset"]
-    dataset = simulate(mdp, behavior, spec["num_trajectories"], spec["horizon"], spec["master_seed"])
+    dataset = simulate(mdp, behavior, **config["dataset"])
     first = count_visits(dataset, mode=FIRST_VISIT)
     every = count_visits(dataset, mode=EVERY_VISIT)
     section = config["bounds"]
@@ -281,16 +280,8 @@ def cmd_bounds(args, config: dict, out: Path) -> int:
 def cmd_sweep(args, config: dict, out: Path) -> int:
     mdp, behavior = _build_env(config)
     num_seeds = args.seeds if args.seeds is not None else config["seeds"]
-    spec = config["dataset"]
     result = run_reliability_experiment(
-        mdp,
-        behavior,
-        _algorithm_specs(config),
-        num_seeds=num_seeds,
-        num_trajectories=spec["num_trajectories"],
-        horizon=spec["horizon"],
-        master_seed=spec["master_seed"],
-        jobs=args.jobs,
+        mdp, behavior, _algorithm_specs(config), num_seeds, jobs=args.jobs, **config["dataset"]
     )
     rows = []
     for i, seed in enumerate(result.seeds):

@@ -86,6 +86,7 @@ class NeighborIndex:
             ids may be any integers but must not decrease.
         metric_weights: ``(d,)`` positive, finite per-dimension weights.
         radius: neighborhood radius in the weighted metric.
+        universe: the distinct stored actions, an ascending tuple of ints.
     """
 
     def __init__(
@@ -117,15 +118,12 @@ class NeighborIndex:
                 raise ValueError(f"{name} must be finite")
         self.radius = float(check("radius", radius, RADIUS))
         for name in ("states", "actions", "returns", "trajectory_ids", "metric_weights"):
-            _read_only(getattr(self, name))  # _scale and _universe derive from them
+            _read_only(getattr(self, name))  # _scale and universe derive from them
         self._scale = np.sqrt(w)
-        self._universe = tuple(np.unique(self.actions).tolist())
+        self.universe = tuple(np.unique(self.actions).tolist())
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def action_universe(self) -> tuple[int, ...]:
-        return self._universe
 
     def neighbors(self, state: np.ndarray) -> np.ndarray:
         """Indices of stored points within ``radius`` (inclusive), ascending.
@@ -192,7 +190,7 @@ def query(
     check("neighbor_mode", neighbor_mode, _NEIGHBOR_MODE)
     mode = FIRST_VISIT if neighbor_mode == NEIGHBOR_FIRST else EVERY_VISIT
     hits = index.neighbors(state)
-    universe = index.action_universe()
+    universe = index.universe
     # Key 0 is the state and key 1 + i action universe[i]: one grouping gives
     # v_hat and every q_hat.  Hits ascend, so their trajectory ids do not decrease.
     actions = 1 + np.searchsorted(universe, index.actions[hits])
@@ -238,7 +236,7 @@ def estimate_covering_number(index: NeighborIndex, n_wedge: int) -> CoveringNumb
     if len(index) == 0:
         raise ValueError("index holds no points")
     m_dense = m_total = 0
-    for a in index.action_universe():
+    for a in index.universe:
         pts = index.states[index.actions == a] * index._scale
         tree = BallTree(pts)
         core = np.flatnonzero([len(tree.query_radius(p, index.radius)) >= n_wedge for p in pts])

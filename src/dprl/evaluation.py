@@ -123,7 +123,7 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
     """
     try:
         policy = _policy_from(json.loads(Path(path).read_text(encoding="utf-8")))
-        BehaviorPolicy(policy.rows(behavior.action_probabilities))  # checks the rows
+        policy.rows(behavior.action_probabilities)  # checks that ids and shape fit
     except (KeyError, TypeError, ValueError) as exc:  # as are JSON and UTF-8 decode errors
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise PolicyError(f"{path}: {reason}") from exc

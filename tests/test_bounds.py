@@ -377,6 +377,37 @@ class TestComparisonRows:
         c_by_wedge = {r["n_wedge"]: r["c_n_wedge"] for r in rows if r["method"] == "dprl"}
         assert c_by_wedge == {1: 4, 10: 3, 100: 0}
 
+    @pytest.mark.parametrize("variant", [VARIANT_STATEMENT, VARIANT_PROOF])
+    def test_each_row_is_its_calculator_called_alone(self, variant):
+        # The rows written out one by one, each calculator on the fields it uses alone;
+        # n_wedge 100 leaves no qualifying pair, so the dprl row is exactly 0.
+        counts, stepwise = table([[30, 2], [15, 40]]), table([[60, 3], [31, 90]])
+        shared = dict(v_max=20.0, gamma=0.95, delta=0.05)
+        expected = []
+        for n_wedge in (1, 10, 100):
+            base = dict(shared, n_wedge=n_wedge, num_states=2, num_actions=2)
+            c = count_c_n_wedge(counts, n_wedge)
+            expected += [
+                {"method": "dprl", "n_wedge": n_wedge, "b": "", "num_states": 2, "c_n_wedge": c,
+                 "bound": dprl_discrete_bound(BoundInputs(**base, c_n_wedge=c), variant),
+                 "note": ""},
+                {"method": "spibb", "n_wedge": n_wedge, "b": "", "num_states": 2, "c_n_wedge": "",
+                 "bound": spibb_bound(BoundInputs(**base)), "note": ""},
+                {"method": "pqi", "n_wedge": n_wedge, "b": 0.02, "num_states": 2, "c_n_wedge": "",
+                 "bound": pqi_bound(BoundInputs(**base, b=0.02, dataset_size=500)),
+                 "note": "up_to_constants"},
+                {"method": "count_pessimism", "n_wedge": n_wedge, "b": "", "num_states": 2,
+                 "c_n_wedge": "", "bound": count_pessimism_bound(stepwise, BoundInputs(**base)),
+                 "note": ""},
+            ]
+        rows = bound_comparison_rows(
+            counts, pessimism_counts=stepwise, n_wedge_grid=[1, 10, 100], num_states=2,
+            num_actions=2, pqi_b=0.02, dataset_size=500, variant=variant, **shared,
+        )
+        assert [r["c_n_wedge"] for r in rows if r["method"] == "dprl"] == [4, 3, 0]
+        assert rows == expected
+        assert [list(r) for r in rows] == [list(r) for r in expected]
+
     def test_pessimism_rows_use_their_own_counts(self):
         gating = table([[5, 5], [5, 5]])
         stepwise = CountTable(n_sa=np.array([[50, 1], [1, 50]]))

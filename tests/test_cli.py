@@ -77,6 +77,9 @@ MALFORMED_CONFIG_IDS = ["dataset-not-object", "root-list", "environment-without-
                     "algorithm-not-object"]
 CARELESS_OUT_OF_RANGE = _edited(lambda c: c.update(
     environment={"id": "gridworld", "side": 4, "careless_states": [100]}))
+# noise 0 makes every action equivalent, so the default careless states have no greedy path.
+NOISELESS_GRIDWORLD = _edited(lambda c: c.update(
+    environment={"id": "gridworld", "side": 4, "noise": 0}))
 
 
 class TestValidateConfig:
@@ -533,6 +536,18 @@ class TestBounds:
         for row in rows:
             assert float(row["bound"]) <= 0.0
 
+    def test_zero_trajectories_rejected_before_the_environment_is_built(self, tmp_path, capsys):
+        config = base_config()
+        config["dataset"]["num_trajectories"] = 0
+        for environment in (config["environment"], CARELESS_OUT_OF_RANGE["environment"]):
+            config["environment"] = environment
+            cfg = write_config(tmp_path, config)
+            out = tmp_path / "out"
+            assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: bounds: dataset.num_trajectories must be >= 1, got 0\n")
+            assert not out.exists()
+
     def test_missing_bounds_section_rejected(self, tmp_path, capsys):
         config = base_config()
         del config["bounds"]
@@ -746,8 +761,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config, message",
         MALFORMED_CONFIGS
-        + [(CARELESS_OUT_OF_RANGE, "environment[gridworld]: careless state 100 out of range")],
-        ids=[*MALFORMED_CONFIG_IDS, "builder-failure"],
+        + [(CARELESS_OUT_OF_RANGE, "environment[gridworld]: careless state 100 out of range"),
+           (NOISELESS_GRIDWORLD,
+            "environment[gridworld]: greedy path failed to reach the goal")],
+        ids=[*MALFORMED_CONFIG_IDS, "builder-failure", "builder-runtime-error"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, config)
@@ -760,6 +777,22 @@ class TestExitCodes:
         rc = cli.main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_config_path_that_cannot_be_read_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, base_config())
+        for path, reason in ((tmp_path, "Is a directory"), (cfg / "x.json", "Not a directory")):
+            assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: cannot read config file {path}: {reason}\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {cfg}: Permission denied\n")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

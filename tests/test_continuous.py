@@ -217,6 +217,12 @@ class TestIndex:
             array[...] = 5
         assert_same_verdict(query(index, np.array([0.15]), 1), before)
 
+    def test_universe_is_the_ascending_tuple_of_stored_actions(self):
+        index = flat_index([[0.0]] * 5, [7, -2, 7, 0, -2], [0.0] * 5, 1.0)
+        assert index.universe == (-2, 0, 7)
+        assert all(type(a) is int for a in index.universe)
+        assert flat_index(np.empty((0, 1)), [], [], 1.0).universe == ()
+
     def test_suffix_returns_stored_per_timestep(self):
         traj = ContinuousTrajectory(
             states=np.array([[0.0], [1.0]]),
