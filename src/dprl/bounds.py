@@ -15,8 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import CountTable
-from .mdp import COUNT, FRACTION, LEVEL, NONNEGATIVE, POSITIVE, RADIUS, check, one_of
+from .estimation import EVERY_VISIT, FIRST_VISIT, CountTable, count_visits
+from .mdp import (
+    COUNT,
+    FRACTION,
+    LEVEL,
+    NONNEGATIVE,
+    POSITIVE,
+    RADIUS,
+    TabularMdp,
+    TrajectoryDataset,
+    check,
+    one_of,
+)
 
 VARIANT_STATEMENT = "statement"
 VARIANT_PROOF = "proof"
@@ -150,39 +161,38 @@ def count_pessimism_bound(counts: CountTable, inputs: BoundInputs) -> float:
 
 
 def bound_comparison_rows(
-    counts: CountTable,
-    *,
-    pessimism_counts: CountTable,
-    v_max: float,
-    gamma: float,
+    dataset: TrajectoryDataset,
+    mdp: TabularMdp,
     delta: float,
     n_wedge_grid: list[int],
-    num_states: int,
-    num_actions: int,
     pqi_b: float,
-    dataset_size: int,
     variant: str = VARIANT_STATEMENT,
 ) -> list[dict]:
-    """One row per (threshold, method) for CSV emission.
+    """One row per (threshold, method) for CSV emission, on ``dataset`` logged in ``mdp``.
 
-    The filtered planner's row does not depend on the threshold; it is
-    repeated per grid point so the table stays rectangular.  ``counts``
-    gates the decision-point rows; count-based pessimism averages over the
-    dataset's step distribution, so it takes its own (every-visit) table,
-    ``pessimism_counts``.
+    The dataset's first-visit counts gate the decision-point rows;
+    count-based pessimism averages over the dataset's step distribution, so
+    it takes the every-visit counts.  The filtered planner's row does not
+    depend on the threshold; it is repeated per grid point so the table
+    stays rectangular.
     """
+    if (dataset.num_states, dataset.num_actions) != (mdp.num_states, mdp.num_actions):
+        raise ValueError("dataset shape does not match the MDP")
+    counts = count_visits(dataset, FIRST_VISIT)
+    pessimism_counts = count_visits(dataset, EVERY_VISIT)
     rows: list[dict] = []
     for n_wedge in n_wedge_grid:
         c = count_c_n_wedge(counts, n_wedge)
-        inputs = BoundInputs(v_max=v_max, gamma=gamma, n_wedge=n_wedge, delta=delta, c_n_wedge=c,
-                             num_states=num_states, num_actions=num_actions, b=pqi_b,
-                             dataset_size=dataset_size)
+        inputs = BoundInputs(v_max=mdp.v_max, gamma=mdp.gamma, n_wedge=n_wedge, delta=delta,
+                             c_n_wedge=c, num_states=mdp.num_states, num_actions=mdp.num_actions,
+                             b=pqi_b, dataset_size=len(dataset))
         for method, bound, b, c_n_wedge, note in (
             ("dprl", dprl_discrete_bound(inputs, variant=variant), "", c, ""),
             ("spibb", spibb_bound(inputs), "", "", ""),
             ("pqi", pqi_bound(inputs), pqi_b, "", "up_to_constants"),
             ("count_pessimism", count_pessimism_bound(pessimism_counts, inputs), "", "", ""),
         ):
-            rows.append({"method": method, "n_wedge": n_wedge, "b": b, "num_states": num_states,
-                         "c_n_wedge": c_n_wedge, "bound": bound, "note": note})
+            rows.append({"method": method, "n_wedge": n_wedge, "b": b,
+                         "num_states": mdp.num_states, "c_n_wedge": c_n_wedge, "bound": bound,
+                         "note": note})
     return rows

@@ -15,9 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import VARIANT, VARIANT_STATEMENT, bound_comparison_rows
+from .bounds import VARIANT, bound_comparison_rows
 from .envs import ENVIRONMENTS, build_environment
-from .estimation import EVERY_VISIT, FIRST_VISIT, count_visits
 from .evaluation import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -252,22 +251,7 @@ def cmd_bounds(args, config: dict, out: Path) -> int:
         raise ConfigError("bounds: dataset.num_trajectories must be >= 1, got 0")
     mdp, behavior = _build_env(config)
     dataset = simulate(mdp, behavior, **config["dataset"])
-    first = count_visits(dataset, mode=FIRST_VISIT)
-    every = count_visits(dataset, mode=EVERY_VISIT)
-    section = config["bounds"]
-    rows = bound_comparison_rows(
-        first,
-        pessimism_counts=every,
-        v_max=mdp.v_max,
-        gamma=mdp.gamma,
-        delta=section["delta"],
-        n_wedge_grid=section["n_wedge_grid"],
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-        pqi_b=section["pqi_b"],
-        dataset_size=len(dataset),
-        variant=section.get("variant", VARIANT_STATEMENT),
-    )
+    rows = bound_comparison_rows(dataset, mdp, **config["bounds"])
     _write_csv(
         out / "bounds.csv",
         ["method", "n_wedge", "b", "num_states", "c_n_wedge", "bound", "note"],

@@ -24,6 +24,7 @@ import numpy as np
 from .mdp import (
     COUNT,
     FRACTION,
+    INTEGER,
     BehaviorPolicy,
     RewardSpec,
     TabularMdp,
@@ -41,7 +42,6 @@ _GRID_MOVES = ((0, 1), (1, 0), (0, -1), (-1, 0))  # (dx, dy) per action
 _EPSILON = rule("a number in [0, 0.5]", numbers.Real, lambda v: 0 <= v <= 0.5)
 _PROBABILITY = rule("a number in [0, 1]", numbers.Real, lambda v: 0 <= v <= 1)
 _SIDE = at_least(2)
-_INTEGER = rule("an integer", numbers.Integral, lambda v: True)
 
 
 def build_forest_mdp(
@@ -228,19 +228,6 @@ def _spaced_interior(path: list[int], count: int) -> frozenset[int]:
     return frozenset(interior[(k * len(interior)) // (count + 1)] for k in range(1, count + 1))
 
 
-def greedy_intended_path(mdp: TabularMdp, side: int) -> list[int]:
-    """States along the optimal policy's intended route from start to goal."""
-    _, _, greedy = optimal_values(mdp)
-    return _greedy_walk(greedy, mdp.start_state, side)
-
-
-def default_careless_states(
-    side: int, noise: float = 0.9, gamma: float = 0.95, count: int = 5
-) -> frozenset[int]:
-    """Evenly spaced interior states of the optimal corridor."""
-    return _spaced_interior(greedy_intended_path(_grid_mdp(side, noise, gamma), side), count)
-
-
 def build_gridworld(
     side: int = 10,
     noise: float = 0.9,
@@ -273,7 +260,7 @@ def build_gridworld(
     if careless_states is not None:
         careless_states = list(careless_states)
         for s in careless_states:
-            if not 0 <= check("careless state", s, _INTEGER) < num_states:
+            if not 0 <= check("careless state", s, INTEGER) < num_states:
                 raise ValueError(f"careless state {s} out of range")
         careless_states = frozenset(int(s) for s in careless_states)
 
@@ -315,7 +302,7 @@ ENVIRONMENTS = {
         "side": _SIDE,
         "noise": _PROBABILITY,
         "careless_states": rule("null or a list of integers", (list, type(None)),
-                                lambda v: v is None or all(map(_INTEGER[1], v))),
+                                lambda v: v is None or all(map(INTEGER[1], v))),
         "gamma": FRACTION,
         "explore": _PROBABILITY,
     }, build_gridworld),

@@ -73,6 +73,7 @@ def one_of(*options: str) -> tuple:
 
 
 # No rule passes a bool, and 2.0, nan and inf are not integers.
+INTEGER = rule("an integer", numbers.Integral, lambda v: True)
 COUNT = at_least(1)
 NONNEGATIVE = at_least(0)
 FRACTION = rule("a number in (0, 1)", numbers.Real, lambda v: 0 < v < 1)
@@ -451,18 +452,18 @@ class TrajectoryDataset(_Frozen):
         return VisitIndex(self)
 
 
-def _hashmix(value, const: int, u32=int, mult: int = 0x931E8875):
-    """numpy's ``SeedSequence`` hashmix and next constant; ``u32=np.uint32`` for uint32 arrays."""
+def _hashmix(value: np.ndarray, const: int, mult: int = 0x931E8875) -> tuple[np.ndarray, int]:
+    """numpy's ``SeedSequence`` hashmix of uint32 lanes ``value``, and the next constant."""
     nxt = const * mult & _MASK32
-    mixed = (value ^ u32(const)) * u32(nxt) & u32(_MASK32)
-    return mixed ^ mixed >> u32(16), nxt
+    mixed = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return mixed ^ mixed >> np.uint32(16), nxt
 
 
-def _mix(value, word, const: int, u32=int):
-    """numpy's ``SeedSequence`` mix of ``hashmix(word)`` into pool word ``value``; next constant."""
-    mixed, const = _hashmix(word, const, u32)
-    mixed = (u32(0xCA01F9DD) * value - u32(0x4973F715) * mixed) & u32(_MASK32)
-    return mixed ^ mixed >> u32(16), const
+def _mix(value: np.ndarray, word: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """numpy's ``SeedSequence`` mix of ``hashmix(word)`` into uint32 lanes ``value``; next const."""
+    mixed, const = _hashmix(word, const)
+    mixed = np.uint32(0xCA01F9DD) * value - np.uint32(0x4973F715) * mixed
+    return mixed ^ mixed >> np.uint32(16), const
 
 
 def trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -470,43 +471,34 @@ def trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
 
     Each equals ``SeedSequence(entropy=master_seed, spawn_key=(i,))``'s
     ``generate_state(1, np.uint64)[0]``, so any trajectory can be regenerated
-    alone.  The pool after the master's words, shared by all ``i``, is built
-    in Python ints; the index words (two from 2**32 on) mix in as uint32
-    lanes.  An index outside ``[0, 2**64)`` raises ``ValueError``.
+    alone.  The pool after the master's words, shared by all ``i``, is
+    ``SeedSequence(master_seed).pool``; the index words (two from 2**32 on)
+    mix into it as uint32 lanes.  An index outside ``[0, 2**64)`` raises
+    ``ValueError``, as does a bool or non-integer argument.
     """
-    master_seed, start, stop = map(operator.index, (master_seed, start, stop))
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed}")
+    master_seed = int(check("master_seed", master_seed, NONNEGATIVE))
+    start = int(check("start", start, INTEGER))
+    stop = int(check("stop", stop, INTEGER))
     if start >= stop:
         return np.empty(0, dtype=np.uint64)
     if start < 0 or stop > _SEED_LIMIT:
         raise ValueError(f"trajectory indices [{start}, {stop}) reach outside [0, 2**64)")
-    # Little-endian words, zero-padded to the pool size as numpy pads a spawned sequence's.
-    words = [master_seed >> shift & _MASK32 for shift in range(0, master_seed.bit_length(), 32)]
-    words += [0] * (4 - len(words))
-    pool, const = [], 0x43B0D7E5
-    for word in words[:4]:
-        mixed, const = _hashmix(word, const)
-        pool.append(mixed)
-    for src in range(4):  # every ordered pair, so late words reach early ones
-        for dst in range(4):
-            if src != dst:
-                pool[dst], const = _mix(pool[dst], pool[src], const)
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst], const = _mix(pool[dst], word, const)
     index = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
-    pool = [np.full(len(index), value, dtype=np.uint32) for value in pool]
+    pool = [np.full(len(index), value, dtype=np.uint32)
+            for value in np.random.SeedSequence(master_seed).pool]
+    # The pool took 4 hashmixes per master word, at least 4 words; the index words go on from there.
+    words = -(-master_seed.bit_length() // 32)
+    const = 0x43B0D7E5 * pow(0x931E8875, 4 * max(4, words), 2**32) & _MASK32
     low, high = (index & np.uint64(_MASK32)).astype(np.uint32), index >> np.uint64(32)
     for dst in range(4):
-        pool[dst], const = _mix(pool[dst], low, const, np.uint32)
+        pool[dst], const = _mix(pool[dst], low, const)
     if high.any():  # a second index word mixes into its lanes alone
         long, high = high > np.uint64(0), high.astype(np.uint32)
         for dst in range(4):
-            mixed, const = _mix(pool[dst], high, const, np.uint32)
+            mixed, const = _mix(pool[dst], high, const)
             pool[dst] = np.where(long, mixed, pool[dst])
-    word0, const = _hashmix(pool[0], 0x8B51F9DD, np.uint32, mult=0x58F38DED)  # generate_state
-    word1, _ = _hashmix(pool[1], const, np.uint32, mult=0x58F38DED)
+    word0, const = _hashmix(pool[0], 0x8B51F9DD, mult=0x58F38DED)  # generate_state
+    word1, _ = _hashmix(pool[1], const, mult=0x58F38DED)
     return word0.astype(np.uint64) | word1.astype(np.uint64) << np.uint64(32)
 
 

@@ -466,6 +466,24 @@ def loop_grid_transitions(side: int, noise: float) -> np.ndarray:
     return transitions
 
 
+def greedy_grid_path(side: int, greedy) -> list[int] | None:
+    """The greedy policy's intended walk on the grid, bottom-left start to top-right goal.
+
+    One cell per intended move, clamped at the walls; ``None`` if the walk
+    does not arrive within ``side**2`` moves.
+    """
+    moves = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    goal = side * side - 1
+    path = [0]
+    while path[-1] != goal:
+        if len(path) > side * side:
+            return None
+        x, y = path[-1] % side, path[-1] // side
+        dx, dy = moves[int(greedy[path[-1]])]
+        path.append(min(max(y + dy, 0), side - 1) * side + min(max(x + dx, 0), side - 1))
+    return path
+
+
 def loop_suffix_returns(rewards, gamma: float) -> np.ndarray:
     """Discounted suffix returns by one backward loop over a single trajectory."""
     rewards = np.asarray(rewards, dtype=np.float64)

@@ -84,16 +84,7 @@ def test_criterion_2_tightest_bound_on_every_forest_size():
         mdp, behavior = build_environment("forest", num_chains=num_chains)
         dataset = simulate(mdp, behavior, 300, 30, 12345)
         rows = bound_comparison_rows(
-            count_visits(dataset, mode=FIRST_VISIT),
-            pessimism_counts=count_visits(dataset, mode=EVERY_VISIT),
-            v_max=mdp.v_max,
-            gamma=mdp.gamma,
-            delta=0.05,
-            n_wedge_grid=[1, 10, 100],
-            num_states=mdp.num_states,
-            num_actions=mdp.num_actions,
-            pqi_b=0.02,
-            dataset_size=len(dataset),
+            dataset, mdp, delta=0.05, n_wedge_grid=[1, 10, 100], pqi_b=0.02
         )
         for i in range(0, len(rows), 4):
             magnitudes = {r["method"]: abs(r["bound"]) for r in rows[i : i + 4]}

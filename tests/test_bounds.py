@@ -17,7 +17,10 @@ from dprl.bounds import (
     pqi_bound,
     spibb_bound,
 )
-from dprl.estimation import CountTable
+from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, count_visits
+from dprl.mdp import TrajectoryDataset
+
+from conftest import make_dataset, make_traj, random_mdp
 
 # frozen from closed-form arithmetic done outside the package
 DISCRETE_EXAMPLE = -2.145966026289347  # V=1 g=0.9 Nw=100 C=10 d=0.1
@@ -348,20 +351,30 @@ class TestCountPessimism:
             count_pessimism_bound(table([[0, 0]]), self.inputs())
 
 
+# A dense random MDP reaches every state from every pair, so any (state, action) sequence is a
+# trajectory it could log; v_max is 1 / (1 - 0.95).
+ROWS_MDP = random_mdp(np.random.default_rng(0), 2, 2, gamma=0.95)
+
+
+def pair_dataset(trajectories) -> TrajectoryDataset:
+    """A dataset on ``ROWS_MDP`` of the given ``(state, action)`` sequences, rewards 0."""
+    return make_dataset([make_traj([s for s, _ in pairs], [a for _, a in pairs], [0.0] * len(pairs),
+                                   seed=i) for i, pairs in enumerate(trajectories)], 2, 2)
+
+
+def first_visit_dataset(n_sa, repeats: int) -> TrajectoryDataset:
+    """Trajectory ``i`` takes each pair ``(s, a)`` with ``n_sa[s][a] > i`` ``repeats`` times in a
+    row, so the first-visit table is ``n_sa`` and the every-visit table ``repeats * n_sa``."""
+    pairs = [(s, a) for s in range(2) for a in range(2)]
+    return pair_dataset([[p for p in pairs if n_sa[p[0]][p[1]] > i for _ in range(repeats)]
+                         for i in range(int(np.max(n_sa)))])
+
+
 class TestComparisonRows:
     def test_rectangular_table_with_notes(self):
-        counts = table([[30, 2], [15, 40]])
+        dataset = first_visit_dataset([[30, 2], [15, 40]], repeats=1)
         rows = bound_comparison_rows(
-            counts,
-            v_max=20.0,
-            gamma=0.95,
-            delta=0.05,
-            n_wedge_grid=[1, 10, 100],
-            num_states=2,
-            num_actions=2,
-            pqi_b=0.02,
-            dataset_size=500,
-            pessimism_counts=counts,
+            dataset, ROWS_MDP, delta=0.05, n_wedge_grid=[1, 10, 100], pqi_b=0.02
         )
         assert len(rows) == 12
         methods = [r["method"] for r in rows[:4]]
@@ -381,8 +394,10 @@ class TestComparisonRows:
     def test_each_row_is_its_calculator_called_alone(self, variant):
         # The rows written out one by one, each calculator on the fields it uses alone;
         # n_wedge 100 leaves no qualifying pair, so the dprl row is exactly 0.
-        counts, stepwise = table([[30, 2], [15, 40]]), table([[60, 3], [31, 90]])
-        shared = dict(v_max=20.0, gamma=0.95, delta=0.05)
+        dataset = first_visit_dataset([[30, 2], [15, 40]], repeats=2)
+        counts = count_visits(dataset, FIRST_VISIT)
+        stepwise = count_visits(dataset, EVERY_VISIT)
+        shared = dict(v_max=ROWS_MDP.v_max, gamma=ROWS_MDP.gamma, delta=0.05)
         expected = []
         for n_wedge in (1, 10, 100):
             base = dict(shared, n_wedge=n_wedge, num_states=2, num_actions=2)
@@ -394,41 +409,39 @@ class TestComparisonRows:
                 {"method": "spibb", "n_wedge": n_wedge, "b": "", "num_states": 2, "c_n_wedge": "",
                  "bound": spibb_bound(BoundInputs(**base)), "note": ""},
                 {"method": "pqi", "n_wedge": n_wedge, "b": 0.02, "num_states": 2, "c_n_wedge": "",
-                 "bound": pqi_bound(BoundInputs(**base, b=0.02, dataset_size=500)),
+                 "bound": pqi_bound(BoundInputs(**base, b=0.02, dataset_size=len(dataset))),
                  "note": "up_to_constants"},
                 {"method": "count_pessimism", "n_wedge": n_wedge, "b": "", "num_states": 2,
                  "c_n_wedge": "", "bound": count_pessimism_bound(stepwise, BoundInputs(**base)),
                  "note": ""},
             ]
         rows = bound_comparison_rows(
-            counts, pessimism_counts=stepwise, n_wedge_grid=[1, 10, 100], num_states=2,
-            num_actions=2, pqi_b=0.02, dataset_size=500, variant=variant, **shared,
+            dataset, ROWS_MDP, delta=0.05, n_wedge_grid=[1, 10, 100], pqi_b=0.02, variant=variant
         )
         assert [r["c_n_wedge"] for r in rows if r["method"] == "dprl"] == [4, 3, 0]
         assert rows == expected
         assert [list(r) for r in rows] == [list(r) for r in expected]
 
     def test_pessimism_rows_use_their_own_counts(self):
-        gating = table([[5, 5], [5, 5]])
-        stepwise = CountTable(n_sa=np.array([[50, 1], [1, 50]]))
-        shared = dict(
-            v_max=1.0,
-            gamma=0.9,
-            delta=0.1,
-            n_wedge_grid=[1],
-            num_states=2,
-            num_actions=2,
-            pqi_b=0.02,
-            dataset_size=100,
-        )
-        with pytest.raises(TypeError, match="pessimism_counts"):  # no silent fallback to gating
-            bound_comparison_rows(gating, **shared)
-        rows = bound_comparison_rows(gating, pessimism_counts=stepwise, **shared)
+        # Five trajectories that each repeat two pairs: first-visit counts [[5, 5], [5, 5]] gate,
+        # every-visit counts [[50, 5], [5, 50]] weigh the pessimism penalty.
+        dataset = pair_dataset([[(0, 0)] * 10 + [(0, 1), (1, 0)] + [(1, 1)] * 10] * 5)
+        gating = count_visits(dataset, FIRST_VISIT)
+        stepwise = count_visits(dataset, EVERY_VISIT)
+        assert gating.n_sa.tolist() == [[5, 5], [5, 5]]
+        assert stepwise.n_sa.tolist() == [[50, 5], [5, 50]]
+        rows = bound_comparison_rows(dataset, ROWS_MDP, delta=0.1, n_wedge_grid=[1, 10], pqi_b=0.02)
+        # n_wedge 10 leaves no pair gated in, though two pairs were taken 50 times each.
+        assert [r["c_n_wedge"] for r in rows if r["method"] == "dprl"] == [4, 0]
         pessimism = [r for r in rows if r["method"] == "count_pessimism"][0]
-        expected = count_pessimism_bound(
-            stepwise,
-            BoundInputs(
-                v_max=1.0, gamma=0.9, n_wedge=1, delta=0.1, num_states=2, num_actions=2
-            ),
+        inputs = BoundInputs(
+            v_max=ROWS_MDP.v_max, gamma=0.95, n_wedge=1, delta=0.1, num_states=2, num_actions=2
         )
+        expected = count_pessimism_bound(stepwise, inputs)
         assert pessimism["bound"] == pytest.approx(expected, rel=1e-12)
+        assert pessimism["bound"] != pytest.approx(count_pessimism_bound(gating, inputs), rel=1e-3)
+
+    def test_dataset_of_another_shape_rejected(self):
+        dataset = make_dataset([make_traj([0, 2], [0, 0], [0.0, 0.0])], 3, 2)
+        with pytest.raises(ValueError, match="dataset shape does not match the MDP"):
+            bound_comparison_rows(dataset, ROWS_MDP, delta=0.1, n_wedge_grid=[1], pqi_b=0.02)

@@ -11,17 +11,22 @@ from dprl.envs import (
     build_environment,
     build_forest_mdp,
     build_gridworld,
-    default_careless_states,
-    greedy_intended_path,
 )
 from dprl.evaluation import MixedPolicy, exact_value
 from dprl.mdp import BehaviorPolicy
 from dprl.solvers import optimal_values
-from oracles import loop_grid_transitions
+from oracles import greedy_grid_path, loop_grid_transitions
 
 # independently derived in closed form (Fraction arithmetic)
 FOREST_BEHAVIOR_ROOT_VALUE = 0.54336744  # depth 3, gamma 0.99, epsilon 0.1
 GRID2_OPTIMAL_START_VALUE = 6.011393514460999  # side 2, noise 1, gamma 0.95
+
+
+def corridor_picks(path: list[int]) -> list[int]:
+    """The documented default careless states: 5 evenly spaced interior states of ``path``."""
+    interior = path[1:-1]
+    count = min(5, len(interior))
+    return [interior[k * len(interior) // (count + 1)] for k in range(1, count + 1)]
 
 
 class TestForest:
@@ -176,17 +181,23 @@ class TestGridworld:
             build_gridworld(side=3, careless_states=frozenset(), explore=1.5)
 
     def test_default_careless_states_sit_on_corridor_interior(self):
-        picks = default_careless_states(side=6)
-        mdp, _ = build_gridworld(side=6, careless_states=frozenset())
-        interior = set(greedy_intended_path(mdp, side=6)[1:-1])
-        assert picks <= interior
+        mdp, behavior = build_gridworld(side=6)
+        # With explore 0 only a careless row puts 0.9 on one action.
+        picks = np.flatnonzero(behavior.action_probabilities.max(axis=1) == 0.9).tolist()
+        path = greedy_grid_path(6, optimal_values(mdp)[2])
+        assert set(picks) <= set(path[1:-1])
         assert len(picks) == 5
-        assert picks == default_careless_states(side=6)
+        assert picks == sorted(corridor_picks(path))
+        _, again = build_gridworld(side=6)
+        assert again.action_probabilities.tobytes() == behavior.action_probabilities.tobytes()
 
     def test_greedy_path_on_tiny_grid(self):
-        mdp, _ = build_gridworld(side=2, noise=1.0, careless_states=frozenset())
-        path = greedy_intended_path(mdp, side=2)
+        mdp, behavior = build_gridworld(side=2, noise=1.0)
+        path = greedy_grid_path(2, optimal_values(mdp)[2])
         assert path[0] == 0 and path[-1] == 3 and len(path) == 3
+        # the one interior state is the default careless pick
+        careless = np.flatnonzero(behavior.action_probabilities.max(axis=1) < 1.0).tolist()
+        assert careless == path[1:2]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -213,10 +224,10 @@ class TestGridOracle:
                     assert mdp.transitions.tobytes() == expected
 
     @pytest.mark.parametrize("side", range(3, 13, 3))
-    def test_default_careless_pick_matches_public_helper(self, side):
+    def test_default_careless_pick_matches_corridor_oracle(self, side):
         for noise, gamma, explore in ((0.5, 0.9, 0.0), (0.9, 0.95, 0.2), (1.0, 0.99, 0.0)):
-            picks = default_careless_states(side, noise=noise, gamma=gamma)
-            _, implicit = build_gridworld(side=side, noise=noise, gamma=gamma, explore=explore)
+            mdp, implicit = build_gridworld(side=side, noise=noise, gamma=gamma, explore=explore)
+            picks = corridor_picks(greedy_grid_path(side, optimal_values(mdp)[2]))
             _, explicit = build_gridworld(
                 side=side, noise=noise, careless_states=picks, gamma=gamma, explore=explore
             )
@@ -228,10 +239,9 @@ class TestGridOracle:
         # noise 0 makes every action equivalent; the greedy walk never arrives
         with pytest.raises(RuntimeError, match="greedy path failed"):
             build_gridworld(side=4, noise=0.0)
-        with pytest.raises(RuntimeError, match="greedy path failed"):
-            default_careless_states(4, noise=0.0)
         mdp, _ = build_gridworld(side=4, noise=0.0, careless_states=frozenset())
         assert mdp.num_states == 16
+        assert greedy_grid_path(4, optimal_values(mdp)[2]) is None
 
 
 class TestRegistry:

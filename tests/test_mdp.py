@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -222,6 +222,8 @@ class TestSeeds:
                | st.integers(2**64 - 20, 2**64)),
         length=st.integers(0, 24),
     )
+    @example(master_seed=0, start=0, length=24)
+    @example(master_seed=2**128 + 2**96 + 5, start=2**32 - 3, length=6)
     def test_trajectory_seeds_equal_numpy(self, master_seed, start, length):
         # Masters of 1 to 7 words; ranges that cross 2**32 (one index word to two) and empty ones.
         stop = min(start + length, 2**64)
@@ -245,6 +247,21 @@ class TestSeeds:
             trajectory_seeds(0, 2**64 - 1, 2**64 + 1)
         with pytest.raises(ValueError, match="master_seed must be an integer >= 0"):
             trajectory_seeds(-1, 0, 1)
+
+    @pytest.mark.parametrize("master_seed", [True, False, 1.0, "1"])
+    def test_trajectory_seeds_master_must_be_a_non_bool_integer(self, master_seed):
+        with pytest.raises(ValueError, match=r"master_seed must be an integer >= 0, got "):
+            trajectory_seeds(master_seed, 0, 2)
+
+    @pytest.mark.parametrize("start", [True, False, 0.0])
+    def test_trajectory_seeds_start_must_be_a_non_bool_integer(self, start):
+        with pytest.raises(ValueError, match=r"^start must be an integer, got "):
+            trajectory_seeds(0, start, 2)
+
+    @pytest.mark.parametrize("stop", [True, False, 2.0])
+    def test_trajectory_seeds_stop_must_be_a_non_bool_integer(self, stop):
+        with pytest.raises(ValueError, match=r"^stop must be an integer, got "):
+            trajectory_seeds(0, 0, stop)
 
     def test_trajectory_seed_distinct_across_masters(self):
         a = {trajectory_seed(1, i) for i in range(100)}
