@@ -26,7 +26,7 @@ from .estimation import (
     segment_ids,
     segment_suffix_returns,
 )
-from .mdp import COUNT, FRACTION, RADIUS, _int_ids, _read_only, _reals, check, one_of
+from .mdp import COUNT, FRACTION, RADIUS, _array, _read_only, check, one_of
 
 NEIGHBOR_ALL = "all"
 NEIGHBOR_FIRST = "first-per-trajectory"
@@ -42,9 +42,9 @@ class ContinuousTrajectory:
     rewards: np.ndarray
 
     def __post_init__(self) -> None:
-        self.states = _reals(self.states, "states")
-        self.actions = _int_ids(self.actions, "actions")
-        self.rewards = _reals(self.rewards, "rewards")
+        self.states = _array(self.states, "states")
+        self.actions = _array(self.actions, "actions", ids=True)
+        self.rewards = _array(self.rewards, "rewards")
         if self.states.ndim != 2:
             raise ValueError("states must be (T, d)")
         if not (len(self.states) == len(self.actions) == len(self.rewards)):
@@ -65,10 +65,6 @@ class ContinuousVerdict:
     q_estimates: dict[int, float]
     action_counts: dict[int, int]
     state_count: int
-
-    @property
-    def deferred(self) -> bool:
-        return self.decision is None
 
 
 class NeighborIndex:
@@ -98,11 +94,11 @@ class NeighborIndex:
         metric_weights: np.ndarray,
         radius: float,
     ) -> None:
-        self.states = _reals(states, "states")
-        self.actions = _int_ids(actions, "actions")
-        self.returns = _reals(returns, "returns")
-        self.trajectory_ids = _int_ids(trajectory_ids, "trajectory_ids")
-        self.metric_weights = _reals(metric_weights, "metric_weights")
+        self.states = _array(states, "states")
+        self.actions = _array(actions, "actions", ids=True)
+        self.returns = _array(returns, "returns")
+        self.trajectory_ids = _array(trajectory_ids, "trajectory_ids", ids=True)
+        self.metric_weights = _array(metric_weights, "metric_weights")
         w = self.metric_weights
         if w.ndim != 1 or not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("metric_weights must be positive and finite per dimension")
@@ -133,7 +129,7 @@ class NeighborIndex:
         A state of the wrong shape, of strings or bools, or with a NaN or
         infinite coordinate raises ``ValueError``.
         """
-        state = _reals(state, "state")
+        state = _array(state, "state")
         if state.shape != self._scale.shape:
             raise ValueError(f"state must have shape {self._scale.shape}, got {state.shape}")
         if not np.isfinite(state).all():
@@ -150,7 +146,7 @@ def build_index(
 ) -> NeighborIndex:
     """Store every timestep of every trajectory with its suffix return."""
     check("gamma", gamma, FRACTION)
-    metric_weights = _reals(metric_weights, "metric_weights")
+    metric_weights = _array(metric_weights, "metric_weights")
     trajectories = list(trajectories)  # read several times below
     if any(traj.states.shape[1] != len(metric_weights) for traj in trajectories):
         raise ValueError("trajectory state dimension does not match metric_weights")

@@ -177,27 +177,24 @@ class ExperimentResult:
     seeds: list[int]
     values: dict[str, list[float]]
     defer_fractions: dict[str, list[float]]
-    failures: dict[str, list[int]]
-    # (exception type, message) of each seed in failures[label], in order
-    errors: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+    # (seed, exception type, message) of each failed seed, in seed order
+    failures: dict[str, list[tuple[int, str, str]]]
 
-    def finite_values(self, label: str) -> np.ndarray:
-        vals = np.asarray(self.values[label], dtype=np.float64)
-        return vals[np.isfinite(vals)]
+    def _finite(self, column: dict, label: str, reduce) -> float:
+        """``reduce`` of the label's finite entries in ``column``; nan if there are none."""
+        vals = np.asarray(column[label], dtype=np.float64)
+        finite = vals[np.isfinite(vals)]
+        return float(reduce(finite)) if finite.size else float("nan")
 
     def cvar(self, label: str) -> float:
         """CVaR at 5% of the finite values, as ``summary`` reports it (``cvar_5``)."""
-        finite = self.finite_values(label)
-        return cvar(finite, 0.05) if finite.size else float("nan")
+        return self._finite(self.values, label, lambda v: cvar(v, 0.05))
 
     def mean_value(self, label: str) -> float:
-        finite = self.finite_values(label)
-        return float(finite.mean()) if finite.size else float("nan")
+        return self._finite(self.values, label, np.mean)
 
     def mean_defer_fraction(self, label: str) -> float:
-        vals = np.asarray(self.defer_fractions[label], dtype=np.float64)
-        finite = vals[np.isfinite(vals)]
-        return float(finite.mean()) if finite.size else float("nan")
+        return self._finite(self.defer_fractions, label, np.mean)
 
     def summary(self) -> dict:
         out: dict = {"num_seeds": len(self.seeds), "algorithms": {}}
@@ -206,11 +203,11 @@ class ExperimentResult:
                 "cvar_5": self.cvar(label),
                 "mean_value": self.mean_value(label),
                 "mean_defer_fraction": self.mean_defer_fraction(label),
-                "num_failures": len(self.failures.get(label, [])),
+                "num_failures": len(self.failures[label]),
             }
             if entry["num_failures"]:  # only then, so failure-free summaries keep their bytes
-                cells = zip(self.failures[label], self.errors[label])
-                entry["failures"] = [{"seed": s, "error": e, "message": m} for s, (e, m) in cells]
+                entry["failures"] = [{"seed": s, "error": e, "message": m}
+                                     for s, e, m in self.failures[label]]
         return out
 
 
@@ -224,8 +221,8 @@ def _train_spibb(params, dataset, mdp, behavior):
     if label == "estimated":
         behavior = train_behavior_clone(dataset)
     policy = train_spibb(dataset, behavior, params["n_wedge"], mdp.gamma)
-    policy.params["behavior"] = label
-    return policy, 0.0
+    return BehaviorPolicy(policy.action_probabilities, kind=policy.kind,
+                          params={**policy.params, "behavior": label}), 0.0
 
 
 # name -> (rules of the required keys, rules of the optional keys, trainer).  A
@@ -313,21 +310,18 @@ def run_reliability_experiment(
 
     values: dict[str, list[float]] = {label: [] for label in labels}
     defer_fractions: dict[str, list[float]] = {label: [] for label in labels}
-    failures: dict[str, list[int]] = {label: [] for label in labels}
-    errors: dict[str, list[tuple[str, str]]] = {label: [] for label in labels}
-    for i, row in enumerate(per_seed):
+    failures: dict[str, list[tuple[int, str, str]]] = {label: [] for label in labels}
+    for seed, row in zip(seeds, per_seed):
         for label in labels:
             value, defer, error = row[label]
             values[label].append(value)
             defer_fractions[label].append(defer)
             if error is not None:
-                failures[label].append(seeds[i])
-                errors[label].append(error)
+                failures[label].append((seed, *error))
     return ExperimentResult(
         labels=labels,
         seeds=seeds,
         values=values,
         defer_fractions=defer_fractions,
         failures=failures,
-        errors=errors,
     )

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -157,7 +156,7 @@ class RewardSpec(_Frozen):
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo, hi = _reals(self.lo, "lo"), _reals(self.hi, "hi")
+        lo, hi = _array(self.lo, "lo"), _array(self.hi, "hi")
         if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("reward bounds must be matching (S, A) arrays")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -170,11 +169,6 @@ class RewardSpec(_Frozen):
     def mean(self) -> np.ndarray:
         """Expected reward per (state, action)."""
         return (self.lo + self.hi) / 2.0
-
-    @staticmethod
-    def constant(values: np.ndarray) -> "RewardSpec":
-        values = _reals(values, "values")
-        return RewardSpec(lo=values.copy(), hi=values.copy())
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ class TabularMdp(_Frozen):
     name: str = ""
 
     def __post_init__(self) -> None:
-        transitions = _reals(self.transitions, "transitions")
+        transitions = _array(self.transitions, "transitions")
         if transitions.ndim != 3 or transitions.shape[0] != transitions.shape[2]:
             raise ValueError("transitions must have shape (S, A, S)")
         check("gamma", self.gamma, FRACTION)
@@ -286,7 +280,7 @@ class BehaviorPolicy(_Frozen):
         if check("kind", self.kind, _KIND) == "decision-point":
             raise ValueError("kind must not be 'decision-point', a DecisionPointPolicy's kind")
         check("params", self.params, _PARAMS)
-        rows = _reals(self.action_probabilities, "action_probabilities")
+        rows = _array(self.action_probabilities, "action_probabilities")
         if rows.ndim != 2:
             raise ValueError("action_probabilities must be (S, A)")
         if not _probability_rows(rows).all():
@@ -314,46 +308,37 @@ class BehaviorPolicy(_Frozen):
         return _support_table(self.action_probabilities)
 
 
-def _int_ids(values, name: str) -> np.ndarray:
-    """``values`` as int64 ids; an empty column may have any dtype, others must be integers."""
-    ids = np.asarray(values)
-    if ids.size and ids.dtype.kind not in "iu":  # no silent truncation of 1.5 to 1
-        raise ValueError(f"{name} must hold integer ids, not {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
+def _array(values, name: str, ids: bool = False) -> np.ndarray:
+    """``values`` as int64 ids or float64 numbers, any shape; an empty one may have any dtype.
 
-
-def _reals(values, name: str) -> np.ndarray:
-    """``values`` as float64, any shape; an empty one may have any dtype, others must be numbers."""
-    column = np.asarray(values)
-    if column.size and column.dtype.kind not in "iuf":  # no "1" or True read as 1.0
-        raise ValueError(f"{name} must hold numbers, not {column.dtype}")
-    # Nor a bool among numbers, which numpy reads as float64 too; an ndarray has one dtype.
-    if column.size and not isinstance(values, np.ndarray) and any(
+    No bool or string is read as a number, nor a non-integer as an id: numpy
+    would store True as 1, "1" as 1.0 and 1.5 as id 1.
+    """
+    array = np.asarray(values)
+    kinds, what = ("iu", "integer ids") if ids else ("iuf", "numbers")
+    if array.size and array.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {what}, not {array.dtype}")
+    # Nor a bool among numbers, which numpy casts to their dtype; an ndarray has one dtype.
+    if array.size and not isinstance(values, np.ndarray) and any(
             isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_
             for v in np.asarray(values, dtype=object).flat):
-        raise ValueError(f"{name} must hold numbers, not bool")
-    return column.astype(np.float64, copy=False)
+        raise ValueError(f"{name} must hold {what}, not bool")
+    return array.astype(np.int64 if ids else np.float64, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """One episode: aligned state/action/reward arrays plus its RNG seed.
 
     The state entry at position ``t`` is the state an action was taken in;
     the final arrival state (terminal or horizon cutoff) is not recorded.
+    A record without checks: :meth:`TrajectoryDataset.from_trajectories` checks it.
     """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     seed: int
-
-    def __post_init__(self) -> None:
-        self.states = _int_ids(self.states, "states")
-        self.actions = _int_ids(self.actions, "actions")
-        self.rewards = _reals(self.rewards, "rewards")
-        if not (len(self.states) == len(self.actions) == len(self.rewards)):
-            raise ValueError("states, actions and rewards must have equal length")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -367,10 +352,10 @@ class TrajectoryDataset(_Frozen):
     trajectory ``i`` spans ``offsets[i]:offsets[i + 1]`` and was drawn from
     ``seeds[i]``.  Construction checks that the columns have equal length,
     that ``offsets`` runs from 0 to that length without decreasing, that
-    ``num_states`` and ``num_actions`` are integers >= 0 (not bools), that
-    every id lies in ``[0, num_states)`` or ``[0, num_actions)``, that every
-    seed lies in ``[0, 2**64)`` and that every reward is a finite number
-    (ids and offsets must already be integers, rewards numbers).  It then
+    ``num_states`` and ``num_actions`` are integers >= 0, that every id
+    lies in ``[0, num_states)`` or ``[0, num_actions)``, that every seed is
+    an integer in ``[0, 2**64)`` and that every reward is a finite number
+    (ids and offsets must be integers, rewards numbers, none a bool).  It then
     keeps read-only copies of the columns and refuses attribute writes, so
     :attr:`visits`, built from the columns on first use, can never go stale;
     it stays out of pickles, which unpickle the columns read-only.
@@ -389,16 +374,15 @@ class TrajectoryDataset(_Frozen):
             object.__setattr__(self, name, int(check(name, getattr(self, name), NONNEGATIVE)))
         columns = {}
         for name, limit in (("states", self.num_states), ("actions", self.num_actions)):
-            ids = columns[name] = _int_ids(getattr(self, name), name)
+            ids = columns[name] = _array(getattr(self, name), name, ids=True)
             outside = (ids < 0) | (ids >= limit)
             if outside.any():
                 raise ValueError(f"{name[:-1]} id {ids[outside][0]} outside [0, {limit})")
-        rewards = columns["rewards"] = _reals(self.rewards, "rewards")
+        rewards = columns["rewards"] = _array(self.rewards, "rewards")
         if not np.isfinite(rewards).all():
             raise ValueError(f"reward {rewards[~np.isfinite(rewards)][0]} is not finite")
-        offsets = columns["offsets"] = _int_ids(self.offsets, "offsets")
-        # Python ints, as the JSONL writes them; index() refuses floats.
-        seeds = tuple(operator.index(s) for s in self.seeds)
+        offsets = columns["offsets"] = _array(self.offsets, "offsets", ids=True)
+        seeds = tuple(int(check("seed", s, INTEGER)) for s in self.seeds)
         bad = [s for s in seeds if not 0 <= s < _SEED_LIMIT]
         if bad:
             raise ValueError(f"seed {bad[0]} outside [0, 2**64)")
@@ -417,19 +401,17 @@ class TrajectoryDataset(_Frozen):
     def from_trajectories(
         cls, trajectories, num_states: int, num_actions: int
     ) -> "TrajectoryDataset":
-        """Concatenate per-trajectory arrays into the columns, in the given order."""
+        """Concatenate the trajectories' arrays into the columns, in the given order; each
+        trajectory's ids must be integers and its rewards numbers, 1-d and of equal length."""
         trajs = list(trajectories)
-        offsets = np.zeros(len(trajs) + 1, dtype=np.int64)
-        np.cumsum([len(t) for t in trajs], out=offsets[1:])
-        return cls(
-            states=np.concatenate([np.empty(0, np.int64), *(t.states for t in trajs)]),
-            actions=np.concatenate([np.empty(0, np.int64), *(t.actions for t in trajs)]),
-            rewards=np.concatenate([np.empty(0), *(t.rewards for t in trajs)]),
-            offsets=offsets,
-            seeds=tuple(t.seed for t in trajs),
-            num_states=num_states,
-            num_actions=num_actions,
-        )
+        columns = [[np.empty(0, np.int64), *(_array(getattr(t, name), name, ids) for t in trajs)]
+                   for name, ids in (("states", True), ("actions", True), ("rewards", False))]
+        if any(not s.shape == a.shape == r.shape == (s.size,) for s, a, r in zip(*columns)):
+            raise ValueError("states, actions and rewards must be 1-d and of equal length")
+        states, actions, rewards = map(np.concatenate, columns)
+        return cls(states=states, actions=actions, rewards=rewards,
+                   offsets=np.cumsum([s.size for s in columns[0]]), seeds=[t.seed for t in trajs],
+                   num_states=num_states, num_actions=num_actions)
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -500,11 +482,6 @@ def trajectory_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     word0, const = _hashmix(pool[0], 0x8B51F9DD, mult=0x58F38DED)  # generate_state
     word1, _ = _hashmix(pool[1], const, mult=0x58F38DED)
     return word0.astype(np.uint64) | word1.astype(np.uint64) << np.uint64(32)
-
-
-def trajectory_seed(master_seed: int, index: int) -> int:
-    """The RNG seed of trajectory ``index``, see :func:`trajectory_seeds`."""
-    return int(trajectory_seeds(master_seed, index, operator.index(index) + 1)[0])
 
 
 def _lockstep_rollout(
@@ -610,31 +587,34 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write one JSON object per trajectory: ``{"seed": ..., "steps": [[s, a, r], ...]}``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    states, actions, rewards, bounds = (
+        c.tolist() for c in (dataset.states, dataset.actions, dataset.rewards, dataset.offsets))
     with path.open("w", encoding="utf-8") as fh:
-        for traj in dataset:
-            steps = list(zip(traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()))
-            fh.write(json.dumps({"seed": traj.seed, "steps": steps}) + "\n")
+        for seed, start, end in zip(dataset.seeds, bounds, bounds[1:]):
+            steps = list(zip(states[start:end], actions[start:end], rewards[start:end]))
+            fh.write(json.dumps({"seed": seed, "steps": steps}) + "\n")
 
 
-def _id_column(values: tuple, limit: int, what: str, where: str) -> np.ndarray:
-    """One column of state or action ids; each must be an integer in ``[0, limit)``."""
+def _id_column(values: tuple, limit: int, what: str, where: str) -> tuple:
+    """One line's state or action ids; each must be an integer in ``[0, limit)``."""
     if not all(type(v) is int for v in values):
         bad = next(v for v in values if type(v) is not int)
         raise DatasetError(f"{where}: {what} id {bad!r} is not an integer")
     if values and (min(values) < 0 or max(values) >= limit):
         bad = next(v for v in values if not 0 <= v < limit)
         raise DatasetError(f"{where}: {what} id {bad} outside [0, {limit})")
-    return np.asarray(values, dtype=np.int64)
+    return values
 
 
-def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -> Trajectory:
+def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -> tuple:
+    """One line's seed and its state, action and reward tuples, checked."""
     try:
         record = json.loads(line)
         steps, seed = record["steps"], record["seed"]
         states, actions, rewards = zip(*steps) if steps else ((), (), ())
         well_formed = sum(map(len, steps)) == 3 * len(steps)
         numeric = all(type(r) in (int, float) for r in rewards)
-        reward_array = np.asarray(rewards if numeric else (), dtype=np.float64)
+        finite = numeric and all(map(math.isfinite, rewards))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(
             f'{where}: expected {{"seed": int, "steps": [[s, a, r], ...]}} ({exc})'
@@ -643,15 +623,11 @@ def _read_trajectory(line: str, num_states: int, num_actions: int, where: str) -
         raise DatasetError(f"{where}: seed {seed!r} is not an integer in [0, 2**64)")
     if not well_formed:
         raise DatasetError(f"{where}: every step must be a [state, action, reward] triple")
-    if not numeric or not np.isfinite(reward_array).all():
+    if not finite:
         bad = next(r for r in rewards if type(r) not in (int, float) or not math.isfinite(r))
         raise DatasetError(f"{where}: reward {bad!r} is not a finite number")
-    return Trajectory(
-        states=_id_column(states, num_states, "state", where),
-        actions=_id_column(actions, num_actions, "action", where),
-        rewards=reward_array,
-        seed=seed,
-    )
+    return (seed, _id_column(states, num_states, "state", where),
+            _id_column(actions, num_actions, "action", where), rewards)
 
 
 def load_dataset(path: str | Path, num_states: int, num_actions: int) -> TrajectoryDataset:
@@ -661,15 +637,21 @@ def load_dataset(path: str | Path, num_states: int, num_actions: int) -> Traject
     seeds that are not integers in ``[0, 2**64)`` and non-finite rewards
     raise :class:`DatasetError` naming the line; text that is not UTF-8 one naming the file.
     """
-    trajectories: list[Trajectory] = []
+    seeds, lengths, columns = [], [0], ([], [], [])
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    trajectories.append(
-                        _read_trajectory(line, num_states, num_actions, f"{path} line {lineno}")
-                    )
+                    seed, *steps = _read_trajectory(line, num_states, num_actions,
+                                                    f"{path} line {lineno}")
+                    seeds.append(seed)
+                    lengths.append(len(steps[0]))
+                    for column, values in zip(columns, steps):
+                        column.extend(values)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
-    return TrajectoryDataset.from_trajectories(trajectories, num_states, num_actions)
+    states, actions, rewards = columns
+    return TrajectoryDataset(np.array(states, dtype=np.int64), np.array(actions, dtype=np.int64),
+                             np.array(rewards, dtype=np.float64), np.cumsum(lengths), seeds,
+                             num_states, num_actions)

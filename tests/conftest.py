@@ -52,7 +52,7 @@ def deterministic_chain(
     means[:, 1:] = reward / 2.0
     return TabularMdp(
         transitions=transitions,
-        rewards=RewardSpec.constant(means),
+        rewards=RewardSpec(lo=means, hi=means),
         gamma=gamma,
         start_state=0,
         terminal_states=frozenset({num_states - 1}),
@@ -103,7 +103,7 @@ def random_mdp(
     means = np.round(rng.random((num_states, num_actions)), 3)
     return TabularMdp(
         transitions=transitions,
-        rewards=RewardSpec.constant(means),
+        rewards=RewardSpec(lo=means, hi=means),
         gamma=gamma,
         start_state=0,
         name="random",

@@ -8,6 +8,7 @@ quantities from first principles so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 
@@ -425,6 +426,14 @@ def bisect_rollout(mdp, policy, draws: np.ndarray) -> list[tuple[list, list, lis
             s = min(bisect_right(transition_cdf[s][a], u_s), last_successor[s][a])
         out.append((states, actions, rewards))
     return out
+
+
+def loop_save_dataset(dataset, path) -> None:
+    """The per-trajectory writer: one ``json.dumps`` line per iterated trajectory."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for traj in dataset:
+            steps = list(zip(traj.states.tolist(), traj.actions.tolist(), traj.rewards.tolist()))
+            fh.write(json.dumps({"seed": traj.seed, "steps": steps}) + "\n")
 
 
 def seed_sequence_seed(master_seed: int, index: int) -> int:

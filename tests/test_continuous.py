@@ -402,7 +402,7 @@ class TestQuery:
     def test_single_point_defers_under_count_gate(self):
         index = flat_index(np.zeros((1, 1)), [0], [1.0], radius=0.5)
         verdict = query(index, np.zeros(1), n_wedge=1)
-        assert verdict.deferred
+        assert verdict.decision is None
         assert verdict.state_count == 1
         assert verdict.v_estimate == pytest.approx(1.0)
 
@@ -434,13 +434,13 @@ class TestQuery:
         index = flat_index(np.zeros((5, 1)), actions, returns, radius=0.5)
         verdict = query(index, np.zeros(1), n_wedge=3)
         # pooled 0.56; action 0 mean 0.3 below it, action 1 under-counted
-        assert verdict.deferred
+        assert verdict.decision is None
         assert verdict.action_counts == {0: 3, 1: 2}
 
     def test_out_of_range_query_defers_with_empty_estimates(self):
         index = flat_index(np.zeros((3, 1)), [0, 0, 0], [0.5, 0.5, 0.5], radius=0.5)
         verdict = query(index, np.array([100.0]), n_wedge=1)
-        assert verdict.deferred
+        assert verdict.decision is None
         assert verdict.state_count == 0
         assert verdict.v_estimate is None
         assert verdict.q_estimates == {}
@@ -474,8 +474,8 @@ class TestQuery:
             for k in range(1, 11):
                 verdict = query(index, q, n_wedge=k)
                 if deferred_before:
-                    assert verdict.deferred
-                deferred_before = verdict.deferred
+                    assert verdict.decision is None
+                deferred_before = verdict.decision is None
 
     def test_validation(self):
         index = flat_index(np.zeros((1, 1)), [0], [0.0], 0.1)

@@ -37,7 +37,7 @@ FOREST_MIDDLE_ARM_VALUE = 0.53366445  # 0.55 * 0.99**3, derived by hand
 def single_loop(reward: float = 0.5, gamma: float = 0.75) -> TabularMdp:
     return TabularMdp(
         transitions=np.ones((1, 1, 1)),
-        rewards=RewardSpec.constant(np.array([[reward]])),
+        rewards=RewardSpec(lo=np.array([[reward]]), hi=np.array([[reward]])),
         gamma=gamma,
         start_state=0,
     )
@@ -216,7 +216,7 @@ class TestTrainDispatch:
             mdp,
             behavior,
         )
-        assert learned.params["behavior"] == "estimated"
+        assert learned.params == {"n_wedge": 3.0, "behavior": "estimated"}
         with pytest.raises(ValueError):
             train_algorithm(
                 AlgorithmSpec(
@@ -226,6 +226,19 @@ class TestTrainDispatch:
                 mdp,
                 behavior,
             )
+
+    def test_spibb_label_leaves_the_trained_policy_alone(self, monkeypatch):
+        # The trainer's frozen policy keeps its params; the labelled one is a new record.
+        mdp, behavior = build_forest_mdp(num_chains=1, depth=1, epsilon=0.2)
+        trained = BehaviorPolicy(behavior.action_probabilities, kind="spibb",
+                                 params={"n_wedge": 3.0})
+        monkeypatch.setattr(evaluation, "train_spibb", lambda *args: trained)
+        ds = simulate(mdp, behavior, num_trajectories=5, horizon=5, master_seed=2)
+        learned, _ = train_algorithm(AlgorithmSpec("spibb", "spibb", {"n_wedge": 3}),
+                                     ds, mdp, behavior)
+        assert trained.params == {"n_wedge": 3.0}
+        assert learned.params == {"n_wedge": 3.0, "behavior": "true"} and learned.kind == "spibb"
+        assert learned.action_probabilities is trained.action_probabilities
 
     @pytest.mark.parametrize(
         "name, params, match",
@@ -390,11 +403,9 @@ class TestReliabilityExperiment:
         result = run_reliability_experiment(
             mdp, behavior, specs, num_seeds=2, num_trajectories=5, horizon=5, master_seed=0
         )
-        assert result.failures["broken"] == [0, 1]
         assert np.isnan(result.values["broken"]).all()
-        assert result.failures["behavior"] == []
         reason = ("ValueError", "unknown algorithm 'mystery'")
-        assert result.errors == {"broken": [reason, reason], "behavior": []}
+        assert result.failures == {"broken": [(0, *reason), (1, *reason)], "behavior": []}
         algorithms = result.summary()["algorithms"]
         assert algorithms["broken"]["num_failures"] == 2
         assert algorithms["broken"]["failures"] == [

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from conftest import (
     three_state_eval_chain,
     uniform_behavior,
 )
+from dprl.continuous import ContinuousTrajectory, NeighborIndex
 from dprl.envs import build_forest_mdp, build_gridworld
 from dprl.evaluation import MixedPolicy, exact_value
 from dprl.mdp import (
@@ -28,19 +31,18 @@ from dprl.mdp import (
     load_dataset,
     save_dataset,
     simulate,
-    trajectory_seed,
     trajectory_seeds,
 )
 import dprl.mdp as mdp_module
 from dprl.mdp import _lockstep_rollout, _support_table
-from oracles import bisect_rollout, bisect_simulate, seed_sequence_seed
+from oracles import bisect_rollout, bisect_simulate, loop_save_dataset, seed_sequence_seed
 
 
 def single_state_loop(gamma: float = 0.9) -> TabularMdp:
     transitions = np.ones((1, 1, 1))
     return TabularMdp(
         transitions=transitions,
-        rewards=RewardSpec.constant(np.array([[0.5]])),
+        rewards=RewardSpec(lo=np.array([[0.5]]), hi=np.array([[0.5]])),
         gamma=gamma,
         start_state=0,
     )
@@ -67,7 +69,7 @@ class TestContainers:
             with pytest.raises(ValueError, match=r"transition row \[0, 0\] .*sum to 1"):
                 TabularMdp(
                     transitions=transitions,
-                    rewards=RewardSpec.constant(np.zeros((len(row), 1))),
+                    rewards=RewardSpec(lo=np.zeros((len(row), 1)), hi=np.zeros((len(row), 1))),
                     gamma=0.9,
                     start_state=0,
                 )
@@ -77,7 +79,7 @@ class TestContainers:
         with pytest.raises(ValueError):
             TabularMdp(
                 transitions=np.ones((1, 1, 1)),
-                rewards=RewardSpec.constant(np.zeros((1, 1))),
+                rewards=RewardSpec(lo=np.zeros((1, 1)), hi=np.zeros((1, 1))),
                 gamma=gamma,
                 start_state=0,
             )
@@ -86,7 +88,7 @@ class TestContainers:
         with pytest.raises(ValueError):
             TabularMdp(
                 transitions=np.ones((1, 1, 1)),
-                rewards=RewardSpec.constant(np.array([[1.5]])),
+                rewards=RewardSpec(lo=np.array([[1.5]]), hi=np.array([[1.5]])),
                 gamma=0.9,
                 start_state=0,
                 r_max=1.0,
@@ -96,14 +98,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             TabularMdp(
                 transitions=np.ones((1, 1, 1)),
-                rewards=RewardSpec.constant(np.zeros((1, 1))),
+                rewards=RewardSpec(lo=np.zeros((1, 1)), hi=np.zeros((1, 1))),
                 gamma=0.9,
                 start_state=3,
             )
         with pytest.raises(ValueError):
             TabularMdp(
                 transitions=np.ones((1, 1, 1)),
-                rewards=RewardSpec.constant(np.zeros((1, 1))),
+                rewards=RewardSpec(lo=np.zeros((1, 1)), hi=np.zeros((1, 1))),
                 gamma=0.9,
                 start_state=0,
                 terminal_states=frozenset({7}),
@@ -119,7 +121,8 @@ class TestContainers:
     def test_mdp_rejects_state_ids_that_are_not_integers(self, field, value, message):
         # 0.5 used to start, or end, at state 0.
         with pytest.raises(ValueError) as info:
-            TabularMdp(transitions=np.ones((1, 1, 1)), rewards=RewardSpec.constant(np.zeros((1, 1))),
+            TabularMdp(transitions=np.ones((1, 1, 1)),
+                       rewards=RewardSpec(lo=np.zeros((1, 1)), hi=np.zeros((1, 1))),
                        gamma=0.9, **{"start_state": 0, field: value})
         assert str(info.value) == message
 
@@ -154,20 +157,20 @@ class TestContainers:
           "action_probabilities must hold numbers, not bool"),
          (lambda: RewardSpec(lo=[[True]], hi=[["1"]]), "lo must hold numbers, not bool"),
          (lambda: RewardSpec(lo=[[0.0]], hi=[["1"]]), "hi must hold numbers, not <U1"),
-         (lambda: RewardSpec.constant([[True]]), "values must hold numbers, not bool"),
-         (lambda: TabularMdp(np.ones((1, 1, 1), dtype=bool), RewardSpec.constant([[0.0]]), 0.9, 0),
+         (lambda: TabularMdp(np.ones((1, 1, 1), dtype=bool), RewardSpec(lo=[[0.0]], hi=[[0.0]]),
+                             0.9, 0),
           "transitions must hold numbers, not bool"),
          # A bool among numbers, which numpy reads as float64 too.
          (lambda: RewardSpec(lo=[[0.0, True]], hi=[[1.0, 1.0]]), "lo must hold numbers, not bool"),
          (lambda: TabularMdp([[[0.0, np.True_]], [[1, 0.0]]],
-                             RewardSpec.constant([[0.0]] * 2), 0.9, 0),
+                             RewardSpec(lo=[[0.0]] * 2, hi=[[0.0]] * 2), 0.9, 0),
           "transitions must hold numbers, not bool"),
          (lambda: BehaviorPolicy([np.array([True, False]), [0.5, 0.5]]),
           "action_probabilities must hold numbers, not bool"),
          (lambda: TrajectoryDataset(states=[0, 0], actions=[0, 0], rewards=(0.5, False),
                                     offsets=[0, 2], seeds=[0], num_states=1, num_actions=1),
           "rewards must hold numbers, not bool")],
-        ids=["policy-strings", "policy-bools", "lo-bool", "hi-string", "constant-bool",
+        ids=["policy-strings", "policy-bools", "lo-bool", "hi-string",
              "transitions-bool", "lo-mixed-bool", "transitions-mixed-bool",
              "policy-bool-array-row", "dataset-rewards-mixed-bool"],
     )
@@ -181,15 +184,17 @@ class TestContainers:
         "build, message",
         [(lambda: RewardSpec(lo=np.zeros(2), hi=np.zeros(2)),
           "reward bounds must be matching (S, A) arrays"),
-         (lambda: TabularMdp(np.ones((2, 2)), RewardSpec.constant(np.zeros((2, 1))), 0.9, 0),
-          "transitions must have shape (S, A, S)"),
-         (lambda: TabularMdp(np.full((2, 1, 2), 0.5), RewardSpec.constant(np.zeros((2, 2))),
+         (lambda: TabularMdp(np.ones((2, 2)), RewardSpec(lo=np.zeros((2, 1)), hi=np.zeros((2, 1))),
                              0.9, 0),
+          "transitions must have shape (S, A, S)"),
+         (lambda: TabularMdp(np.full((2, 1, 2), 0.5),
+                             RewardSpec(lo=np.zeros((2, 2)), hi=np.zeros((2, 2))), 0.9, 0),
           "reward table shape must match (S, A)"),
          (lambda: BehaviorPolicy(np.array([0.5, 0.5])), "action_probabilities must be (S, A)"),
-         (lambda: Trajectory(states=np.array([0, 1]), actions=np.array([0]),
-                             rewards=np.array([0.0, 0.0]), seed=0),
-          "states, actions and rewards must have equal length")],
+         (lambda: TrajectoryDataset.from_trajectories(
+             [Trajectory(states=np.array([0, 1]), actions=np.array([0]),
+                         rewards=np.array([0.0, 0.0]), seed=0)], 2, 1),
+          "states, actions and rewards must be 1-d and of equal length")],
         ids=["one-dimensional-bounds", "two-dimensional-transitions", "reward-shape",
              "one-dimensional-rows", "unequal-trajectory"],
     )
@@ -207,10 +212,10 @@ class TestContainers:
 
 class TestSeeds:
     def test_trajectory_seed_deterministic(self):
-        assert trajectory_seed(42, 7) == trajectory_seed(42, 7)
+        assert int(trajectory_seeds(42, 7, 8)[0]) == int(trajectory_seeds(42, 7, 8)[0])
 
     def test_trajectory_seed_distinct_across_indices(self):
-        seeds = {trajectory_seed(42, i) for i in range(200)}
+        seeds = {int(trajectory_seeds(42, i, i + 1)[0]) for i in range(200)}
         assert len(seeds) == 200
 
     @settings(max_examples=150, deadline=None)
@@ -240,7 +245,7 @@ class TestSeeds:
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_trajectory_seed_index_outside_uint64_range_rejected(self, index):
         with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
-            trajectory_seed(0, index)
+            trajectory_seeds(0, index, index + 1)
 
     def test_trajectory_seeds_range_outside_uint64_rejected(self):
         with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
@@ -264,8 +269,8 @@ class TestSeeds:
             trajectory_seeds(0, 0, stop)
 
     def test_trajectory_seed_distinct_across_masters(self):
-        a = {trajectory_seed(1, i) for i in range(100)}
-        b = {trajectory_seed(2, i) for i in range(100)}
+        a = {int(trajectory_seeds(1, i, i + 1)[0]) for i in range(100)}
+        b = {int(trajectory_seeds(2, i, i + 1)[0]) for i in range(100)}
         assert not (a & b)
 
 
@@ -328,7 +333,7 @@ class TestSimulate:
         transitions[2, 0, 2] = 1.0
         mdp = TabularMdp(
             transitions=transitions,
-            rewards=RewardSpec.constant(np.zeros((3, 1))),
+            rewards=RewardSpec(lo=np.zeros((3, 1)), hi=np.zeros((3, 1))),
             gamma=0.9,
             start_state=0,
         )
@@ -412,6 +417,37 @@ class TestSerialization:
         assert back.states.dtype == np.int64 and next(iter(back)).states.dtype == np.int64
         assert back.rewards.dtype == np.float64 and next(iter(back)).rewards.dtype == np.float64
         assert back.num_states == 2 and back.num_actions == 1
+
+
+@st.composite
+def random_datasets(draw):
+    """Datasets of 0-5 trajectories, empty ones included, with seeds up to 2**64 - 1."""
+    num_states, num_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    trajectories = []
+    for _ in range(draw(st.integers(0, 5))):
+        steps = draw(st.lists(st.tuples(st.integers(0, num_states - 1),
+                                        st.integers(0, num_actions - 1),
+                                        st.floats(allow_nan=False, allow_infinity=False)),
+                              max_size=6))
+        states, actions, rewards = zip(*steps) if steps else ((), (), ())
+        trajectories.append(make_traj(states, actions, rewards, draw(st.integers(0, 2**64 - 1))))
+    return make_dataset(trajectories, num_states, num_actions)
+
+
+class TestFileColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(ds=random_datasets())
+    def test_save_writes_the_per_trajectory_bytes_and_load_reads_the_columns(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = Path(tmp) / "data.jsonl", Path(tmp) / "loop.jsonl"
+            save_dataset(ds, path)
+            loop_save_dataset(ds, oracle)
+            assert path.read_bytes() == oracle.read_bytes()
+            back = load_dataset(path, ds.num_states, ds.num_actions)
+        for name in ("states", "actions", "rewards", "offsets"):
+            have, want = getattr(back, name), getattr(ds, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()  # -0.0 too
+        assert back.seeds == ds.seeds and all(type(s) is int for s in back.seeds)
 
 
 class TestLoadValidation:
@@ -508,7 +544,7 @@ class TestDatasetConstruction:
             (dict(states=[[0, 1, 2]]), "1-d columns"),
             (dict(states=[0, 1.5, 2]), "states must hold integer ids"),
             (dict(actions=[1.0, 0.0, 1.0]), "actions must hold integer ids"),
-            (dict(seeds=[4, 5.0]), "cannot be interpreted as an integer"),
+            (dict(seeds=[4, 5.0]), "seed must be an integer, got 5.0"),
             (dict(offsets=[1, 2, 3]), "offsets must run from 0 to 3"),  # start
             (dict(offsets=[0, 2, 4]), "offsets must run from 0 to 3"),  # end
             (dict(offsets=[0, 3, 2, 3], seeds=[4, 5, 6]), "without decreasing"),
@@ -528,7 +564,7 @@ class TestDatasetConstruction:
         ],
     )
     def test_inconsistent_columns_rejected(self, changes, message):
-        with pytest.raises((TypeError, ValueError), match=message):
+        with pytest.raises(ValueError, match=message):
             TrajectoryDataset(**self.columns(**changes))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -557,16 +593,57 @@ class TestDatasetConstruction:
 
     def test_float_trajectory_ids_rejected(self):
         # Not truncated to states [0] and actions [1].
-        with pytest.raises(ValueError, match="states must hold integer ids"):
-            Trajectory([0.5], [1], [0.3], 0)
-        with pytest.raises(ValueError, match="actions must hold integer ids"):
-            Trajectory([0], [1.2], [0.3], 0)
-        with pytest.raises(ValueError, match="rewards must hold numbers"):  # not 1.0
-            Trajectory([0], [1], ["1"], 0)
-        empty = Trajectory([], [], [], 0)  # numpy reads an empty list as float64
-        ds = TrajectoryDataset.from_trajectories([empty, Trajectory([1], [0], [0.3], 1)], 2, 1)
-        assert empty.states.dtype == empty.actions.dtype == np.int64
+        for trajectory, message in ((Trajectory([0.5], [1], [0.3], 0), "states must hold integer ids"),
+                                    (Trajectory([0], [1.2], [0.3], 0), "actions must hold integer ids"),
+                                    (Trajectory([0], [1], ["1"], 0), "rewards must hold numbers")):
+            with pytest.raises(ValueError, match=message):
+                TrajectoryDataset.from_trajectories([trajectory], 2, 2)
+        # numpy reads an empty list as float64; an empty trajectory list is a dataset too.
+        ds = TrajectoryDataset.from_trajectories([Trajectory([], [], [], 0),
+                                                  Trajectory([1], [0], [0.3], 1)], 2, 1)
+        assert ds.states.dtype == ds.actions.dtype == np.int64
         assert [t.states.tolist() for t in ds] == [[], [1]]
+        none = TrajectoryDataset.from_trajectories([], 2, 1)
+        assert len(none) == 0 and none.states.dtype == np.int64 and none.rewards.dtype == np.float64
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=st.sampled_from(["dataset states", "dataset actions", "dataset offsets",
+                                   "dataset seeds", "trajectory states", "trajectory actions",
+                                   "trajectory seed", "continuous actions", "index actions",
+                                   "index trajectory ids"]),
+           ids=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+           data=st.data())
+    def test_a_bool_in_an_integer_column_is_refused(self, column, ids, data):
+        # numpy casts True among ints to 1, so each of these used to count a step, an
+        # offset, a seed or a neighbor as 0 or 1 instead of refusing the column.
+        flag = data.draw(st.sampled_from([True, False, np.True_, np.False_]))
+
+        def with_flag(values):
+            values = list(values)
+            values[data.draw(st.integers(0, len(values) - 1))] = flag
+            return values
+
+        n = len(ids)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+        offsets, rewards, states = [0, *cuts, n], [0.5] * n, np.zeros((n, 2))
+        seeds = list(range(len(offsets) - 1))
+        dataset = dict(states=ids, actions=ids, rewards=rewards, offsets=offsets, seeds=seeds,
+                       num_states=2, num_actions=2)
+        index = dict(states=states, actions=ids, returns=rewards, trajectory_ids=sorted(ids),
+                     metric_weights=np.ones(2), radius=1.0)
+        kind, _, name = column.partition(" ")
+        with pytest.raises(ValueError, match="bool|True|False"):
+            if kind == "dataset":
+                TrajectoryDataset(**{**dataset, name: with_flag(dataset[name])})
+            elif kind == "trajectory":
+                fields = dict(states=ids, actions=ids, rewards=rewards, seed=0)
+                fields[name] = flag if name == "seed" else with_flag(ids)
+                TrajectoryDataset.from_trajectories([Trajectory(**fields)], 2, 2)
+            elif kind == "continuous":
+                ContinuousTrajectory(states, with_flag(ids), rewards)
+            else:
+                name = name.replace(" ", "_")
+                NeighborIndex(**{**index, name: with_flag(index[name])})
 
     @pytest.mark.parametrize("name", ["states", "actions", "rewards", "offsets"])
     def test_columns_cannot_be_written(self, name):
@@ -754,7 +831,7 @@ class TestLockstepMatchesOracle:
         transitions = np.zeros((3, 3, 3))
         transitions[:, :, 0] = 0.5
         transitions[:, :, 1] = 0.5 - 1e-12
-        mdp = TabularMdp(transitions, RewardSpec.constant(np.zeros((3, 3))), 0.9, 0)
+        mdp = TabularMdp(transitions, RewardSpec(lo=np.zeros((3, 3)), hi=np.zeros((3, 3))), 0.9, 0)
         policy = BehaviorPolicy(np.array([[0.5, 0.5 - 1e-12, 0.0]] * 3))
         draws = np.full((1, 2, 3), np.nextafter(1.0, 0.0))
         states, actions, _, lengths = _lockstep_rollout(mdp, policy, draws)
@@ -823,7 +900,7 @@ class TestFrozenEnvironment:
 
     def test_transition_table_is_taken_not_copied(self):
         table = np.full((2, 1, 2), 0.5)
-        mdp = TabularMdp(table, RewardSpec.constant(np.zeros((2, 1))), 0.9, 0)
+        mdp = TabularMdp(table, RewardSpec(lo=np.zeros((2, 1)), hi=np.zeros((2, 1))), 0.9, 0)
         assert mdp.transitions is table and not table.flags.writeable
 
     def test_caches_stay_out_of_pickles(self):

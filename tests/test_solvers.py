@@ -118,7 +118,8 @@ def paying_terminal_mdp() -> TabularMdp:
     """State 0 moves to state 1, a terminal whose actions would pay 0.5 if it were acted in."""
     transitions = np.zeros((2, 2, 2))
     transitions[:, :, 1] = 1.0
-    rewards = RewardSpec.constant(np.array([[0.2, 0.1], [0.5, 0.5]]))
+    means = np.array([[0.2, 0.1], [0.5, 0.5]])
+    rewards = RewardSpec(lo=means, hi=means)
     return TabularMdp(transitions, rewards, gamma=0.9, start_state=0, terminal_states={1})
 
 
