@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimation import EVERY_VISIT, count_visits, segment_reduce
 from .mdp import FRACTION, BehaviorPolicy, TrajectoryDataset, _read_only, check, rule
-from .solvers import bellman_system, discounted_lookahead, policy_iteration
+from .solvers import discounted_lookahead, policy_iteration, solve_bellman
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
 def _model_scores(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
     """``r_hat + gamma * P_hat v`` for the values ``v`` of ``rows`` on the model."""
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    values = np.linalg.solve(bellman_system(p_pi, gamma), (model.r_hat * rows).sum(axis=1))
+    values = solve_bellman(p_pi, (model.r_hat * rows).sum(axis=1), gamma)
     del p_pi  # free the system before the lookahead's block buffer exists
     return model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
 

@@ -1,9 +1,10 @@
 """Exact policy evaluation, tail-risk summaries and seeded experiments.
 
 A learned policy is always evaluated composed with the true logging policy:
-wherever it defers, the logging policy acts.  Values are computed by a
-direct Bellman solve on the true MDP, so per-seed results are deterministic
-functions of the learned policy alone.
+wherever it defers, the logging policy acts.  Values are computed exactly
+on the true MDP by :func:`solvers.solve_bellman`: back-substitution in
+topological order, and one dense solve of the cyclic core, if any.  So
+per-seed results are deterministic functions of the learned policy alone.
 """
 
 from __future__ import annotations

@@ -323,6 +323,9 @@ def _array(values, name: str, ids: bool = False) -> np.ndarray:
             isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_
             for v in np.asarray(values, dtype=object).flat):
         raise ValueError(f"{name} must hold {what}, not bool")
+    # Nor an unsigned id past int64, which the cast would wrap to a negative one.
+    if ids and array.dtype.kind == "u" and array.size and array.max() >= 2**63:
+        raise ValueError(f"{name} must hold ids below 2**63, got {array.max()}")
     return array.astype(np.int64 if ids else np.float64, copy=False)
 
 

@@ -65,6 +65,63 @@ def policy_iteration(score, allowed: np.ndarray, start: np.ndarray) -> tuple[np.
     raise RuntimeError("policy iteration did not converge")
 
 
+def solve_bellman(p_pi: np.ndarray, rewards: np.ndarray, gamma: float,
+                  terminal=()) -> np.ndarray:
+    """Solve ``v = rewards + gamma * p_pi @ v`` with the ``terminal`` states pinned at 0.
+
+    States are solved in topological order.  Terminal states come first, at
+    0.  Then, layer by layer, every state whose row reaches only solved states
+    takes ``v_s = r_s + gamma * sum_t p_st v_t``, numpy's sum over the row's
+    reached columns.  The states left over, the cyclic core and the states
+    leading into it (a self-loop counts as a cycle), take one dense solve
+    with the solved part moved to the right-hand side.  When no state but the
+    terminal ones is solved that way, that solve is of the full system,
+    terminal rows pinned.  ``p_pi`` may be overwritten.
+    """
+    num_states = len(rewards)
+    terminal = np.fromiter(terminal, dtype=np.int64)
+    solved = np.zeros(num_states, dtype=bool)
+    solved[terminal] = True
+    links = p_pi != 0
+    links[:, solved] = False  # a terminal state's value is known
+    ready = ~solved & ~links.any(axis=1)
+    if not ready.any():
+        del links
+        system = bellman_system(p_pi, gamma)
+        system[terminal] = 0.0
+        system[terminal, terminal] = 1.0
+        return _dense_solve(system, np.where(solved, 0.0, rewards))
+    rows, cols = np.divmod(np.flatnonzero(links), num_states)  # 1-d: numpy's fast path for bools
+    del links
+    waiting = np.bincount(rows, minlength=num_states)  # unsolved successors; a self-loop stays
+    values = np.zeros(num_states)
+
+    def lookahead(states: np.ndarray) -> np.ndarray:
+        """``gamma * p_pi @ values`` on the rows ``states`` (a mask), over the solved states."""
+        reached = np.unique(cols[states[rows] & solved[cols]])
+        block = p_pi[np.ix_(states, reached)]
+        block *= values[reached]
+        return gamma * block.sum(axis=1)
+
+    while ready.any():
+        values[ready] = rewards[ready] + lookahead(ready)
+        solved |= ready
+        waiting -= np.bincount(rows[ready[cols]], minlength=num_states)
+        ready = ~solved & (waiting == 0)
+    core = ~solved
+    if core.any():
+        rhs = rewards[core] + lookahead(core)
+        values[core] = _dense_solve(bellman_system(p_pi[np.ix_(core, core)], gamma), rhs)
+    return values
+
+
+def _dense_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:  # gamma < 1 makes this unreachable
+        raise RuntimeError(f"policy evaluation system is singular: {exc}") from exc
+
+
 def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     """Solve the Bellman evaluation system for a stochastic tabular policy.
 
@@ -73,21 +130,15 @@ def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
         action_rows: ``(S, A)`` row-stochastic action distribution.
 
     Returns:
-        ``(S,)`` state values; exact up to machine precision (direct solve).
+        ``(S,)`` state values, exact up to machine precision
+        (:func:`solve_bellman`, terminal states pinned at 0).
     """
     action_rows = np.asarray(action_rows, dtype=np.float64)
     if action_rows.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("action_rows shape must be (S, A)")
-    rhs = (mdp.expected_rewards * action_rows).sum(axis=1)
-    system = bellman_system(np.einsum("sa,sat->st", action_rows, mdp.transitions), mdp.gamma)
-    for t in mdp.terminal_states:
-        system[t, :] = 0.0
-        system[t, t] = 1.0
-        rhs[t] = 0.0
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:  # gamma < 1 makes this unreachable
-        raise RuntimeError(f"policy evaluation system is singular: {exc}") from exc
+    rewards = (mdp.expected_rewards * action_rows).sum(axis=1)
+    return solve_bellman(np.einsum("sa,sat->st", action_rows, mdp.transitions), rewards,
+                         mdp.gamma, mdp.terminal_states)
 
 
 def q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:

@@ -640,6 +640,17 @@ def dense_bellman_system(p_pi: np.ndarray, gamma: float) -> np.ndarray:
     return np.eye(len(p_pi)) - gamma * p_pi
 
 
+def dense_policy_state_values(mdp, action_rows: np.ndarray) -> np.ndarray:
+    """Policy values from one dense solve of the whole system, terminal rows pinned."""
+    rhs = (mdp.expected_rewards * action_rows).sum(axis=1)
+    system = dense_bellman_system(np.einsum("sa,sat->st", action_rows, mdp.transitions), mdp.gamma)
+    for t in mdp.terminal_states:
+        system[t, :] = 0.0
+        system[t, t] = 1.0
+        rhs[t] = 0.0
+    return np.linalg.solve(system, rhs)
+
+
 def _solve_rows(model, rows: np.ndarray, gamma: float) -> np.ndarray:
     r_pi = (model.r_hat * rows).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)

@@ -379,6 +379,20 @@ class TestIndex:
         with pytest.raises(ValueError, match=field):
             NeighborIndex(**{**fields, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("actions", np.array([0, 1, 2**63], dtype=np.uint64)),
+        ("trajectory_ids", np.array([0, 2**63, 2**63 + 1], dtype=np.uint64)),
+        ("trajectory_ids", [2**63, 2**63, 2**63 + 1]),  # numpy reads it as uint64 too
+    ])
+    def test_unsigned_ids_past_int64_refused_as_given(self, field, value):
+        # Not wrapped by the int64 cast to [0, 1, -2**63] or [0, -2**63, -2**63 + 1].
+        fields = dict(states=np.zeros((3, 1)), actions=np.zeros(3, dtype=np.int64),
+                      returns=np.zeros(3), trajectory_ids=np.arange(3), metric_weights=np.ones(1),
+                      radius=0.5)
+        message = rf"^{field} must hold ids below 2\*\*63, got {max(value)}$"
+        with pytest.raises(ValueError, match=message):
+            NeighborIndex(**{**fields, field: value})
+
     @pytest.mark.parametrize("ids", [[-7, -7, 0], [0, 2**40, 2**40], [-3, 4, 2**40], [1, 1, 1]])
     def test_non_decreasing_trajectory_ids_accepted(self, ids):
         fields = dict(states=np.zeros((3, 1)), actions=np.zeros(3, dtype=np.int64),

@@ -567,6 +567,16 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError, match=message):
             TrajectoryDataset(**self.columns(**changes))
 
+    @pytest.mark.parametrize("name", ["states", "actions", "offsets"])
+    def test_unsigned_ids_past_int64_refused_as_given(self, name):
+        # The int64 cast would wrap 2**63 to -2**63 and name an id never given.
+        given = np.array(self.columns()[name][:-1] + [2**63], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"^{name} must hold ids below 2\*\*63, "
+                                             rf"got 9223372036854775808$"):
+            TrajectoryDataset(**self.columns(**{name: given}))
+        fits = np.array(self.columns()[name], dtype=np.uint64)
+        assert getattr(TrajectoryDataset(**self.columns(**{name: fits})), name).dtype == np.int64
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_range_rejected(self, seed):
         # save_dataset would write it and load_dataset refuse it.

@@ -1,4 +1,5 @@
-"""Blocked lookahead and in-place Bellman systems against the dense formulas."""
+"""Blocked lookahead, in-place Bellman systems and the topological solve against the dense
+formulas."""
 
 import dataclasses
 import gc
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import random_mdp
 from dprl.baselines import fit_mle_model, train_pqi, train_spibb
-from dprl.envs import build_forest_mdp
+from dprl.envs import build_forest_mdp, build_gridworld
 from dprl.mdp import RewardSpec, TabularMdp, simulate
 from dprl.solvers import (
     bellman_system,
@@ -19,6 +21,7 @@ from dprl.solvers import (
     optimal_values,
     policy_iteration,
     policy_state_values,
+    solve_bellman,
 )
 
 GAMMAS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0 / 3.0, 0.123456789])
@@ -112,6 +115,132 @@ class TestPolicyIteration:
     def test_nothing_to_choose_takes_no_round(self):
         policy, rounds = policy_iteration(None, np.ones((0, 3), bool), np.zeros((0, 3)))
         assert policy.shape == (0,) and rounds == 0
+
+
+@st.composite
+def layered_mdps(draw):
+    """A random MDP and policy rows whose system holds terminal states, zero rows, self-loops,
+    cycles and wholly acyclic parts, each in some draws.
+
+    A state moves only to states later in a random order unless it is drawn cyclic; the
+    last state in that order, unless drawn cyclic, has a zero policy row.
+    """
+    num_states = draw(st.integers(1, 25))
+    num_actions = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = rng.permutation(num_states)
+    cyclic = rng.random(num_states) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    looping = rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))
+    terminal = np.flatnonzero(rng.random(num_states) < draw(st.sampled_from([0.0, 0.2])))
+    transitions = np.zeros((num_states, num_actions, num_states))
+    for s in range(num_states):
+        targets = np.arange(num_states) if cyclic[s] else np.flatnonzero(rank > rank[s])
+        for a in range(num_actions):
+            if targets.size == 0:
+                transitions[s, a, s] = 1.0
+                continue
+            successors = rng.choice(targets, rng.integers(1, min(3, targets.size) + 1),
+                                    replace=False)
+            transitions[s, a, successors] = rng.random(successors.size) + 0.1
+            transitions[s, a, s] += looping[s]
+            transitions[s, a] /= transitions[s, a].sum()
+    rows = rng.random((num_states, num_actions)) * (rng.random((num_states, num_actions)) < 0.7)
+    rows[rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    rows[(rank == num_states - 1) & ~cyclic] = 0.0
+    sums = rows.sum(axis=1, keepdims=True)
+    rows = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    means = np.round(rng.random((num_states, num_actions)), 3)
+    mdp = TabularMdp(transitions, RewardSpec(lo=means, hi=means), gamma=draw(GAMMAS),
+                     start_state=0, terminal_states=frozenset(terminal.tolist()))
+    return mdp, rows
+
+
+class SolveSpy:
+    """Records the size of every ``np.linalg.solve`` system; ``fail`` makes each call raise."""
+
+    def __init__(self, monkeypatch, fail: bool = False):
+        self.sizes, self.fail, solve = [], fail, np.linalg.solve
+
+        def spy(system, rhs):
+            self.sizes.append(len(system))
+            if self.fail:
+                raise AssertionError("np.linalg.solve was called")
+            return solve(system, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+
+
+class TestSolveBellman:
+    """The topological solve against one dense solve of the whole system."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_mdps())
+    def test_equals_the_dense_solve(self, case):
+        mdp, rows = case
+        got = policy_state_values(mdp, rows)
+        expected = oracles.dense_policy_state_values(mdp, rows)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 / (1.0 - mdp.gamma))
+        assert (got[sorted(mdp.terminal_states)] == 0.0).all()
+
+    @pytest.mark.parametrize("num_states,num_actions,seed", [(1, 1, 0), (7, 3, 1), (40, 4, 2)])
+    def test_nothing_peels_from_a_random_mdp_so_its_bytes_hold(self, num_states, num_actions,
+                                                              seed):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, num_states, num_actions)
+        rows = rng.random((num_states, num_actions))
+        rows /= rows.sum(axis=1, keepdims=True)
+        assert_same_bytes(policy_state_values(mdp, rows),
+                          oracles.dense_policy_state_values(mdp, rows))
+
+    def test_nothing_peels_from_the_gridworld_so_its_bytes_hold(self):
+        mdp, behavior = build_gridworld(side=10)
+        uniform = np.full(behavior.action_probabilities.shape, 0.25)
+        for rows in (behavior.action_probabilities, uniform):
+            assert_same_bytes(policy_state_values(mdp, rows),
+                              oracles.dense_policy_state_values(mdp, rows))
+
+    def test_only_the_cyclic_core_is_factored(self, monkeypatch):
+        # 0 -> 1 -> {1, 2}; 2 -> 3 <-> 4; 5 -> terminal 6.  State 1 loops on itself
+        # and 0, 1 and 2 lead into the cycle of 3 and 4, so the core is 0..4; 5 peels.
+        p_pi = np.zeros((7, 7))
+        p_pi[0, 1] = 1.0
+        p_pi[1, [1, 2]] = 0.5
+        p_pi[2, 3] = p_pi[3, 4] = p_pi[4, 3] = p_pi[5, 6] = 1.0
+        p_pi[6, 6] = 1.0
+        rewards = np.arange(1.0, 8.0)
+        system = oracles.dense_bellman_system(p_pi, 0.9)
+        system[6], system[6, 6] = 0.0, 1.0
+        expected = np.linalg.solve(system, np.r_[rewards[:6], 0.0])
+        spy = SolveSpy(monkeypatch)
+        got = solve_bellman(p_pi, rewards, 0.9, terminal={6})
+        assert spy.sizes == [5]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        assert got[5] == 6.0 and got[6] == 0.0
+
+
+class TestWhereTheSavingComesFrom:
+    """Forest systems are acyclic once the sink is pinned, so they need no LU solve."""
+
+    def test_forest_evaluation_and_model_learners_solve_nothing(self, monkeypatch):
+        mdp, behavior = build_forest_mdp(num_chains=10, depth=3, epsilon=0.2)
+        dataset = simulate(mdp, behavior, num_trajectories=100, horizon=30, master_seed=3)
+        expected = oracles.dense_policy_state_values(mdp, behavior.action_probabilities)
+        spibb, pqi = train_spibb(dataset, behavior, 10, mdp.gamma), train_pqi(dataset, 0.02,
+                                                                             mdp.gamma)
+        spy = SolveSpy(monkeypatch, fail=True)
+        values = policy_state_values(mdp, behavior.action_probabilities)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
+        fresh = dataclasses.replace(dataset)  # fits its own model, solving nothing either
+        for learned, again in ((spibb, train_spibb(fresh, behavior, 10, mdp.gamma)),
+                               (pqi, train_pqi(fresh, 0.02, mdp.gamma))):
+            assert_same_bytes(again.action_probabilities, learned.action_probabilities)
+        assert spy.sizes == []
+
+    def test_a_gridworld_evaluation_is_one_full_solve(self, monkeypatch):
+        mdp, behavior = build_gridworld(side=10)
+        spy = SolveSpy(monkeypatch)
+        policy_state_values(mdp, behavior.action_probabilities)
+        assert spy.sizes == [mdp.num_states]
 
 
 def paying_terminal_mdp() -> TabularMdp:
