@@ -3,8 +3,9 @@
 All three train on the same logged datasets as the decision-point pipeline
 and output full per-state action distributions, so they plug into the same
 exact evaluator.  Model-based pieces share one maximum-likelihood model of
-the MDP; pairs never observed get an all-zero transition row, which behaves
-like a transition to a zero-value sink.
+the MDP, held as the edge list of the transitions seen; a pair with no
+recorded successor has no edge, which behaves like a transition to a
+zero-value sink.
 """
 
 from __future__ import annotations
@@ -15,28 +16,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EVERY_VISIT, count_visits, segment_reduce
-from .mdp import FRACTION, BehaviorPolicy, TrajectoryDataset, _read_only, check, rule
-from .solvers import discounted_lookahead, policy_iteration, solve_bellman
+from .mdp import FRACTION, BehaviorPolicy, Edges, TrajectoryDataset, _read_only, check, rule
+from .solvers import policy_edges, policy_iteration, solve_bellman
 
 
 @dataclass(frozen=True)
 class MleModel:
     """Empirical MDP estimate from a dataset.
 
-    ``n_sa`` counts every reward observation.  ``p_hat`` divides successor
-    counts by the steps of each pair that have a recorded successor, so a
+    ``n_sa`` counts every reward observation.  ``edges`` holds one edge per
+    (pair, successor) seen, in row order, whose probability divides its count
+    by the steps of the pair that have a recorded successor.  So a
     trajectory's final step (whose arrival state is not logged) contributes
-    a reward but no transition, and a pair seen only there keeps an all-zero
-    row.  The model holds one ``(S, A, S)`` table, ``p_hat``.  Its tables
-    are read-only, so every learner of a dataset can share one fit.
+    a reward but no transition, and a pair seen only there has no edge.  The
+    model holds no ``(S, A, S)`` table.  Its arrays are read-only, so every
+    learner of a dataset can share one fit.
     """
 
-    p_hat: np.ndarray
+    edges: Edges
     r_hat: np.ndarray
     n_sa: np.ndarray
 
     def __post_init__(self) -> None:
-        for table in (self.p_hat, self.r_hat, self.n_sa):
+        for table in (*self.edges, self.r_hat, self.n_sa):
             _read_only(table)
 
 
@@ -44,8 +46,7 @@ def fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     """Maximum-likelihood transition and mean-reward tables, fitted once per dataset.
 
     The model is kept on ``dataset.visits``, so the dataset's learners share
-    it.  Rewards are summed in dataset order.  The ``(S, A, S)`` table is
-    only written where a transition was seen, so untouched pages stay unmapped.
+    it.  Rewards are summed in dataset order.
     """
     return dataset.visits.cached("mle", lambda: _fit_mle_model(dataset))
 
@@ -63,19 +64,20 @@ def _fit_mle_model(dataset: TrajectoryDataset) -> MleModel:
     step = np.flatnonzero(has_next)
     seen, counts = np.unique(pairs[step] * num_states + states[step + 1], return_counts=True)
     successor_totals = np.bincount(pairs[step], minlength=num_pairs)
-    p_hat = np.zeros((num_states, num_actions, num_states))
-    p_hat.flat[seen] = counts / successor_totals[seen // num_states]
+    pair, successor = np.divmod(seen, num_states)
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
+    return MleModel(edges=Edges(pair, successor, counts / successor_totals[pair]),
+                    r_hat=r_hat, n_sa=n_sa)
 
 
 def _model_scores(model: MleModel, rows: np.ndarray, gamma: float) -> np.ndarray:
     """``r_hat + gamma * P_hat v`` for the values ``v`` of ``rows`` on the model."""
-    p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    values = solve_bellman(p_pi, (model.r_hat * rows).sum(axis=1), gamma)
-    del p_pi  # free the system before the lookahead's block buffer exists
-    return model.r_hat + discounted_lookahead(model.p_hat, values, gamma)
+    edges = model.edges
+    values = solve_bellman(*policy_edges(edges, rows), (model.r_hat * rows).sum(axis=1), gamma)
+    lookahead = np.bincount(edges.pair, (gamma * edges.probability) * values[edges.successor],
+                            minlength=rows.size)
+    return model.r_hat + lookahead.reshape(rows.shape)
 
 
 # SPIBB's n_wedge; inf keeps every behavior row.

@@ -2,9 +2,10 @@
 
 A learned policy is always evaluated composed with the true logging policy:
 wherever it defers, the logging policy acts.  Values are computed exactly
-on the true MDP by :func:`solvers.solve_bellman`: back-substitution in
-topological order, and one dense solve of the cyclic core, if any.  So
-per-seed results are deterministic functions of the learned policy alone.
+on the true MDP by :func:`solvers.solve_bellman` over the edges of the
+composed policy's transitions: back-substitution in topological order, and
+one dense solve of the cyclic core, if any.  So per-seed results are
+deterministic functions of the learned policy alone.
 """
 
 from __future__ import annotations
@@ -132,18 +133,8 @@ def load_policy(path: str | Path, behavior: BehaviorPolicy) -> DecisionPointPoli
 
 
 def exact_value(mdp: TabularMdp, policy: MixedPolicy) -> float:
-    """Exact discounted start-state value of the composed policy.
-
-    The logging policy's own value (``learned`` is ``None``) is solved once
-    per (MDP, behaviour) pair and kept in ``mdp.logging_values``.
-    """
-    if policy.learned is not None:
-        return float(policy_state_values(mdp, policy.rows())[mdp.start_state])
-    solved = mdp.logging_values
-    if id(policy.behavior) not in solved:
-        value = float(policy_state_values(mdp, policy.rows())[mdp.start_state])
-        solved[id(policy.behavior)] = (policy.behavior, value)
-    return solved[id(policy.behavior)][1]
+    """Exact discounted start-state value of the composed policy."""
+    return float(policy_state_values(mdp, policy.rows())[mdp.start_state])
 
 
 def cvar(values, alpha: float) -> float:

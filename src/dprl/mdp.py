@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * States and actions are integer indices.
-* ``transitions`` is a dense ``(S, A, S)`` tensor of next-state probabilities.
+* ``transitions`` is a dense ``(S, A, S)`` tensor of next-state probabilities;
+  solvers read its nonzero entries as an edge list (:class:`Edges`).
 * Rewards are uniform on a per-(state, action) interval ``[lo, hi]``; a
   constant reward is encoded as ``lo == hi``.  Supports always lie inside
   ``[0, r_max]`` so sampled rewards never need clipping.
@@ -129,6 +130,19 @@ def _support_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(cdf), _read_only(ids)
 
 
+class Edges(NamedTuple):
+    """The nonzero entries of an ``(S, A, S)`` transition table, flat and in row order.
+
+    Edge ``k`` leads from the pair ``pair[k] = s * A + a`` to the state
+    ``successor[k]`` with ``probability[k]``; pairs ascend, and each pair's
+    successors ascend.
+    """
+
+    pair: np.ndarray
+    successor: np.ndarray
+    probability: np.ndarray
+
+
 class StepTables(NamedTuple):
     """What one lockstep step reads: tables over the flattened ``s * A + a`` pairs, and one mask."""
 
@@ -187,8 +201,8 @@ class TabularMdp(_Frozen):
     Construction checks the fields, then takes ``transitions`` read-only
     without copying it (a float64 table passed in becomes read-only itself)
     and refuses attribute writes.  So the tables built from the fields on
-    first use (:attr:`step_tables`, :attr:`expected_rewards`) can never go
-    stale; they stay out of pickles.
+    first use (:attr:`step_tables`, :attr:`edges`, :attr:`expected_rewards`)
+    can never go stale; they stay out of pickles.
     """
 
     transitions: np.ndarray
@@ -251,13 +265,12 @@ class TabularMdp(_Frozen):
         )
 
     @cached_property
-    def logging_values(self) -> dict:
-        """``id(behavior) -> (behavior, start value)``, filled by ``evaluation.exact_value``.
-
-        Each entry holds its behaviour, so no other object can take its id
-        while the entry lives.
-        """
-        return {}
+    def edges(self) -> Edges:
+        """The table's nonzero transitions, read-only, built on first use."""
+        index = np.flatnonzero(self.transitions)
+        pair, successor = np.divmod(index, self.num_states)
+        return Edges(_read_only(pair), _read_only(successor),
+                     _read_only(self.transitions.ravel()[index]))
 
 
 @dataclass(frozen=True)
@@ -316,13 +329,17 @@ def _array(values, name: str, ids: bool = False) -> np.ndarray:
     """
     array = np.asarray(values)
     kinds, what = ("iu", "integer ids") if ids else ("iuf", "numbers")
+    # Nor a bool among numbers, which numpy casts to their dtype, nor an id past int64, which
+    # numpy stores as a float among Python ints; an ndarray has one dtype.
+    if array.size and not isinstance(values, np.ndarray):
+        items = list(np.asarray(values, dtype=object).flat)
+        if ids and (big := [v for v in items if isinstance(v, numbers.Integral) and v >= 2**63]):
+            raise ValueError(f"{name} must hold ids below 2**63, got {max(big)}")
+        if array.dtype.kind in kinds and any(
+                isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_ for v in items):
+            raise ValueError(f"{name} must hold {what}, not bool")
     if array.size and array.dtype.kind not in kinds:
         raise ValueError(f"{name} must hold {what}, not {array.dtype}")
-    # Nor a bool among numbers, which numpy casts to their dtype; an ndarray has one dtype.
-    if array.size and not isinstance(values, np.ndarray) and any(
-            isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_
-            for v in np.asarray(values, dtype=object).flat):
-        raise ValueError(f"{name} must hold {what}, not bool")
     # Nor an unsigned id past int64, which the cast would wrap to a negative one.
     if ids and array.dtype.kind == "u" and array.size and array.max() >= 2**63:
         raise ValueError(f"{name} must hold ids below 2**63, got {array.max()}")

@@ -9,26 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import TabularMdp
-
-
-def discounted_lookahead(transitions: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
-    """``(gamma * P) @ values`` for an ``(S, A, S)`` table, byte for byte.
-
-    The product is formed a block of states at a time, so the scaled copy of
-    the table never exceeds ``max(S, A) * S`` floats instead of ``S * A * S``.
-    numpy multiplies each state's ``(A, S)`` slice by ``values`` on its own,
-    so blocking over states leaves every float as it was.
-    """
-    num_states, num_actions, _ = transitions.shape
-    out = np.empty((num_states, num_actions))
-    block = max(1, num_states // num_actions)
-    scaled = np.empty((min(block, num_states),) + transitions.shape[1:])
-    for lo in range(0, num_states, block):
-        hi = min(lo + block, num_states)
-        np.multiply(transitions[lo:hi], gamma, out=scaled[:hi - lo])
-        np.matmul(scaled[:hi - lo], values, out=out[lo:hi])
-    return out
+from .mdp import Edges, TabularMdp
 
 
 def bellman_system(p_pi: np.ndarray, gamma: float) -> np.ndarray:
@@ -65,43 +46,59 @@ def policy_iteration(score, allowed: np.ndarray, start: np.ndarray) -> tuple[np.
     raise RuntimeError("policy iteration did not converge")
 
 
-def solve_bellman(p_pi: np.ndarray, rewards: np.ndarray, gamma: float,
-                  terminal=()) -> np.ndarray:
-    """Solve ``v = rewards + gamma * p_pi @ v`` with the ``terminal`` states pinned at 0.
+def policy_edges(edges: Edges,
+                 action_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P_pi``'s edges ``(rows, cols, weights)`` under the ``(S, A)`` ``action_rows``.
 
-    States are solved in topological order.  Terminal states come first, at
-    0.  Then, layer by layer, every state whose row reaches only solved states
-    takes ``v_s = r_s + gamma * sum_t p_st v_t``, numpy's sum over the row's
-    reached columns.  The states left over, the cyclic core and the states
-    leading into it (a self-loop counts as a cycle), take one dense solve
-    with the solved part moved to the right-hand side.  When no state but the
-    terminal ones is solved that way, that solve is of the full system,
-    terminal rows pinned.  ``p_pi`` may be overwritten.
+    Each ``(s, a) -> t`` edge is scaled by ``action_rows[s, a]`` and dropped
+    if that gives zero.  Several actions may lead from ``s`` to ``t``: their
+    edges stay apart, in action order, and add up wherever ``P_pi`` is summed.
+    """
+    weights = action_rows.ravel()[edges.pair] * edges.probability
+    kept = np.flatnonzero(weights)
+    return edges.pair[kept] // action_rows.shape[1], edges.successor[kept], weights[kept]
+
+
+def _dense_block(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The ``(size, size)`` matrix of the edges; repeated entries add, in edge order."""
+    flat = np.bincount(rows * size + cols, weights, minlength=size * size)
+    return flat.astype(np.float64, copy=False).reshape(size, size)  # int when there is no edge
+
+
+def solve_bellman(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, rewards: np.ndarray,
+                  gamma: float, terminal=()) -> np.ndarray:
+    """Solve ``v = rewards + gamma * P @ v`` with the ``terminal`` states pinned at 0.
+
+    ``P`` is given by its edges: ``P[rows[k], cols[k]]`` is the sum of the
+    ``weights[k]`` sharing that entry.  States are solved in topological
+    order.  Terminal states come first, at 0.  Then, layer by layer, every
+    state whose edges reach only solved states takes
+    ``v_s = r_s + gamma * sum_t p_st v_t``, summed over its edges in order.
+    The states left over, the cyclic core and the states leading into it (a
+    self-loop counts as a cycle), take one dense solve of their ``k x k``
+    block, with the solved part moved to the right-hand side.  When no state
+    but the terminal ones is solved that way, that solve is of the full
+    ``(S, S)`` system, terminal rows pinned.
     """
     num_states = len(rewards)
     terminal = np.fromiter(terminal, dtype=np.int64)
     solved = np.zeros(num_states, dtype=bool)
     solved[terminal] = True
-    links = p_pi != 0
-    links[:, solved] = False  # a terminal state's value is known
-    ready = ~solved & ~links.any(axis=1)
+    waiting = np.bincount(rows[~solved[cols]], minlength=num_states)  # a self-loop stays
+    ready = ~solved & (waiting == 0)
     if not ready.any():
-        del links
-        system = bellman_system(p_pi, gamma)
+        system = bellman_system(_dense_block(rows, cols, weights, num_states), gamma)
         system[terminal] = 0.0
         system[terminal, terminal] = 1.0
         return _dense_solve(system, np.where(solved, 0.0, rewards))
-    rows, cols = np.divmod(np.flatnonzero(links), num_states)  # 1-d: numpy's fast path for bools
-    del links
-    waiting = np.bincount(rows, minlength=num_states)  # unsolved successors; a self-loop stays
     values = np.zeros(num_states)
 
     def lookahead(states: np.ndarray) -> np.ndarray:
-        """``gamma * p_pi @ values`` on the rows ``states`` (a mask), over the solved states."""
-        reached = np.unique(cols[states[rows] & solved[cols]])
-        block = p_pi[np.ix_(states, reached)]
-        block *= values[reached]
-        return gamma * block.sum(axis=1)
+        """``gamma * P @ values`` on the rows ``states`` (a mask), over the solved states."""
+        reach = np.flatnonzero(states[rows] & solved[cols])
+        sums = np.bincount(rows[reach], weights[reach] * values[cols[reach]],
+                           minlength=num_states)
+        return gamma * sums[states]
 
     while ready.any():
         values[ready] = rewards[ready] + lookahead(ready)
@@ -111,7 +108,11 @@ def solve_bellman(p_pi: np.ndarray, rewards: np.ndarray, gamma: float,
     core = ~solved
     if core.any():
         rhs = rewards[core] + lookahead(core)
-        values[core] = _dense_solve(bellman_system(p_pi[np.ix_(core, core)], gamma), rhs)
+        inside = np.flatnonzero(core[rows] & core[cols])
+        position = np.cumsum(core) - 1  # each core state's index in the block
+        block = _dense_block(position[rows[inside]], position[cols[inside]], weights[inside],
+                             len(rhs))
+        values[core] = _dense_solve(bellman_system(block, gamma), rhs)
     return values
 
 
@@ -137,8 +138,8 @@ def policy_state_values(mdp: TabularMdp, action_rows: np.ndarray) -> np.ndarray:
     if action_rows.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("action_rows shape must be (S, A)")
     rewards = (mdp.expected_rewards * action_rows).sum(axis=1)
-    return solve_bellman(np.einsum("sa,sat->st", action_rows, mdp.transitions), rewards,
-                         mdp.gamma, mdp.terminal_states)
+    return solve_bellman(*policy_edges(mdp.edges, action_rows), rewards, mdp.gamma,
+                         mdp.terminal_states)
 
 
 def q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
@@ -146,7 +147,8 @@ def q_from_values(mdp: TabularMdp, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).copy()
     for t in mdp.terminal_states:
         values[t] = 0.0
-    q = mdp.expected_rewards + discounted_lookahead(mdp.transitions, values, mdp.gamma)
+    # The dense product, not an edge sum: the gridworld expert's greedy ties rest on its bytes.
+    q = mdp.expected_rewards + (mdp.gamma * mdp.transitions) @ values
     for t in mdp.terminal_states:
         q[t, :] = 0.0
     return q

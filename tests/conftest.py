@@ -138,3 +138,48 @@ def random_datasets(draw):
             )
         )
     return make_dataset(trajs, num_states, num_actions)
+
+
+GAMMAS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0 / 3.0, 0.123456789])
+
+
+@st.composite
+def layered_mdps(draw):
+    """A random MDP and policy rows whose system holds terminal states, zero rows, self-loops,
+    cycles, wholly acyclic parts and entries reached by several actions, each in some draws.
+
+    A state moves only to states later in a random order unless it is drawn cyclic; the
+    last state in that order, unless drawn cyclic, has a zero policy row.  Every action of a
+    state drawn shared moves to the same successors, with its own probabilities.
+    """
+    num_states = draw(st.integers(1, 25))
+    num_actions = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = rng.permutation(num_states)
+    cyclic = rng.random(num_states) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    looping = rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))
+    shared = rng.random(num_states) < draw(st.sampled_from([0.0, 0.5]))
+    terminal = np.flatnonzero(rng.random(num_states) < draw(st.sampled_from([0.0, 0.2])))
+    transitions = np.zeros((num_states, num_actions, num_states))
+    for s in range(num_states):
+        targets = np.arange(num_states) if cyclic[s] else np.flatnonzero(rank > rank[s])
+        successors = None
+        for a in range(num_actions):
+            if targets.size == 0:
+                transitions[s, a, s] = 1.0
+                continue
+            if successors is None or not shared[s]:
+                successors = rng.choice(targets, rng.integers(1, min(3, targets.size) + 1),
+                                        replace=False)
+            transitions[s, a, successors] = rng.random(successors.size) + 0.1
+            transitions[s, a, s] += looping[s]
+            transitions[s, a] /= transitions[s, a].sum()
+    rows = rng.random((num_states, num_actions)) * (rng.random((num_states, num_actions)) < 0.7)
+    rows[rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    rows[(rank == num_states - 1) & ~cyclic] = 0.0
+    sums = rows.sum(axis=1, keepdims=True)
+    rows = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    means = np.round(rng.random((num_states, num_actions)), 3)
+    mdp = TabularMdp(transitions, RewardSpec(lo=means, hi=means), gamma=draw(GAMMAS),
+                     start_state=0, terminal_states=frozenset(terminal.tolist()))
+    return mdp, rows

@@ -11,15 +11,15 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
 from dprl.balltree import BallTree
-from dprl.baselines import MleModel
 from dprl.continuous import NEIGHBOR_FIRST, ContinuousVerdict, CoveringNumbers
 from dprl.discrete import SmdpModel
 from dprl.estimation import EVERY_VISIT, FIRST_VISIT, CountTable, ValueEstimates
-from dprl.mdp import BehaviorPolicy, simulate
+from dprl.mdp import BehaviorPolicy, Edges, simulate
 
 
 def linear_scan_neighbors(
@@ -584,7 +584,45 @@ def unique_visit_means(keys, values, groups, mode: str, num_keys: int):
     return means, sizes
 
 
-def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
+class DenseModel(NamedTuple):
+    """A maximum-likelihood model whose transitions are one ``(S, A, S)`` table, ``p_hat``."""
+
+    p_hat: np.ndarray
+    r_hat: np.ndarray
+    n_sa: np.ndarray
+
+
+def dense_from_edges(rows, cols, weights, shape) -> np.ndarray:
+    """The table whose entry ``(rows[k], cols[k])`` adds up the ``weights[k]``, in the given
+    ``shape``; its rows are the rows indexed and its last axis the columns."""
+    table = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    np.add.at(table, (rows, cols), weights)
+    return table.reshape(shape)
+
+
+def loop_edges(table: np.ndarray) -> Edges:
+    """The nonzero entries of an ``(S, A, S)`` table, one ``(s, a, t)`` at a time."""
+    num_states, num_actions, _ = table.shape
+    pair, successor, probability = [], [], []
+    for s in range(num_states):
+        for a in range(num_actions):
+            for t in range(num_states):
+                if table[s, a, t] != 0.0:
+                    pair.append(s * num_actions + a)
+                    successor.append(t)
+                    probability.append(table[s, a, t])
+    return Edges(np.array(pair, dtype=np.int64), np.array(successor, dtype=np.int64),
+                 np.array(probability, dtype=np.float64))
+
+
+def dense_model(model) -> DenseModel:
+    """An ``MleModel`` with its edges written out as the ``(S, A, S)`` table ``p_hat``."""
+    num_states, num_actions = model.n_sa.shape
+    p_hat = dense_from_edges(*model.edges, (num_states, num_actions, num_states))
+    return DenseModel(p_hat, model.r_hat, model.n_sa)
+
+
+def loop_fit_mle_model(dataset, num_states: int, num_actions: int) -> DenseModel:
     """Maximum-likelihood model with three ``np.add.at`` calls per trajectory."""
     transition_counts = np.zeros((num_states, num_actions, num_states), dtype=np.int64)
     n_sa = np.zeros((num_states, num_actions), dtype=np.int64)
@@ -605,7 +643,7 @@ def loop_fit_mle_model(dataset, num_states: int, num_actions: int):
     )
     r_hat = np.zeros_like(reward_sums)
     np.divide(reward_sums, n_sa, out=r_hat, where=n_sa > 0)
-    return MleModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
+    return DenseModel(p_hat=p_hat, r_hat=r_hat, n_sa=n_sa)
 
 
 def value_iteration(mdp, max_sweeps: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
@@ -651,10 +689,38 @@ def dense_policy_state_values(mdp, action_rows: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def _solve_rows(model, rows: np.ndarray, gamma: float) -> np.ndarray:
+def dense_model_scores(model: DenseModel, rows: np.ndarray, gamma: float) -> np.ndarray:
+    """``r_hat + gamma * P_hat v`` for the values ``v`` of ``rows``, by one dense solve."""
     r_pi = (model.r_hat * rows).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", rows, model.p_hat)
-    return np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
+    values = np.linalg.solve(dense_bellman_system(p_pi, gamma), r_pi)
+    return model.r_hat + dense_lookahead(model.p_hat, values, gamma)
+
+
+def dense_optimal_values(mdp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solvers.optimal_values`` by its tolerances, with one dense solve and one dense
+    lookahead a round and a loop over states for the greedy step."""
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    terminal = sorted(mdp.terminal_states)
+    greedy = [0] * num_states
+    for _ in range(num_states * num_actions + 1):
+        rows = np.zeros((num_states, num_actions))
+        rows[np.arange(num_states), greedy] = 1.0
+        values = dense_policy_state_values(mdp, rows)
+        pinned = values.copy()
+        pinned[terminal] = 0.0
+        q = mdp.expected_rewards + dense_lookahead(mdp.transitions, pinned, mdp.gamma)
+        q[terminal] = 0.0
+        improved = False
+        for s in range(num_states):
+            best = int(np.argmax(q[s]))
+            if q[s, best] > q[s, greedy[s]] + 1e-10:
+                greedy[s], improved = best, True
+        if not improved:
+            ties = [next(a for a in range(num_actions) if q[s, a] >= q[s].max() - 1e-9)
+                    for s in range(num_states)]
+            return values, q, np.array(ties, dtype=np.int64)
+    raise RuntimeError("policy iteration failed to stabilize")
 
 
 def _rounds(model) -> range:
@@ -683,8 +749,7 @@ def loop_spibb_rows(model, behavior_rows: np.ndarray, n_wedge, gamma: float) -> 
         return out
 
     def choose(rows):
-        values = _solve_rows(model, rows, gamma)
-        q = model.r_hat + dense_lookahead(model.p_hat, values, gamma)
+        q = dense_model_scores(model, rows, gamma)
         return np.array([int(free[np.argmax(q[s, free])]) if len(free) else -1
                          for s, free in enumerate(free_lists)], dtype=np.int64)
 

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_dataset, make_traj, random_datasets, random_mdp, uniform_behavior
+from conftest import (
+    layered_mdps,
+    make_dataset,
+    make_traj,
+    random_datasets,
+    random_mdp,
+    uniform_behavior,
+)
 from dprl import baselines
 from dprl.baselines import (
     fit_mle_model,
@@ -49,11 +56,12 @@ class TestMleModel:
         assert model.n_sa[0, 0] == 2 and model.n_sa[1, 0] == 1
         assert model.r_hat[0, 0] == pytest.approx(0.6)
         assert model.r_hat[1, 0] == pytest.approx(0.3)
+        p_hat = oracles.dense_model(model).p_hat
         # only the first trajectory records a successor for (0, a0)
-        np.testing.assert_allclose(model.p_hat[0, 0], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(p_hat[0, 0], [0.0, 1.0, 0.0])
         # final steps leave no successor: the row stays an all-zero sink
-        np.testing.assert_allclose(model.p_hat[1, 0], 0.0)
-        np.testing.assert_allclose(model.p_hat[2], 0.0)
+        np.testing.assert_allclose(p_hat[1, 0], 0.0)
+        np.testing.assert_allclose(p_hat[2], 0.0)
 
     def test_matches_loop_reconstruction_on_simulated_data(self):
         rng = np.random.default_rng(2)
@@ -61,7 +69,7 @@ class TestMleModel:
         ds = simulate(mdp, uniform_behavior(4, 3), num_trajectories=25, horizon=6, master_seed=8)
         model = fit_mle_model(ds)
         p_hat, r_hat, r_n = oracles.mle_from_dataset_loops(ds, 4, 3)
-        np.testing.assert_allclose(model.p_hat, p_hat, atol=1e-12)
+        np.testing.assert_allclose(oracles.dense_model(model).p_hat, p_hat, atol=1e-12)
         np.testing.assert_allclose(model.r_hat, r_hat, atol=1e-12)
         np.testing.assert_array_equal(model.n_sa, r_n)
 
@@ -87,7 +95,7 @@ class TestMleModel:
             train_algorithm(spec, ds, mdp, behavior)
         model = fit_mle_model(ds)
         assert len(fits) == 1 and fits[0] is ds and fit_mle_model(ds) is model
-        for table in (model.p_hat, model.r_hat, model.n_sa):
+        for table in (*model.edges, model.r_hat, model.n_sa):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
 
@@ -389,7 +397,7 @@ class TestColumnarMatchesLoops:
     @settings(max_examples=150, deadline=None)
     @given(random_datasets())
     def test_fit_mle_model(self, ds):
-        got = fit_mle_model(ds)
+        got = oracles.dense_model(fit_mle_model(ds))
         expected = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
         for name in ("p_hat", "r_hat", "n_sa"):
             assert_same_array(getattr(got, name), getattr(expected, name))
@@ -420,6 +428,28 @@ class TestColumnarMatchesLoops:
         got = train_pqi(ds, threshold, gamma)
         model = oracles.loop_fit_mle_model(ds, ds.num_states, ds.num_actions)
         assert_same_array(got.action_probabilities, oracles.loop_pqi_rows(model, threshold, gamma))
+
+    @settings(max_examples=100, deadline=None)
+    @given(layered_mdps(), st.sampled_from([1, 3]), st.sampled_from([0.005, 0.05]))
+    def test_edge_models_of_layered_mdps(self, case, n_wedge, threshold):
+        # Models with acyclic parts, self-loops, cycles and successors shared by several
+        # actions: the learned rows keep the dense oracles' bytes, and the scores agree with
+        # the dense formulas up to rounding.
+        mdp, rows = case
+        behavior = uniform_behavior(mdp.num_states, mdp.num_actions)
+        ds = simulate(mdp, behavior, num_trajectories=30, horizon=8, master_seed=0)
+        assume(ds.total_steps() > 0)  # not when the start state is terminal
+        model = oracles.loop_fit_mle_model(ds, mdp.num_states, mdp.num_actions)
+        got = train_spibb(ds, behavior, n_wedge, mdp.gamma).action_probabilities
+        expected = oracles.loop_spibb_rows(model, behavior.action_probabilities, n_wedge,
+                                           mdp.gamma)
+        assert_same_array(got, expected)
+        assert_same_array(train_pqi(ds, threshold, mdp.gamma).action_probabilities,
+                          oracles.loop_pqi_rows(model, threshold, mdp.gamma))
+        np.testing.assert_allclose(
+            baselines._model_scores(fit_mle_model(ds), rows, mdp.gamma),
+            oracles.dense_model_scores(model, rows, mdp.gamma),
+            rtol=0, atol=1e-13 / (1.0 - mdp.gamma))
 
     def test_spibb_free_mass_sums_compacted_entries(self):
         # Ten actions with one rare pair: the free mass is the pairwise sum

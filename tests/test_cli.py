@@ -647,6 +647,10 @@ class TestExitCodes:
             (lambda p: p.update(verdicts={"-1": 0}, decision_states=[-1]), "state id"),
             (lambda p: p.update(verdicts={"999": 0}, decision_states=[999]), "state id"),
             (lambda p: p["verdicts"].update({"0": 7}), "action id"),
+            # The ids one past the last: the environment has 12 states and 3 actions.
+            (lambda p: p.update(verdicts={"12": 0}, decision_states=[12]), "state id"),
+            (lambda p: p["verdicts"].update({"12": "DEFER"}), "state id"),
+            (lambda p: p["verdicts"].update({"0": 3}), "action id"),
             (lambda p: p["verdicts"].update({"0": 1.0}), "verdicts must map"),
             (lambda p: p.update(format="other"), "format"),
             (lambda p: p.pop("format"), "format"),
@@ -668,7 +672,8 @@ class TestExitCodes:
             (lambda p: p.update(decision_states=[False]), "decision_states must list"),
             (lambda p: p.pop("decision_states"), "missing key 'decision_states'"),
         ],
-        ids=["negative-state", "state-too-large", "action-too-large", "float-action",
+        ids=["negative-state", "state-too-large", "action-too-large", "state-at-num-states",
+             "defer-at-num-states", "action-at-num-actions", "float-action",
              "other-format", "no-format", "no-verdicts", "float-n-wedge", "string-n-wedge",
              "bool-n-wedge", "zero-n-wedge", "float-iterations", "string-iterations",
              "bool-iterations", "negative-iterations", "zero-padded-key", "plus-key",

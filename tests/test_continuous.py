@@ -383,6 +383,7 @@ class TestIndex:
         ("actions", np.array([0, 1, 2**63], dtype=np.uint64)),
         ("trajectory_ids", np.array([0, 2**63, 2**63 + 1], dtype=np.uint64)),
         ("trajectory_ids", [2**63, 2**63, 2**63 + 1]),  # numpy reads it as uint64 too
+        ("trajectory_ids", [1, 2**63, 2**63 + 1]),  # and this one as float64
     ])
     def test_unsigned_ids_past_int64_refused_as_given(self, field, value):
         # Not wrapped by the int64 cast to [0, 1, -2**63] or [0, -2**63, -2**63 + 1].

@@ -353,6 +353,24 @@ class TestPolicyIteration:
         assert str(info.value) == (
             "singular evaluation system; check segment discounts at decision state 0")
 
+    def test_singular_system_names_the_state_furthest_from_one_on_the_diagonal(self):
+        # Decision state 7 loops on itself with discount 1, a zero row of I - W; state 3
+        # keeps half of its mass, so its diagonal entry is 0.5.
+        weights = np.zeros((2, 1, 3))
+        weights[0, 0, 0] = 0.5
+        weights[1, 0, 1] = 1.0
+        weights[:, :, 2] = 1.0 - weights[:, :, :2].sum(axis=2)
+        model = SmdpModel(states=(3, 7), counts=np.ones((2, 1, 3), dtype=np.int64),
+                          p_tilde=weights, gamma_tilde=np.ones((2, 1, 3)),
+                          r_tilde=np.zeros((2, 1, 3)), r_bar=np.zeros((2, 1)))
+        estimates = ValueEstimates(v_hat=np.zeros(8), q_hat=np.zeros((8, 1)))
+        gate = np.zeros((8, 1), bool)
+        gate[[3, 7]] = True
+        with pytest.raises(RuntimeError) as info:
+            smdp_policy_iteration(model, sets_from_gate(gate), estimates)
+        assert str(info.value) == (
+            "singular evaluation system; check segment discounts at decision state 7")
+
     def test_single_decision_point_converges_immediately(self):
         ds = make_dataset([make_traj([0], [0], [0.5])], 1, 1)
         _, est, dp, model = pipeline(ds, n_wedge=1, gamma=0.9)
@@ -491,6 +509,19 @@ class TestPolicyObject:
         assert back.verdicts == policy.verdicts
         assert back.defer_states == policy.defer_states
         assert back.n_wedge == 5 and back.iterations == 2
+
+    @pytest.mark.parametrize(
+        "verdicts, defer_states, message",
+        [({11: 0}, {3}, r"a state id lies outside \[0, 11\)"),
+         ({3: 0}, {11}, r"a state id lies outside \[0, 11\)"),
+         ({3: 2}, {4}, r"an action id lies outside \[0, 2\)")],
+        ids=["verdict-at-num-states", "defer-at-num-states", "action-at-num-actions"],
+    )
+    def test_ids_one_past_the_table_rejected(self, verdicts, defer_states, message):
+        policy = DecisionPointPolicy(n_wedge=1, verdicts=verdicts,
+                                     defer_states=frozenset(defer_states), iterations=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            policy.rows(uniform_behavior(11, 2).action_probabilities)
 
     def test_json_defer_markers(self):
         policy = DecisionPointPolicy(

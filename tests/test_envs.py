@@ -15,7 +15,7 @@ from dprl.envs import (
 from dprl.evaluation import MixedPolicy, exact_value
 from dprl.mdp import BehaviorPolicy
 from dprl.solvers import optimal_values
-from oracles import greedy_grid_path, loop_grid_transitions
+from oracles import dense_optimal_values, greedy_grid_path, loop_grid_transitions
 
 # independently derived in closed form (Fraction arithmetic)
 FOREST_BEHAVIOR_ROOT_VALUE = 0.54336744  # depth 3, gamma 0.99, epsilon 0.1
@@ -234,6 +234,18 @@ class TestGridOracle:
             assert implicit.action_probabilities.tobytes() == (
                 explicit.action_probabilities.tobytes()
             )
+
+    @pytest.mark.parametrize("side", range(2, 13))
+    def test_expert_equals_the_dense_oracle_byte_for_byte(self, side):
+        # The expert's greedy ties rest on the dense lookahead's bytes: an edge-sum
+        # lookahead flips the greedy policy on some of these configurations.
+        for noise in (0.1, 0.25, 0.5, 0.9, 1.0):
+            for gamma in (0.5, 0.9, 0.95, 0.99):
+                mdp, _ = build_gridworld(side=side, noise=noise, careless_states=frozenset(),
+                                         gamma=gamma)
+                for got, expected in zip(optimal_values(mdp), dense_optimal_values(mdp)):
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes(), (noise, gamma)
 
     def test_uniform_noise_has_no_greedy_path(self):
         # noise 0 makes every action equivalent; the greedy walk never arrives

@@ -30,6 +30,7 @@ from dprl.evaluation import (
     train_algorithm,
 )
 from dprl.mdp import BehaviorPolicy, RewardSpec, TabularMdp, simulate
+from dprl.solvers import policy_state_values
 
 FOREST_MIDDLE_ARM_VALUE = 0.53366445  # 0.55 * 0.99**3, derived by hand
 
@@ -91,21 +92,12 @@ class TestExactValue:
         mixed_value = exact_value(mdp, MixedPolicy(empty, behavior))
         assert abs(mixed_value - behavior_value) <= 1e-10
 
-    def test_logging_value_is_solved_once_per_environment_and_behavior(self, monkeypatch):
-        mdp, behavior = build_forest_mdp(num_chains=3, depth=2, epsilon=0.2)
-        solve, solved = evaluation.policy_state_values, []
-        fresh = float(solve(mdp, behavior.action_probabilities)[mdp.start_state])
-        monkeypatch.setattr(evaluation, "policy_state_values",
-                            lambda *args: solved.append(args) or solve(*args))
-        first = exact_value(mdp, MixedPolicy(None, behavior))
-        assert exact_value(mdp, MixedPolicy(None, behavior)) == first == fresh
-        assert len(solved) == 1
-        twin = BehaviorPolicy(behavior.action_probabilities, kind="twin")  # another pair
-        assert exact_value(mdp, MixedPolicy(None, twin)) == fresh and len(solved) == 2
-        empty = DecisionPointPolicy(n_wedge=1, verdicts={}, defer_states=frozenset(), iterations=0)
-        exact_value(mdp, MixedPolicy(empty, behavior))  # a learned policy is solved each time
-        exact_value(mdp, MixedPolicy(empty, behavior))
-        assert len(solved) == 4
+    @pytest.mark.parametrize("build", [lambda: build_forest_mdp(num_chains=3, depth=2, epsilon=0.2),
+                                       lambda: build_gridworld(side=4)], ids=["forest", "grid"])
+    def test_logging_value_is_the_start_state_solve(self, build):
+        mdp, behavior = build()
+        expected = policy_state_values(mdp, behavior.action_probabilities)[mdp.start_state]
+        assert exact_value(mdp, MixedPolicy(None, behavior)) == float(expected)
 
     def test_forest_middle_arm_frozen_value(self):
         mdp, behavior = build_forest_mdp(num_chains=10, depth=3, epsilon=0.1, gamma=0.99)

@@ -561,6 +561,9 @@ class TestDatasetConstruction:
             (dict(offsets=[0, 2.5, 3]), "offsets must hold integer ids, not float64"),
             (dict(rewards=["1", "0", "1"]), "rewards must hold numbers, not <U1"),
             (dict(rewards=[True, False, True]), "rewards must hold numbers, not bool"),
+            # Python ints past int64 among smaller ones, which numpy reads as float64.
+            (dict(states=[0, 2**63, 1]),
+             r"^states must hold ids below 2\*\*63, got 9223372036854775808$"),
         ],
     )
     def test_inconsistent_columns_rejected(self, changes, message):
@@ -918,7 +921,7 @@ class TestFrozenEnvironment:
         before = len(pickle.dumps((mdp, behavior)))
         simulate(mdp, behavior, 5, 10, 0)
         exact_value(mdp, MixedPolicy(None, behavior))
-        assert {"step_tables", "expected_rewards", "logging_values"} <= set(vars(mdp))
+        assert {"step_tables", "expected_rewards", "edges"} <= set(vars(mdp))
         assert "action_table" in vars(behavior)
         assert len(pickle.dumps((mdp, behavior))) == before
 

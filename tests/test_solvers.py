@@ -1,4 +1,4 @@
-"""Blocked lookahead, in-place Bellman systems and the topological solve against the dense
+"""Edge lists, in-place Bellman systems and the topological solve against the dense
 formulas."""
 
 import dataclasses
@@ -11,20 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_mdp
-from dprl.baselines import fit_mle_model, train_pqi, train_spibb
+from conftest import GAMMAS, layered_mdps, random_mdp
+from dprl import solvers
+from dprl.baselines import MleModel, _model_scores, fit_mle_model, train_pqi, train_spibb
 from dprl.envs import build_forest_mdp, build_gridworld
-from dprl.mdp import RewardSpec, TabularMdp, simulate
+from dprl.mdp import Edges, RewardSpec, TabularMdp, simulate
 from dprl.solvers import (
     bellman_system,
-    discounted_lookahead,
     optimal_values,
+    policy_edges,
     policy_iteration,
     policy_state_values,
+    q_from_values,
     solve_bellman,
 )
-
-GAMMAS = st.sampled_from([0.5, 0.9, 0.95, 0.99, 1.0 / 3.0, 0.123456789])
 
 
 def assert_same_bytes(got, expected):
@@ -52,21 +52,70 @@ def draw_values(rng, num_states):
 
 
 class TestDiscountedLookahead:
+    """``r + gamma * P @ V``: the true MDP's keeps the bytes of the dense product, and a model's,
+    summed over its edges, matches the dense product up to rounding."""
+
     @settings(max_examples=200, deadline=None)
     @given(tables(), GAMMAS)
     def test_equals_the_dense_product_byte_for_byte(self, case, gamma):
+        # q_from_values builds the gridworld expert, whose greedy ties rest on these bytes.
         table, rng = case
-        values = draw_values(rng, table.shape[0])
-        got = discounted_lookahead(table, values, gamma)
-        assert_same_bytes(got, oracles.dense_lookahead(table, values, gamma))
+        num_states, num_actions, _ = table.shape
+        table = np.abs(table)
+        table[:, :, 0] += table.sum(axis=2) == 0.0
+        table /= table.sum(axis=2, keepdims=True)
+        means = rng.random((num_states, num_actions))
+        terminal = frozenset(np.flatnonzero(rng.random(num_states) < 0.2).tolist())
+        mdp = TabularMdp(table, RewardSpec(lo=means, hi=means), gamma=gamma, start_state=0,
+                         terminal_states=terminal)
+        values = draw_values(rng, num_states)
+        pinned = values.copy()
+        pinned[sorted(terminal)] = 0.0
+        expected = mdp.expected_rewards + oracles.dense_lookahead(table, pinned, gamma)
+        expected[sorted(terminal)] = 0.0
+        assert_same_bytes(q_from_values(mdp, values), expected)
 
     @pytest.mark.parametrize("num_states,num_actions", [(305, 3), (97, 7), (40, 40), (5, 9)])
-    def test_many_blocks_and_actions_outnumbering_states(self, num_states, num_actions):
+    def test_model_lookahead_matches_the_dense_product(self, num_states, num_actions):
+        # Wide rows, every entry an edge: the edge sums round differently from the dense
+        # product, by at most a row's length of ulps of the largest value.
         rng = np.random.default_rng(num_states * num_actions)
         table = rng.random((num_states, num_actions, num_states)) ** 4
-        values = -draw_values(rng, num_states)
-        got = discounted_lookahead(table, values, 0.99)
-        assert_same_bytes(got, oracles.dense_lookahead(table, values, 0.99))
+        table /= table.sum(axis=2, keepdims=True)
+        model = MleModel(oracles.loop_edges(table), rng.random((num_states, num_actions)),
+                         np.ones((num_states, num_actions), dtype=np.int64))
+        rows = rng.random((num_states, num_actions))
+        rows /= rows.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            _model_scores(model, rows, 0.99),
+            oracles.dense_model_scores(oracles.dense_model(model), rows, 0.99),
+            rtol=0, atol=num_states * np.finfo(float).eps / (1.0 - 0.99))
+
+
+class TestEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(layered_mdps())
+    def test_mdp_edges_equal_the_loop_oracle(self, case):
+        mdp, _ = case
+        for got, expected in zip(mdp.edges, oracles.loop_edges(mdp.transitions)):
+            assert_same_bytes(got, expected)
+            assert not got.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_policy_table_adds_actions_in_order(self, case):
+        # A full system is built from its edges.  Each entry is a running sum over the actions
+        # in order, which is how numpy's einsum forms it from two states on, so the systems of
+        # oracles.dense_policy_state_values keep their bytes.
+        table, rng = case
+        table = np.abs(table)
+        num_states, num_actions, _ = table.shape
+        rows = rng.random((num_states, num_actions)) * (rng.random((num_states, num_actions)) < 0.7)
+        got = solvers._dense_block(*policy_edges(oracles.loop_edges(table), rows), num_states)
+        expected = np.zeros((num_states, num_states))
+        for a in range(num_actions):
+            expected = expected + rows[:, a, None] * table[:, a]
+        assert_same_bytes(got, expected)
 
 
 class TestBellmanSystem:
@@ -117,44 +166,6 @@ class TestPolicyIteration:
         assert policy.shape == (0,) and rounds == 0
 
 
-@st.composite
-def layered_mdps(draw):
-    """A random MDP and policy rows whose system holds terminal states, zero rows, self-loops,
-    cycles and wholly acyclic parts, each in some draws.
-
-    A state moves only to states later in a random order unless it is drawn cyclic; the
-    last state in that order, unless drawn cyclic, has a zero policy row.
-    """
-    num_states = draw(st.integers(1, 25))
-    num_actions = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rank = rng.permutation(num_states)
-    cyclic = rng.random(num_states) < draw(st.sampled_from([0.0, 0.1, 1.0]))
-    looping = rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))
-    terminal = np.flatnonzero(rng.random(num_states) < draw(st.sampled_from([0.0, 0.2])))
-    transitions = np.zeros((num_states, num_actions, num_states))
-    for s in range(num_states):
-        targets = np.arange(num_states) if cyclic[s] else np.flatnonzero(rank > rank[s])
-        for a in range(num_actions):
-            if targets.size == 0:
-                transitions[s, a, s] = 1.0
-                continue
-            successors = rng.choice(targets, rng.integers(1, min(3, targets.size) + 1),
-                                    replace=False)
-            transitions[s, a, successors] = rng.random(successors.size) + 0.1
-            transitions[s, a, s] += looping[s]
-            transitions[s, a] /= transitions[s, a].sum()
-    rows = rng.random((num_states, num_actions)) * (rng.random((num_states, num_actions)) < 0.7)
-    rows[rng.random(num_states) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
-    rows[(rank == num_states - 1) & ~cyclic] = 0.0
-    sums = rows.sum(axis=1, keepdims=True)
-    rows = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
-    means = np.round(rng.random((num_states, num_actions)), 3)
-    mdp = TabularMdp(transitions, RewardSpec(lo=means, hi=means), gamma=draw(GAMMAS),
-                     start_state=0, terminal_states=frozenset(terminal.tolist()))
-    return mdp, rows
-
-
 class SolveSpy:
     """Records the size of every ``np.linalg.solve`` system; ``fail`` makes each call raise."""
 
@@ -202,17 +213,16 @@ class TestSolveBellman:
     def test_only_the_cyclic_core_is_factored(self, monkeypatch):
         # 0 -> 1 -> {1, 2}; 2 -> 3 <-> 4; 5 -> terminal 6.  State 1 loops on itself
         # and 0, 1 and 2 lead into the cycle of 3 and 4, so the core is 0..4; 5 peels.
-        p_pi = np.zeros((7, 7))
-        p_pi[0, 1] = 1.0
-        p_pi[1, [1, 2]] = 0.5
-        p_pi[2, 3] = p_pi[3, 4] = p_pi[4, 3] = p_pi[5, 6] = 1.0
-        p_pi[6, 6] = 1.0
+        rows = np.array([0, 1, 1, 2, 3, 4, 5, 6])
+        cols = np.array([1, 1, 2, 3, 4, 3, 6, 6])
+        weights = np.array([1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0])
+        p_pi = oracles.dense_from_edges(rows, cols, weights, (7, 7))
         rewards = np.arange(1.0, 8.0)
         system = oracles.dense_bellman_system(p_pi, 0.9)
         system[6], system[6, 6] = 0.0, 1.0
         expected = np.linalg.solve(system, np.r_[rewards[:6], 0.0])
         spy = SolveSpy(monkeypatch)
-        got = solve_bellman(p_pi, rewards, 0.9, terminal={6})
+        got = solve_bellman(rows, cols, weights, rewards, 0.9, terminal={6})
         assert spy.sizes == [5]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
         assert got[5] == 6.0 and got[6] == 0.0
@@ -286,32 +296,38 @@ class TestPqiMasking:
     @settings(max_examples=200, deadline=None)
     @given(tables(), GAMMAS, st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     def test_masked_rows_equal_the_filtered_model(self, case, gamma, filtered_share):
-        p_hat, rng = case
-        num_states, num_actions, _ = p_hat.shape
+        table, rng = case
+        num_states, num_actions, _ = table.shape
+        table = np.abs(table)
+        table /= np.maximum(1.0, table.sum(axis=2, keepdims=True))  # substochastic rows
         surviving = rng.random((num_states, num_actions)) >= filtered_share
-        r_mod = np.where(surviving, rng.random((num_states, num_actions)), 0.0)
-        p_mod = np.where(surviving[:, :, None], p_hat, 0.0)
+        r_hat = rng.random((num_states, num_actions))
+        n_sa = np.ones((num_states, num_actions), dtype=np.int64)
+        edges = oracles.loop_edges(table)
+        model = MleModel(edges, r_hat, n_sa)
+        kept = surviving.ravel()[edges.pair]
+        filtered = MleModel(Edges(*(column[kept] for column in edges)),
+                            np.where(surviving, r_hat, 0.0), n_sa)
         states = np.arange(num_states)
         policy = rng.integers(0, num_actions, size=num_states)
-        values = draw_values(rng, num_states)
+        chosen = np.zeros((num_states, num_actions))
+        chosen[states, policy] = 1.0
 
-        p_pi = p_hat[states, policy]
-        p_pi[~surviving[states, policy]] = 0.0
-        expected = oracles.dense_bellman_system(p_mod[states, policy], gamma)
-        assert_same_bytes(bellman_system(p_pi, gamma), expected)
-
-        lookahead = discounted_lookahead(p_hat, values, gamma)
-        lookahead[~surviving] = 0.0
-        assert_same_bytes(r_mod + lookahead, r_mod + oracles.dense_lookahead(p_mod, values, gamma))
+        masked = chosen * surviving
+        assert all(map(np.array_equal, policy_edges(edges, masked),
+                       policy_edges(filtered.edges, chosen)))
+        scores = np.where(surviving, _model_scores(model, masked, gamma), 0.0)
+        assert_same_bytes(scores, _model_scores(filtered, chosen, gamma))
 
 
 class TestMemory:
-    """A learner or evaluator holds at most one (S, A, S) table beyond its inputs.
+    """Peak bytes of the learners and the evaluator, each learner call on a fresh copy of the
+    dataset so that the model fit counts too.
 
-    On the forest benchmark size the model table is 2.2 MB and an (S, S)
-    array 0.74 MB; the bounds below allow the learners one table plus two
-    (S, S) arrays and the evaluator, which is handed the MDP, two (S, S)
-    arrays.
+    On the forest benchmark size the old bounds still hold: one (S, A, S) table (2.2 MB)
+    plus two (S, S) arrays (0.74 MB each) for the learners, two (S, S) arrays for the
+    evaluator.  At 200 chains the peaks must scale with the edges and the (state, action)
+    pairs instead: an (S, S) array is 11.6 MB there, 190 times the bound's unit.
     """
 
     @staticmethod
@@ -325,27 +341,41 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peaks_stay_within_one_table(self):
-        mdp, behavior = build_forest_mdp(num_chains=50, depth=3, epsilon=0.2)
+    def over(self, num_chains: int, bounds) -> dict:
+        """``name -> (peak, bound)`` of each call over ``bounds(mdp)[name]``."""
+        mdp, behavior = build_forest_mdp(num_chains=num_chains, depth=3, epsilon=0.2)
         dataset = simulate(mdp, behavior, num_trajectories=100, horizon=30, master_seed=3)
-        num_states, num_actions = mdp.num_states, mdp.num_actions
-        table = num_states * num_actions * num_states * 8
-        square = num_states * num_states * 8
 
         def fresh():
             """A copy of the dataset, so each call fits the model a dataset keeps."""
             return dataclasses.replace(dataset)
 
         calls = {
-            "fit_mle_model": (lambda: fit_mle_model(fresh()),
-                              table + 2 * square),
-            "train_spibb": (lambda: train_spibb(fresh(), behavior, 10, mdp.gamma),
-                            table + 2 * square),
-            "train_pqi": (lambda: train_pqi(fresh(), 0.02, mdp.gamma), table + 2 * square),
-            "policy_state_values": (
-                lambda: policy_state_values(mdp, behavior.action_probabilities), 2 * square),
+            "fit_mle_model": lambda: fit_mle_model(fresh()),
+            "train_spibb": lambda: train_spibb(fresh(), behavior, 10, mdp.gamma),
+            "train_pqi": lambda: train_pqi(fresh(), 0.02, mdp.gamma),
+            "policy_state_values": lambda: policy_state_values(mdp, behavior.action_probabilities),
         }
-        peaks = {name: self.peak_bytes(call) for name, (call, _) in calls.items()}
-        over = {name: (peaks[name], bound) for name, (_, bound) in calls.items()
-                if peaks[name] > bound}
+        limits = bounds(mdp)
+        peaks = {name: self.peak_bytes(call) for name, call in calls.items()}
+        return {name: (peaks[name], limits[name]) for name in calls if peaks[name] > limits[name]}
+
+    def test_peaks_stay_within_one_table(self):
+        def bounds(mdp):
+            table = mdp.num_states * mdp.num_actions * mdp.num_states * 8
+            square = mdp.num_states * mdp.num_states * 8
+            return {"fit_mle_model": table + 2 * square, "train_spibb": table + 2 * square,
+                    "train_pqi": table + 2 * square, "policy_state_values": 2 * square}
+
+        over = self.over(50, bounds)
+        assert not over, f"peak bytes over the bound: {over}"
+
+    def test_peaks_scale_with_edges_and_pairs(self):
+        # Eight floats per edge and per pair; the peaks measured 3 to 4.8 of them.
+        def bounds(mdp):
+            unit = (len(mdp.edges.pair) + mdp.num_states * mdp.num_actions) * 8
+            return dict.fromkeys(["fit_mle_model", "train_spibb", "train_pqi",
+                                  "policy_state_values"], 8 * unit)
+
+        over = self.over(200, bounds)
         assert not over, f"peak bytes over the bound: {over}"
